@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import to_time_2d
-from .errors import GridTooCoarseError, GridTooNarrowError
+from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
 from .spectral import FrequencyGrid, _readonly
 
@@ -169,7 +169,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
 
     The discrete transform is unitary up to the 1/(2pi)^2 bookkeeping, so
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
-    1e-9 means the kernel itself is broken and raises ArithmeticError.
+    1e-9 means the kernel itself is broken and raises ParsevalError.
     """
     field = to_time_2d(psi.values, psi.grid)
     p = np.abs(field) ** 2
@@ -178,7 +178,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     norm = float((np.abs(psi.values) ** 2).sum()) * psi.grid.domega ** 2
     expected = norm / (2.0 * math.pi) ** 2
     if abs(mass / expected - 1.0) > NORM_RTOL:
-        raise ArithmeticError(
+        raise ParsevalError(
             f"Parseval identity violated: time mass {mass}, expected {expected}"
         )
     return JointTemporalDensity(psi.grid, p / mass)
@@ -217,13 +217,16 @@ def _tau_moments(density: JointTemporalDensity) -> tuple[float, float]:
     return mean, var
 
 
-def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
+def amplitude_moments(
+    psi: BiphotonAmplitude, density: JointTemporalDensity | None = None
+) -> TemporalCovariance:
     """Extract the (tau, Omega) covariance of an amplitude.
 
     Omega moments come from |psi|^2 on the frequency grid; tau moments from
-    the tau marginal of the temporal density.  The mixed covariance is not
-    directly readable from either density, so it is probed through two
-    small dispersion kicks +-eps: the exact shear identity
+    the tau marginal of the temporal density, which a caller that already
+    holds `to_time_domain(psi)` passes in to save the transform.  The mixed
+    covariance is not directly readable from either density, so it is
+    probed through two small dispersion kicks +-eps: the exact shear identity
     Var_tau(betaL) = Var_tau + 4*betaL*cov + 4*betaL^2*Var_Omega makes the
     antisymmetric difference pick out the coupling alone,
 
@@ -240,7 +243,7 @@ def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
     total = float(masses.sum())
     mean_omega = float((wsum * masses).sum() / total)
     var_omega = float((((wsum - mean_omega) ** 2) * masses).sum() / total)
-    mean_tau, var_tau = _tau_moments(to_time_domain(psi))
+    mean_tau, var_tau = _tau_moments(density if density is not None else to_time_domain(psi))
     if var_omega <= 1e-12 * psi.grid.domega ** 2 or var_tau <= 0.0:
         cov = 0.0
     else:

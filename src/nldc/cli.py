@@ -17,10 +17,10 @@ difference: the analytic route adds jitter_sigma^2 to Var(tau) and the
 sampling route applies jitter_sigma/sqrt(2) per detector channel, which
 adds the same.
 
-The default output directory is the NLDC_OUT_DIR environment variable,
-falling back to ./nldc_out; a scenario "outputs.dir" entry or --out
-overrides it.  RunRecords are deterministic for fixed seeds apart from the
-created_utc stamp.
+`run` and `scan` write into the --out directory, else the scenario's
+"outputs.dir", else the NLDC_OUT_DIR environment variable, else ./nldc_out.
+RunRecords are deterministic for fixed seeds apart from the created_utc
+stamp.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import jsonschema
 import numpy as np
@@ -190,14 +192,37 @@ class ScenarioError(ValueError):
     """Scenario content failed validation (maps to exit code 2)."""
 
 
+@functools.cache
+def _scenario_validator():
+    """The schema validator, checked against its meta-schema once per process."""
+    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
+def _coerce_integers(node: dict, schema: dict) -> None:
+    """Turn the integral floats that JSON Schema accepts as integers (256.0) into ints."""
+    for key, sub in schema.get("properties", {}).items():
+        if key not in node:
+            continue
+        if sub.get("type") == "integer":
+            node[key] = int(node[key])
+        elif sub.get("type") == "object":
+            _coerce_integers(node[key], sub)
+
+
 def normalize_scenario(raw: dict) -> dict:
-    """Validate against the schema and fill defaults; returns a new dict."""
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as err:
+    """Validate against the schema and fill defaults; returns a new dict.
+
+    Integer fields come out as ints even when the input wrote them as
+    integral floats, so later stages and scan's state cache see one value.
+    """
+    err = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(raw))
+    if err is not None:
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ScenarioError(f"scenario invalid at {path}: {err.message}") from err
     scenario = copy.deepcopy(raw)
+    _coerce_integers(scenario, SCENARIO_SCHEMA)
     kit = scenario["kit"]
     kit.setdefault("delay_1_ps", 0.0)
     kit.setdefault("delay_2_ps", 0.0)
@@ -277,47 +302,37 @@ def _build_cross(cross_spec, s1, s2, grid, base_dir) -> spc.CrossSpectrum:
     return cross
 
 
-@dataclass
-class StateBundle:
-    kind: str
-    cov_before: TemporalCovariance
-    cov_plus: TemporalCovariance
-    cov_minus: TemporalCovariance
-    psi: bp.BiphotonAmplitude | None = None
-    densities: dict | None = None
-    model: st.StationaryPairModel | None = None
-    profile: st.TauDensity | None = None
-    fft: dict | None = None
+# The kit-independent source states.  `run` disperses one; `scan` needs
+# only cov0 and builds it once per distinct state.
+
+@dataclass(frozen=True)
+class BiphotonState:
+    psi: bp.BiphotonAmplitude
+    density: bp.JointTemporalDensity
+    cov0: TemporalCovariance
+    kind: ClassVar[str] = "biphoton"
 
 
-def _build_state(scenario: dict, kit: DispersionKit, base_dir, want_sampling: bool) -> StateBundle:
-    state = scenario["state"]
+@dataclass(frozen=True)
+class StationaryState:
+    model: st.StationaryPairModel
+    cov0: TemporalCovariance
+    kind: ClassVar[str] = "stationary"
+
+
+@dataclass(frozen=True)
+class CovarianceState:
+    cov0: TemporalCovariance
+    kind: ClassVar[str] = "covariance"
+
+
+def _build_state(state: dict, base_dir) -> BiphotonState | StationaryState | CovarianceState:
     if "biphoton" in state:
         cfg = state["biphoton"]
         grid = _build_grid(cfg["grid"])
         psi = bp.build_pdc_amplitude(grid, cfg["pump_sigma_rad_ps"], cfg["pm_sigma_rad_ps"])
-        psi_plus = bp.apply_dispersion_phase(psi, kit)
-        psi_minus = bp.apply_dispersion_phase(psi, kit.swapped())
-        cov0 = bp.amplitude_moments(psi)
-        cov_p = bp.amplitude_moments(psi_plus)
-        cov_m = bp.amplitude_moments(psi_minus)
-        fft = {
-            "var_tau_before_ps2": cov0.var_tau,
-            "var_tau_plus_ps2": cov_p.var_tau,
-            "var_tau_minus_ps2": cov_m.var_tau,
-            "symmetrized_var_tau_ps2": 0.5 * (cov_p.var_tau + cov_m.var_tau),
-        }
-        densities = None
-        if want_sampling:
-            densities = {
-                "before": bp.to_time_domain(psi),
-                "plus": bp.to_time_domain(psi_plus),
-                "minus": bp.to_time_domain(psi_minus),
-            }
-        return StateBundle(
-            kind="biphoton", cov_before=cov0, cov_plus=cov_p, cov_minus=cov_m,
-            psi=psi, densities=densities, fft=fft,
-        )
+        density = bp.to_time_domain(psi)
+        return BiphotonState(psi, density, bp.amplitude_moments(psi, density))
     if "stationary" in state:
         cfg = state["stationary"]
         grid = _build_grid(cfg["grid"])
@@ -325,28 +340,16 @@ def _build_state(scenario: dict, kit: DispersionKit, base_dir, want_sampling: bo
         s2 = _build_spectrum(cfg["s2"], grid, base_dir)
         cross = _build_cross(cfg["cross"], s1, s2, grid, base_dir)
         model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
-        cov0 = st.windowed_covariance(model)
-        return StateBundle(
-            kind="stationary",
-            cov_before=cov0,
-            cov_plus=shear_covariance(cov0, kit),
-            cov_minus=shear_covariance(cov0, kit.swapped()),
-            model=model,
-            profile=st.coincidence_profile(model),
-        )
+        return StationaryState(model, st.windowed_covariance(model))
     cfg = state["covariance"]
-    cov0 = TemporalCovariance(
-        var_tau=cfg["var_tau_ps2"],
-        var_omega=cfg["var_omega_rad2_ps2"],
-        cov_tau_omega=cfg["cov_tau_omega"],
-        mean_tau=cfg["mean_tau_ps"],
-        mean_omega=cfg["mean_omega_rad_ps"],
-    )
-    return StateBundle(
-        kind="covariance",
-        cov_before=cov0,
-        cov_plus=shear_covariance(cov0, kit),
-        cov_minus=shear_covariance(cov0, kit.swapped()),
+    return CovarianceState(
+        TemporalCovariance(
+            var_tau=cfg["var_tau_ps2"],
+            var_omega=cfg["var_omega_rad2_ps2"],
+            cov_tau_omega=cfg["cov_tau_omega"],
+            mean_tau=cfg["mean_tau_ps"],
+            mean_omega=cfg["mean_omega_rad_ps"],
+        )
     )
 
 
@@ -391,28 +394,41 @@ def _stats_dict(stats: sp.TauStats) -> dict:
     }
 
 
-def _sample_batches(bundle: StateBundle, kit: DispersionKit, count: int, seed: int) -> dict:
-    if bundle.kind == "biphoton":
+def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int) -> dict:
+    if densities is not None:
         return {
-            "before": sp.sample_biphoton(bundle.densities["before"], count, sp.derive_seed(seed, "before")),
-            "plus": sp.sample_biphoton(bundle.densities["plus"], count, sp.derive_seed(seed, "plus")),
-            "minus": sp.sample_biphoton(bundle.densities["minus"], count, sp.derive_seed(seed, "minus")),
+            label: sp.sample_biphoton(density, count, sp.derive_seed(seed, label))
+            for label, density in densities.items()
         }
     return {
-        "before": sp.sample_stationary(bundle.model, count, sp.derive_seed(seed, "before")),
-        "plus": sp.sample_stationary_sheared(bundle.model, kit, count, sp.derive_seed(seed, "plus")),
-        "minus": sp.sample_stationary_sheared(bundle.model, kit.swapped(), count, sp.derive_seed(seed, "minus")),
+        "before": sp.sample_stationary(state.model, count, sp.derive_seed(seed, "before")),
+        "plus": sp.sample_stationary_sheared(state.model, kit, count, sp.derive_seed(seed, "plus")),
+        "minus": sp.sample_stationary_sheared(state.model, kit.swapped(), count, sp.derive_seed(seed, "minus")),
     }
 
 
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
-    """Execute one normalized scenario, writing outputs into out_dir."""
+    """Execute one normalized scenario, writing outputs into out_dir.
+
+    A biphoton state is dispersed on the grid (the FFT route) and each
+    arm's time density is transformed once, for both its moments and the
+    sampler; the other kinds are sheared in closed form.
+    """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
     jitter_var = jitter_sigma ** 2
-    want_sampling = "sampler" in scenario
-    bundle = _build_state(scenario, kit, base_dir, want_sampling)
-    cov0 = bundle.cov_before
+    state = _build_state(scenario["state"], base_dir)
+    cov0 = state.cov0
+    densities = None
+    if isinstance(state, BiphotonState):
+        densities = {"before": state.density}
+        arms = {}
+        for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
+            psi = bp.apply_dispersion_phase(state.psi, arm_kit)
+            densities[label] = bp.to_time_domain(psi)
+            arms[label] = bp.amplitude_moments(psi, densities[label])
+    else:
+        arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
 
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -420,25 +436,31 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "scenario": scenario,
         "scenario_hash": scenario_hash(scenario),
-        "state_kind": bundle.kind,
+        "state_kind": state.kind,
         "covariance_before": _cov_dict(cov0),
-        "covariance_after_plus": _cov_dict(bundle.cov_plus),
-        "covariance_after_minus": _cov_dict(bundle.cov_minus),
+        "covariance_after_plus": _cov_dict(arms["plus"]),
+        "covariance_after_minus": _cov_dict(arms["minus"]),
         "separability": {
             "product": separability_check(cov0).product,
             "separable_consistent": separability_check(cov0).separable_consistent,
         },
         "witness": _witness_dict(cov0, kit),
     }
-    if bundle.fft is not None:
-        record["fft"] = bundle.fft
-    if bundle.kind == "stationary":
-        stats = st.windowed_tau_variance(bundle.profile)
+    if isinstance(state, BiphotonState):
+        record["fft"] = {
+            "var_tau_before_ps2": cov0.var_tau,
+            "var_tau_plus_ps2": arms["plus"].var_tau,
+            "var_tau_minus_ps2": arms["minus"].var_tau,
+            "symmetrized_var_tau_ps2": 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau),
+        }
+    if isinstance(state, StationaryState):
+        profile = st.coincidence_profile(state.model)
+        stats = st.windowed_tau_variance(profile)
         record["windowed"] = {
             "variance_ps2": stats.variance,
             "signal_fraction": stats.signal_fraction,
-            "background": bundle.profile.background,
-            "regime": bundle.model.regime,
+            "background": profile.background,
+            "regime": state.model.regime,
         }
     if jitter_var > 0.0:
         cov_obs = apply_jitter(cov0, jitter_var)
@@ -459,10 +481,10 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict = {"runrecord": "runrecord.json"}
 
-    if want_sampling:
+    if "sampler" in scenario:
         count = scenario["sampler"]["n_events"]
         seed = scenario["sampler"]["seed"]
-        batches = _sample_batches(bundle, kit, count, seed)
+        batches = _sample_batches(state, densities, kit, count, seed)
         sigma_per_detector = jitter_sigma / math.sqrt(2.0)
         estimates = {
             label: sp.estimate_tau_stats(
@@ -499,11 +521,11 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             outputs["events"] = events
         record["sampling"] = sampling
 
-    if bundle.kind == "stationary" and scenario["outputs"]["tau_profile_csv"]:
-        st.tau_density_to_csv(bundle.profile, out_dir / "tau_profile.csv")
+    if isinstance(state, StationaryState) and scenario["outputs"]["tau_profile_csv"]:
+        st.tau_density_to_csv(profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
-    if bundle.kind == "biphoton" and scenario["outputs"]["density_binary"]:
-        bp.density_to_binary(bp.to_time_domain(bundle.psi), out_dir / "density_before.bin")
+    if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
+        bp.density_to_binary(state.density, out_dir / "density_before.bin")
         outputs["density_before"] = "density_before.bin"
 
     record["outputs"] = outputs
@@ -544,21 +566,32 @@ def _resolve_numeric_path(scenario: dict, dotted: str):
 def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")) -> list[dict]:
     """Witness quantities per swept value; fails before any output on a bad point.
 
+    Every variant is validated before any state is built.  The source state
+    does not depend on the kit or the jitter, so its cov0 is built once per
+    distinct normalized state and each row is apply_jitter plus
+    evaluate_witness, the same algebra that gives `run` its witness (or
+    witness_observed).  No dispersed amplitude is built, so a kit whose
+    dispersed marginal would wrap the grid (which `run` rejects) still gets
+    its closed-form row.
+
     lhs/rhs/margin and the product refer to the jitter-observed covariance,
-    so jitter sweeps show the feasibility degradation directly.  Rows are
-    assembled in the order given regardless of evaluation strategy.
+    so jitter sweeps show the feasibility degradation directly.
     """
     _resolve_numeric_path(scenario, param)
-    rows = []
+    variants = []
     for value in values:
         variant = copy.deepcopy(scenario)
         node, leaf = _resolve_numeric_path(variant, param)
-        node[leaf] = float(value)
-        variant = normalize_scenario(variant)
-        kit = _kit_from(variant)
-        bundle = _build_state(variant, kit, base_dir, want_sampling=False)
-        cov_obs = apply_jitter(bundle.cov_before, variant["jitter_sigma_ps"] ** 2)
-        report = evaluate_witness(cov_obs, kit)
+        node[leaf] = float(value)  # normalize_scenario turns it back into an int for integer fields
+        variants.append(normalize_scenario(variant))
+    cov0_by_state: dict = {}
+    rows = []
+    for value, variant in zip(values, variants):
+        key = canonical_json(variant["state"])
+        if key not in cov0_by_state:
+            cov0_by_state[key] = _build_state(variant["state"], base_dir).cov0
+        cov_obs = apply_jitter(cov0_by_state[key], variant["jitter_sigma_ps"] ** 2)
+        report = evaluate_witness(cov_obs, _kit_from(variant))
         rows.append(
             {
                 "value": float(value),
@@ -708,8 +741,11 @@ def render_record(record_path, out_dir=None) -> list[Path]:
 # ---------------------------------------------------------------------------
 # Entry points.
 
-def _default_out_dir() -> Path:
-    return Path(os.environ.get(ENV_OUT_DIR, "nldc_out"))
+def _out_dir(args, scenario: dict) -> Path:
+    """--out, then the scenario's outputs.dir, then NLDC_OUT_DIR, then ./nldc_out."""
+    if args.out:
+        return Path(args.out)
+    return Path(scenario["outputs"].get("dir", os.environ.get(ENV_OUT_DIR, "nldc_out")))
 
 
 def _emit_error(kind: str, err: Exception) -> None:
@@ -718,7 +754,7 @@ def _emit_error(kind: str, err: Exception) -> None:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    out_dir = Path(args.out) if args.out else Path(scenario["outputs"].get("dir", _default_out_dir()))
+    out_dir = _out_dir(args, scenario)
     record = run_scenario(scenario, out_dir, base_dir=Path(args.scenario).parent)
     witness = record["witness"]
     if witness.get("evaluable"):
@@ -739,7 +775,7 @@ def _cmd_scan(args) -> int:
     if not values:
         raise ScenarioError("scan needs at least one value")
     rows = scan_scenario(scenario, args.param, values, base_dir=Path(args.scenario).parent)
-    out_dir = Path(args.out) if args.out else _default_out_dir()
+    out_dir = _out_dir(args, scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"scan_{args.param.replace('.', '_')}.csv"
     write_scan_csv(rows, path)

@@ -43,3 +43,7 @@ class DegenerateStateError(PreconditionError):
 
 class AdmissibilityError(PreconditionError):
     """A cross-spectrum violates the admissibility bound of its declared regime."""
+
+
+class ParsevalError(PreconditionError):
+    """A time transform did not preserve the norm: the Fourier kernel is broken."""

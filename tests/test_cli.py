@@ -18,9 +18,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from nldc import cli
+from nldc import biphoton, cli
 
 
 def _write(tmp_path, name, obj):
@@ -133,6 +134,61 @@ def test_unresolvable_grid_exits_3(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "GridTooCoarseError"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"state": {"covariance": {"var_tau_ps2": 1.0, "var_omega_rad2_ps2": 1.0}}},
+        {"state": {}, "kit": {"beta_L_ps2": 1.0}},
+        {"state": {"biphoton": {"pump_sigma_rad_ps": -1.0, "pm_sigma_rad_ps": 1.0,
+                                "grid": {"n": 4, "domega_rad_ps": 0.1}}},
+         "kit": {"beta_L_ps2": 1.0}},
+        {"state": {"stationary": {"grid": {"n": 64, "domega_rad_ps": 0.1},
+                                  "s1": {"flat": {"value": 1.0}}, "s2": {"flat": {"value": 1.0}},
+                                  "cross": "quantum-extremal", "window_T_ps": 5.0}},
+         "kit": {"beta_L_ps2": 1.0}},
+    ],
+)
+def test_validation_messages_match_jsonschema_validate(bad):
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(bad, cli.SCENARIO_SCHEMA)
+    with pytest.raises(cli.ScenarioError) as got:
+        cli.normalize_scenario(bad)
+    path = ".".join(str(p) for p in ref.value.absolute_path) or "<root>"
+    assert str(got.value) == f"scenario invalid at {path}: {ref.value.message}"
+
+
+def test_integer_fields_accept_integral_floats_only(tmp_path, capsys):
+    scenario = _biphoton_scenario(n_events=200.0, seed=3.0)
+    scenario["state"]["biphoton"]["grid"]["n"] = 256.0
+    normalized = cli.normalize_scenario(scenario)
+    assert type(normalized["state"]["biphoton"]["grid"]["n"]) is int
+    assert type(normalized["sampler"]["n_events"]) is int
+    assert type(normalized["sampler"]["seed"]) is int
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    assert _record(out_dir)["sampling"]["estimates"]["before"]["n"] == 200
+
+    scenario["state"]["biphoton"]["grid"]["n"] = 256.5
+    rc, _ = _run(tmp_path, scenario, out="half")
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ScenarioError" and "grid.n" in err["message"]
+
+
+def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
+    real = biphoton.to_time_2d
+    monkeypatch.setattr(biphoton, "to_time_2d", lambda values, grid: real(values, grid) * 1.01)
+    scenario = _biphoton_scenario()
+    del scenario["sampler"]
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParsevalError"
+    assert "Parseval" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # Run records.
 
@@ -187,6 +243,30 @@ def test_biphoton_run_cancels_dispersion_and_samples(tmp_path):
         lines = (out_dir / f"events_{label}.csv").read_text().splitlines()
         assert lines[1] == "t1_ps,t2_ps"
         assert len(lines) == 2 + 2000
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sampling_run_transforms_each_arm_once(tmp_path, monkeypatch):
+    # Delta-ridge pump: amplitude_moments needs no +-eps probes, so the
+    # three densities (before, plus, minus) are the only transforms, each
+    # shared by the moments and the sampler.
+    transforms = _count_calls(monkeypatch, biphoton, "to_time_domain")
+    scenario = _biphoton_scenario(n_events=100, seed=4)
+    scenario["outputs"] = {"density_binary": True}
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 0
+    assert len(transforms) == 3
 
 
 def test_stationary_run_reports_windowed_mixture(tmp_path):
@@ -311,6 +391,115 @@ def test_zero_dispersion_margin_is_exactly_zero(tmp_path):
     assert row[3] == 0.0
 
 
+def _resolved_biphoton(a=0.5, b=2.5, n=256, domega=0.15, beta_L=1.0):
+    return {
+        "state": {
+            "biphoton": {
+                "pump_sigma_rad_ps": a,
+                "pm_sigma_rad_ps": b,
+                "grid": {"n": n, "domega_rad_ps": domega},
+            }
+        },
+        "kit": {"beta_L_ps2": beta_L, "delay_1_ps": 0.3},
+    }
+
+
+def _scan(tmp_path, scenario, param, values, out="scanout"):
+    path = _write(tmp_path, f"{out}.json", scenario)
+    out_dir = tmp_path / out
+    rc = cli.main(["scan", str(path), "--param", param, "--values", values, "--out", str(out_dir)])
+    if rc != 0:
+        return rc, None
+    lines = (out_dir / f"scan_{param.replace('.', '_')}.csv").read_text().splitlines()
+    return rc, [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "param, values, builds",
+    [
+        ("kit.beta_L_ps2", "0,0.5,1,2", 1),
+        ("jitter_sigma_ps", "0,0.5,1", 1),
+        ("state.biphoton.pump_sigma_rad_ps", "0.5,0.6,0.5", 2),
+    ],
+)
+def test_scan_builds_each_distinct_state_once(tmp_path, monkeypatch, param, values, builds):
+    amplitudes = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
+    moments = _count_calls(monkeypatch, biphoton, "amplitude_moments")
+    phases = _count_calls(monkeypatch, biphoton, "apply_dispersion_phase")
+    rc, rows = _scan(tmp_path, _resolved_biphoton(), param, values)
+    assert rc == 0
+    assert len(rows) == len(values.split(","))
+    assert len(amplitudes) == builds
+    assert len(moments) == builds
+    assert len(phases) == 2 * builds  # the +-eps probes of amplitude_moments only
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        ("kit.beta_L_ps2", "0,0.5,2"),
+        ("jitter_sigma_ps", "0,0.5,1"),
+        ("state.biphoton.pump_sigma_rad_ps", "0.5,0.6"),
+    ],
+)
+def test_scan_rows_equal_run_witness_bit_for_bit(tmp_path, param, values):
+    scenario = _resolved_biphoton()
+    scenario["jitter_sigma_ps"] = 0.0
+    rc, rows = _scan(tmp_path, scenario, param, values)
+    assert rc == 0
+    for k, row in enumerate(rows):
+        variant = copy.deepcopy(scenario)
+        node, leaf = cli._resolve_numeric_path(variant, param)
+        node[leaf] = row[0]
+        rc, out_dir = _run(tmp_path, variant, name=f"v{k}.json", out=f"run{k}")
+        assert rc == 0
+        rec = _record(out_dir)
+        witness = rec.get("witness_observed", rec["witness"])  # present when jitter > 0
+        assert row[1:] == [witness["lhs_ps2"], witness["rhs_ps2"], witness["margin_ps2"], witness["product"]]
+
+
+def test_scan_validates_every_value_before_building(tmp_path, capsys, monkeypatch):
+    amplitudes = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
+    rc, _ = _scan(tmp_path, _resolved_biphoton(), "jitter_sigma_ps", "0,-1,2")
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ScenarioError" and "jitter_sigma_ps" in err["message"]
+    assert amplitudes == []
+    assert not (tmp_path / "scanout").exists()
+
+
+def test_beta_scan_past_the_wrap_point_stays_algebraic(tmp_path, capsys):
+    # At beta_L = 6 the dispersed tau marginal wraps the 512-point grid, so
+    # run refuses the scenario; the scan never disperses on the grid and
+    # gives the closed-form row.
+    scenario = _resolved_biphoton(a=0.5, b=10.0, n=512, domega=0.125, beta_L=0.0)
+    rc, rows = _scan(tmp_path, scenario, "kit.beta_L_ps2", "6")
+    assert rc == 0
+    value, lhs, rhs, margin, product = rows[0]
+    assert value == 6.0
+    assert lhs == pytest.approx(36.0100, rel=1e-5)
+    assert rhs == pytest.approx(14400.006, rel=1e-7)
+    assert margin == rhs - lhs
+
+    scenario["kit"]["beta_L_ps2"] = 6.0
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "GridTooCoarseError"
+
+
+def test_integer_leaves_scan(tmp_path, capsys):
+    scenario = _biphoton_scenario(n_events=100, seed=1)
+    rc, rows = _scan(tmp_path, scenario, "state.biphoton.grid.n", "256,512")
+    assert rc == 0
+    assert [row[0] for row in rows] == [256.0, 512.0]
+    rc, rows = _scan(tmp_path, scenario, "sampler.seed", "1,2", out="seeds")
+    assert rc == 0
+    assert rows[0][1:] == rows[1][1:]
+    rc, _ = _scan(tmp_path, scenario, "sampler.n_events", "100.5", out="half")
+    assert rc == 2
+    assert "n_events" in _stderr_error(capsys)["message"]
+
+
 def test_scan_rejects_bad_parameter_paths(tmp_path, capsys):
     path = _write(tmp_path, "bad.json", _covariance_scenario())
     rc = cli.main([
@@ -411,6 +600,22 @@ def test_output_directory_precedence(tmp_path, monkeypatch):
     flag_dir = tmp_path / "from_flag"
     assert cli.main(["run", str(path), "--out", str(flag_dir)]) == 0
     assert (flag_dir / "runrecord.json").exists()
+
+    scan = ["scan", "--param", "kit.beta_L_ps2", "--values", "1"]
+    csv_name = "scan_kit_beta_L_ps2.csv"
+    assert cli.main([*scan, str(path), "--out", str(flag_dir)]) == 0
+    assert (flag_dir / csv_name).exists()
+    assert cli.main([*scan, str(path)]) == 0
+    assert (scenario_dir / csv_name).exists()
+    plain = _write(tmp_path, "prec3.json", _covariance_scenario())
+    assert cli.main([*scan, str(plain)]) == 0
+    assert (env_dir / csv_name).exists()
+
+    monkeypatch.delenv("NLDC_OUT_DIR")
+    assert cli.main(["run", str(plain)]) == 0
+    assert cli.main([*scan, str(plain)]) == 0
+    assert (tmp_path / "nldc_out" / "runrecord.json").exists()
+    assert (tmp_path / "nldc_out" / csv_name).exists()
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
