@@ -42,7 +42,7 @@ import numpy as np
 from ._fft import to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
-from .spectral import FrequencyGrid, _readonly
+from .spectral import FrequencyGrid, _readonly, _write_rows
 
 NORM_RTOL = 1e-9
 EDGE_MASS_LIMIT = 1e-6
@@ -190,13 +190,23 @@ def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]
     Returns (tau values, density q) with sum q * dt = 1.  The cyclic
     reduction is exact for periodic grids; whether the marginal actually
     fits the grid is the caller's wrap check.
+
+    Index difference d collects the cyclic diagonal p[(m + d) % n, m] over
+    t2 index m.  Stacking the density twice along t1 makes every such
+    diagonal a straight strided line: with row stride n and element stride
+    n + 1 (in items), diag[d, m] = stacked[m + d, m].  The lines are copied
+    contiguous before summing each over m, so the sums are those of a
+    row-by-row gather, bit for bit.
     """
     n = density.grid.n
     dt = density.dt
-    cols = np.arange(n)
-    rows = (cols[:, None] + cols[None, :]) % n  # rows[d, m] pairs t1 index (m+d) with t2 index m
-    mass_by_diff = density.values[rows, cols[None, :]].sum(axis=1) * dt * dt
-    centred = mass_by_diff[(cols - n // 2) % n]
+    stacked = np.concatenate((density.values, density.values))
+    step = stacked.itemsize
+    diag = np.lib.stride_tricks.as_strided(
+        stacked, shape=(n, n), strides=(n * step, (n + 1) * step), writeable=False
+    )
+    mass_by_diff = np.ascontiguousarray(diag).sum(axis=1) * dt * dt
+    centred = mass_by_diff[(np.arange(n) - n // 2) % n]
     tau = density.grid.times
     return tau, centred / dt
 
@@ -265,24 +275,16 @@ def amplitude_moments(
 
 def amplitude_to_csv(psi: BiphotonAmplitude, path) -> None:
     """Row-major (omega1, omega2, re, im) rows, 17 significant digits."""
-    w = psi.grid.omegas
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={psi.grid.n} domega_rad_ps={psi.grid.domega:.17g}\n")
-        fh.write("omega1_rad_ps,omega2_rad_ps,re,im\n")
-        for i in range(psi.grid.n):
-            for j in range(psi.grid.n):
-                v = psi.values[i, j]
-                fh.write(f"{w[i]:.17g},{w[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    n, w = psi.grid.n, psi.grid.omegas
+    v = psi.values.ravel()
+    cols = (np.repeat(w, n), np.tile(w, n), v.real, v.imag)
+    _write_rows(path, psi.grid, "omega1_rad_ps,omega2_rad_ps,re,im", cols)
 
 
 def density_to_csv(density: JointTemporalDensity, path) -> None:
-    t = density.grid.times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={density.grid.n} domega_rad_ps={density.grid.domega:.17g}\n")
-        fh.write("t1_ps,t2_ps,p\n")
-        for i in range(density.grid.n):
-            for j in range(density.grid.n):
-                fh.write(f"{t[i]:.17g},{t[j]:.17g},{density.values[i, j]:.17g}\n")
+    n, t = density.grid.n, density.grid.times
+    cols = (np.repeat(t, n), np.tile(t, n), density.values.ravel())
+    _write_rows(path, density.grid, "t1_ps,t2_ps,p", cols)
 
 
 def _binary_header(magic: float, grid: FrequencyGrid) -> bytes:

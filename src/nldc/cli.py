@@ -316,6 +316,7 @@ class BiphotonState:
 @dataclass(frozen=True)
 class StationaryState:
     model: st.StationaryPairModel
+    profile: st.TauDensity
     cov0: TemporalCovariance
     kind: ClassVar[str] = "stationary"
 
@@ -340,7 +341,8 @@ def _build_state(state: dict, base_dir) -> BiphotonState | StationaryState | Cov
         s2 = _build_spectrum(cfg["s2"], grid, base_dir)
         cross = _build_cross(cfg["cross"], s1, s2, grid, base_dir)
         model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
-        return StationaryState(model, st.windowed_covariance(model))
+        profile = st.coincidence_profile(model)
+        return StationaryState(model, profile, st.windowed_covariance(model, profile))
     cfg = state["covariance"]
     return CovarianceState(
         TemporalCovariance(
@@ -400,10 +402,13 @@ def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int)
             label: sp.sample_biphoton(density, count, sp.derive_seed(seed, label))
             for label, density in densities.items()
         }
+    m, profile = state.model, state.profile
     return {
-        "before": sp.sample_stationary(state.model, count, sp.derive_seed(seed, "before")),
-        "plus": sp.sample_stationary_sheared(state.model, kit, count, sp.derive_seed(seed, "plus")),
-        "minus": sp.sample_stationary_sheared(state.model, kit.swapped(), count, sp.derive_seed(seed, "minus")),
+        "before": sp.sample_stationary(m, count, sp.derive_seed(seed, "before"), profile),
+        "plus": sp.sample_stationary_sheared(m, kit, count, sp.derive_seed(seed, "plus"), profile),
+        "minus": sp.sample_stationary_sheared(
+            m, kit.swapped(), count, sp.derive_seed(seed, "minus"), profile
+        ),
     }
 
 
@@ -429,6 +434,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             arms[label] = bp.amplitude_moments(psi, densities[label])
     else:
         arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
+    separability = separability_check(cov0)
 
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -441,8 +447,8 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         "covariance_after_plus": _cov_dict(arms["plus"]),
         "covariance_after_minus": _cov_dict(arms["minus"]),
         "separability": {
-            "product": separability_check(cov0).product,
-            "separable_consistent": separability_check(cov0).separable_consistent,
+            "product": separability.product,
+            "separable_consistent": separability.separable_consistent,
         },
         "witness": _witness_dict(cov0, kit),
     }
@@ -454,12 +460,11 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             "symmetrized_var_tau_ps2": 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau),
         }
     if isinstance(state, StationaryState):
-        profile = st.coincidence_profile(state.model)
-        stats = st.windowed_tau_variance(profile)
+        stats = state.profile.windowed
         record["windowed"] = {
             "variance_ps2": stats.variance,
             "signal_fraction": stats.signal_fraction,
-            "background": profile.background,
+            "background": state.profile.background,
             "regime": state.model.regime,
         }
     if jitter_var > 0.0:
@@ -522,7 +527,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         record["sampling"] = sampling
 
     if isinstance(state, StationaryState) and scenario["outputs"]["tau_profile_csv"]:
-        st.tau_density_to_csv(profile, out_dir / "tau_profile.csv")
+        st.tau_density_to_csv(state.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
     if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
         bp.density_to_binary(state.density, out_dir / "density_before.bin")
@@ -667,13 +672,14 @@ def render_scatter(batch: sp.EventBatch, path) -> None:
         f'<text x="20" y="{size / 2:.1f}" font-size="15" text-anchor="middle" '
         f'transform="rotate(-90 20 {size / 2:.1f})">t2 (ps)</text>\n'
     )
-    for a, b in zip(batch.t1, batch.t2):
-        x = margin + (a - lo) * scale
-        y = size - margin - (b - lo) * scale
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="#1f77b4" fill-opacity="0.5"/>\n')
-    parts.append("</svg>\n")
+    x = margin + (batch.t1 - lo) * scale
+    y = size - margin - (batch.t2 - lo) * scale
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(parts))
+        spc._write_formatted_rows(
+            fh, '<circle cx="%.2f" cy="%.2f" r="1.2" fill="#1f77b4" fill-opacity="0.5"/>\n', (x, y)
+        )
+        fh.write("</svg>\n")
 
 
 def render_tau_hist(batch: sp.EventBatch, path, bins: int = 64) -> None:

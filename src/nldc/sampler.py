@@ -23,19 +23,21 @@ import numpy as np
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
-from .spectral import _readonly
-from .stationary import StationaryPairModel, TauDensity, coincidence_profile, windowed_tau_variance
+from .spectral import _readonly, _write_formatted_rows
+from .stationary import StationaryPairModel, TauDensity, coincidence_profile
+
+
+def _seed_digest(seed: int, label: str) -> bytes:
+    return hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
 
 
 def derive_seed(seed: int, label: str) -> int:
     """A stable 64-bit sub-seed for (seed, label)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return int.from_bytes(_seed_digest(seed, label)[:8], "little")
 
 
 def _generator(seed: int, label: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    key = int.from_bytes(digest[:16], "little")
+    key = int.from_bytes(_seed_digest(seed, label)[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -168,7 +170,7 @@ def _reject_mean_times(rng, tau, T):
 
 def _sample_tau_mixture(rng, d: TauDensity, count):
     """Shared signal/background split; returns (t1, t2, signal mask)."""
-    f_s = windowed_tau_variance(d).signal_fraction
+    f_s = d.windowed.signal_fraction
     T = d.window
     signal = rng.random(count) < f_s
     n_bg = int(count - signal.sum())
@@ -194,15 +196,25 @@ def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-
     )
 
 
-def sample_stationary(m: StationaryPairModel, count: int, seed: int) -> EventBatch:
-    """Events of a windowed stationary model before any dispersion."""
-    return sample_tau_density(
-        coincidence_profile(m), count, seed, source=f"stationary-{m.regime}"
-    )
+def sample_stationary(
+    m: StationaryPairModel, count: int, seed: int, profile: TauDensity | None = None
+) -> EventBatch:
+    """Events of a windowed stationary model before any dispersion.
+
+    A caller that already holds `coincidence_profile(m)` passes it as
+    profile to save the transform.
+    """
+    if profile is None:
+        profile = coincidence_profile(m)
+    return sample_tau_density(profile, count, seed, source=f"stationary-{m.regime}")
 
 
 def sample_stationary_sheared(
-    m: StationaryPairModel, kit: DispersionKit, count: int, seed: int
+    m: StationaryPairModel,
+    kit: DispersionKit,
+    count: int,
+    seed: int,
+    profile: TauDensity | None = None,
 ) -> EventBatch:
     """Events of a windowed stationary model after dispersive propagation.
 
@@ -212,13 +224,15 @@ def sample_stationary_sheared(
     anticorrelated).  Each detection time then shifts by its group delay,
     t1 += delay_1 + 2*beta_L*omega1 and t2 += delay_2 - 2*beta_L*omega2,
     which realises the covariance shear per event.  Times may leave the
-    shutter window, so the batch is unwindowed.
+    shutter window, so the batch is unwindowed.  profile is as in
+    sample_stationary.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    d = coincidence_profile(m)
+    if profile is None:
+        profile = coincidence_profile(m)
     rng = _generator(seed, "stationary-sheared")
-    t1, t2, signal = _sample_tau_mixture(rng, d, count)
+    t1, t2, signal = _sample_tau_mixture(rng, profile, count)
     n_bg = int(count - signal.sum())
     n_sig = int(signal.sum())
     grid = m.grid
@@ -323,8 +337,7 @@ def events_to_csv(batch: EventBatch, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed={batch.seed} window={window} source={batch.source}\n")
         fh.write("t1_ps,t2_ps\n")
-        for a, b in zip(batch.t1, batch.t2):
-            fh.write(f"{a:.17g},{b:.17g}\n")
+        _write_formatted_rows(fh, "%.17g,%.17g\n", (batch.t1, batch.t2))
 
 
 def events_from_csv(path) -> EventBatch:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralModel,
     _readonly,
+    _write_rows,
     classical_admissible,
     intensity,
     max_classical_cross,
@@ -146,6 +148,11 @@ class TauDensity:
     def dt(self) -> float:
         return self.grid.dt
 
+    @cached_property
+    def windowed(self) -> "WindowedTauStats":
+        """windowed_tau_variance(self), evaluated once per profile."""
+        return windowed_tau_variance(self)
+
 
 @dataclass(frozen=True)
 class WindowedTauStats:
@@ -222,15 +229,18 @@ def _spectral_moments(s: SpectralModel) -> tuple[float, float]:
     return mean, var
 
 
-def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
+def windowed_covariance(m: StationaryPairModel, d: TauDensity | None = None) -> TemporalCovariance:
     """Covariance of (tau, Omega) for the windowed mixture.
 
     The background carries the convolved spectral Omega spread with tau and
     Omega independent; the signal ridge carries Omega = 0 exactly.  This is
-    the moments-route entry point for stationary models.
+    the moments-route entry point for stationary models.  A caller that
+    already holds `coincidence_profile(m)` passes it as d to save the
+    transform.
     """
-    d = coincidence_profile(m)
-    stats = windowed_tau_variance(d)
+    if d is None:
+        d = coincidence_profile(m)
+    stats = d.windowed
     f_s = stats.signal_fraction
     f_b = 1.0 - f_s
     mean_s, _, _ = _signal_moments(d)
@@ -252,8 +262,6 @@ def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
 
 def tau_density_to_csv(d: TauDensity, path) -> None:
     """Plot-ready rows (tau_ps, signal, background, window_ps)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={d.grid.n} domega_rad_ps={d.grid.domega:.17g}\n")
-        fh.write("tau_ps,signal,background,window_ps\n")
-        for tau, s in zip(d.taus, d.signal):
-            fh.write(f"{tau:.17g},{s:.17g},{d.background:.17g},{d.window:.17g}\n")
+    n = d.grid.n
+    cols = (d.taus, d.signal, np.full(n, d.background), np.full(n, d.window))
+    _write_rows(path, d.grid, "tau_ps,signal,background,window_ps", cols)

@@ -244,3 +244,43 @@ def test_csv_exports_have_declared_shape(tmp_path):
     lines = dpath.read_text().splitlines()
     assert lines[1] == "t1_ps,t2_ps,p"
     assert len(lines) == 2 + 32 * 32
+
+
+def _tau_marginal_oracle(density):
+    """The n x n index gather that tau_marginal's strided diagonals replaced."""
+    n = density.grid.n
+    dt = density.dt
+    cols = np.arange(n)
+    rows = (cols[:, None] + cols[None, :]) % n  # rows[d, m] pairs t1 index (m+d) with t2 index m
+    mass_by_diff = density.values[rows, cols[None, :]].sum(axis=1) * dt * dt
+    return density.grid.times, mass_by_diff[(cols - n // 2) % n] / dt
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_tau_marginal_matches_the_index_gather(n):
+    grid = FrequencyGrid(n=n, domega=0.3)
+    values = np.random.default_rng(n).random((n, n)) ** 3  # no symmetry to hide a transpose
+    density = JointTemporalDensity(grid, values / (values.sum() * grid.dt ** 2))
+    tau, q = tau_marginal(density)
+    tau_ref, q_ref = _tau_marginal_oracle(density)
+    assert np.array_equal(tau, tau_ref)
+    assert np.array_equal(q, q_ref)
+
+
+def test_csv_exports_match_the_row_loops(tmp_path):
+    grid = FrequencyGrid(n=32, domega=0.25)
+    psi = apply_dispersion_phase(build_pdc_amplitude(grid, 1.0, 0.8), DispersionKit(0.3, 0.1))
+    density = to_time_domain(psi)
+    w, t = grid.omegas, grid.times
+    head = f"# n=32 domega_rad_ps={grid.domega:.17g}\n"
+    amp = [head, "omega1_rad_ps,omega2_rad_ps,re,im\n"]
+    dens = [head, "t1_ps,t2_ps,p\n"]
+    for i in range(grid.n):
+        for j in range(grid.n):
+            v = psi.values[i, j]
+            amp.append(f"{w[i]:.17g},{w[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+            dens.append(f"{t[i]:.17g},{t[j]:.17g},{density.values[i, j]:.17g}\n")
+    amplitude_to_csv(psi, tmp_path / "amp.csv")
+    density_to_csv(density, tmp_path / "dens.csv")
+    assert (tmp_path / "amp.csv").read_bytes() == "".join(amp).encode("utf-8")
+    assert (tmp_path / "dens.csv").read_bytes() == "".join(dens).encode("utf-8")

@@ -19,9 +19,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from nldc import biphoton, cli
+from nldc import biphoton, cli, sampler, stationary
+from nldc.spectral import _CHUNK_ROWS
 
 
 def _write(tmp_path, name, obj):
@@ -267,6 +269,26 @@ def test_sampling_run_transforms_each_arm_once(tmp_path, monkeypatch):
     rc, _ = _run(tmp_path, scenario)
     assert rc == 0
     assert len(transforms) == 3
+
+
+def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
+    # The profile comes from one 1D transform, shared by the covariance,
+    # the windowed block, the tau-profile CSV and all three samplers.
+    transforms = _count_calls(monkeypatch, stationary, "to_time_1d")
+    profiles = _count_calls(monkeypatch, stationary, "coincidence_profile")
+    sampler_profiles = _count_calls(monkeypatch, sampler, "coincidence_profile")
+    variances = _count_calls(monkeypatch, stationary, "windowed_tau_variance")
+    separability = _count_calls(monkeypatch, cli, "separability_check")
+    scenario = _stationary_scenario()
+    scenario["sampler"] = {"n_events": 500, "seed": 3}
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    assert (out_dir / "tau_profile.csv").exists()
+    assert _record(out_dir)["sampling"]["estimates"]["minus"]["n"] == 500
+    assert len(transforms) == 1
+    assert len(profiles) + len(sampler_profiles) == 1
+    assert len(variances) == 1
+    assert len(separability) == 1
 
 
 def test_stationary_run_reports_windowed_mixture(tmp_path):
@@ -534,6 +556,61 @@ def test_render_produces_deterministic_svgs(tmp_path):
     assert rc == 0
     assert (again / "scatter.svg").read_text() == scatter
     assert (again / "tau_hist.svg").read_text() == hist
+
+
+def _scatter_oracle(batch):
+    """The bytes of render_scatter's former per-circle loop."""
+    size, margin = 640, 70
+    span = size - 2 * margin
+    if batch.window is not None:
+        lo, hi = batch.window
+    else:
+        lo = float(min(batch.t1.min(), batch.t2.min()))
+        hi = float(max(batch.t1.max(), batch.t2.max()))
+    lo, hi = cli._axis_bounds(lo, hi)
+    scale = span / (hi - lo)
+    parts = [cli._svg_header(size, size, f"detection times: {batch.source}")]
+    parts.append(
+        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
+        'fill="none" stroke="black" stroke-width="1"/>\n'
+    )
+    for frac in (0.0, 0.5, 1.0):
+        v = lo + frac * (hi - lo)
+        x = margin + frac * span
+        parts.append(
+            f'<text x="{x:.1f}" y="{size - margin + 24}" font-size="13" '
+            f'text-anchor="middle">{v:.6g}</text>\n'
+        )
+        parts.append(
+            f'<text x="{margin - 8}" y="{size - margin - frac * span:.1f}" font-size="13" '
+            f'text-anchor="end">{v:.6g}</text>\n'
+        )
+    parts.append(
+        f'<text x="{size / 2:.1f}" y="{size - 18}" font-size="15" text-anchor="middle">t1 (ps)</text>\n'
+    )
+    parts.append(
+        f'<text x="20" y="{size / 2:.1f}" font-size="15" text-anchor="middle" '
+        f'transform="rotate(-90 20 {size / 2:.1f})">t2 (ps)</text>\n'
+    )
+    for a, b in zip(batch.t1, batch.t2):
+        x = margin + (a - lo) * scale
+        y = size - margin - (b - lo) * scale
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="#1f77b4" fill-opacity="0.5"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts).encode("utf-8")
+
+
+@pytest.mark.parametrize("rows, window", [(3, (-4.0, 9.0)), (_CHUNK_ROWS + 1, (-4.0, 9.0)), (500, None)])
+def test_render_scatter_matches_the_circle_loop(tmp_path, rows, window):
+    rng = np.random.default_rng(rows)
+    t1 = rng.uniform(-4.0, 9.0, rows)
+    t2 = rng.uniform(-4.0, 9.0, rows)
+    if window is None:
+        t1 = t1 * 37.5 - 1e3  # an unwindowed batch sets its axes from the data
+    batch = sampler.EventBatch(t1=t1, t2=t2, seed=1, source="oracle", window=window)
+    path = tmp_path / "scatter.svg"
+    cli.render_scatter(batch, path)
+    assert path.read_bytes() == _scatter_oracle(batch)
 
 
 def test_render_requires_sampled_events(tmp_path, capsys):

@@ -7,6 +7,7 @@ joint 2D draws, dt^2/12 for direct tau draws, domega^2/6 on Omega for
 background pairs; expectations below include those terms explicitly.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from nldc.moments import DispersionKit, shear_covariance
 from nldc.sampler import (
     EventBatch,
     TauStats,
+    _generator,
     derive_seed,
     empirical_witness,
     estimate_tau_stats,
@@ -33,7 +35,13 @@ from nldc.sampler import (
     sample_stationary_sheared,
     sample_tau_density,
 )
-from nldc.spectral import FrequencyGrid, flat_cross, gaussian_cross, gaussian_spectrum
+from nldc.spectral import (
+    _CHUNK_ROWS,
+    FrequencyGrid,
+    flat_cross,
+    gaussian_cross,
+    gaussian_spectrum,
+)
 from nldc.stationary import (
     TauDensity,
     coincidence_profile,
@@ -54,6 +62,17 @@ def test_derive_seed_is_stable_and_label_separated():
     assert derive_seed(7, "a") == derive_seed(7, "a")
     assert derive_seed(7, "a") != derive_seed(7, "b")
     assert derive_seed(7, "a") != derive_seed(8, "a")
+
+
+def test_generator_streams_are_keyed_by_the_seed_hash():
+    # The Philox key is the first 16 bytes of sha256("seed:label"), the
+    # same digest whose first 8 bytes are derive_seed.
+    for seed, label in ((7, "a"), (123, "stationary-sheared"), (0, "detector-jitter")):
+        digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+        assert derive_seed(seed, label) == int.from_bytes(digest[:8], "little")
+        key = int.from_bytes(digest[:16], "little")
+        expected = np.random.Generator(np.random.Philox(key=key)).random(5)
+        assert np.array_equal(_generator(seed, label).random(5), expected)
 
 
 def test_point_mass_draws_stay_inside_their_cell():
@@ -304,3 +323,32 @@ def test_events_csv_rejects_corrupt_files(tmp_path):
     wrong_header.write_text("# seed=1 window=none source=x\ntime1,time2\n0.0,0.0\n")
     with pytest.raises(ValueError):
         events_from_csv(wrong_header)
+
+
+def _events_csv_oracle(batch):
+    """The bytes of the per-row writer that events_to_csv replaced."""
+    if batch.window is None:
+        window = "none"
+    else:
+        window = f"{batch.window[0]:.17g},{batch.window[1]:.17g}"
+    lines = [f"# seed={batch.seed} window={window} source={batch.source}\n", "t1_ps,t2_ps\n"]
+    lines += [f"{a:.17g},{b:.17g}\n" for a, b in zip(batch.t1, batch.t2)]
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_events_csv_matches_the_row_loop(tmp_path, rows):
+    special = np.array([-0.0, 5e-324, 1e308, 1.0, -1e308, -2.5, 0.1, -1.0 / 3.0])
+    rng = np.random.default_rng(rows)
+    t1 = rng.normal(0.0, 1e3, rows)
+    t2 = rng.normal(-5.0, 1e-3, rows)
+    t1[: len(special)] = special[:rows]
+    t2[: len(special)] = special[::-1][:rows]
+    batch = EventBatch(t1=t1, t2=t2, seed=3, source="oracle(a=1,b=2)", window=None)
+    path = tmp_path / "events.csv"
+    events_to_csv(batch, path)
+    assert path.read_bytes() == _events_csv_oracle(batch)
+
+    windowed = EventBatch(t1=np.abs(t1) % 7.0, t2=np.abs(t2) % 7.0, seed=4, source="w", window=(0.0, 7.0))
+    events_to_csv(windowed, path)
+    assert path.read_bytes() == _events_csv_oracle(windowed)

@@ -182,6 +182,27 @@ def test_cross_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, x.values)
 
 
+def _rows_oracle(grid, header, rows):
+    """The bytes of the per-row writer that spectral._write_rows replaced."""
+    lines = [f"# n={grid.n} domega_rad_ps={grid.domega:.17g}\n", header + "\n"]
+    lines += [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
+    return "".join(lines).encode("utf-8")
+
+
+def test_spectrum_and_cross_csv_match_the_row_loop(tmp_path):
+    grid = FrequencyGrid(n=64, domega=0.37)
+    s = gaussian_spectrum(grid, 0.8, 1.3, center=-0.4)
+    spectrum_to_csv(s, tmp_path / "s.csv")
+    expected = _rows_oracle(grid, "omega_rad_ps,value", zip(grid.omegas, s.values))
+    assert (tmp_path / "s.csv").read_bytes() == expected
+
+    rng = np.random.default_rng(9)
+    x = type(flat_cross(grid, 0.0))(grid, rng.normal(size=64) + 1j * rng.normal(size=64))
+    cross_to_csv(x, tmp_path / "x.csv")
+    rows = zip(grid.omegas, x.values.real, x.values.imag)
+    assert (tmp_path / "x.csv").read_bytes() == _rows_oracle(grid, "omega_rad_ps,re,im", rows)
+
+
 def test_csv_rejects_mangled_grid(tmp_path):
     s = gaussian_spectrum(G64, 1.0, 1.0)
     path = tmp_path / "s.csv"

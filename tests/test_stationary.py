@@ -287,3 +287,15 @@ def test_profile_csv_rows(tmp_path):
     assert float(first[1]) == d.signal[0]
     assert float(first[2]) == d.background
     assert float(first[3]) == 6.0
+
+
+def test_profile_csv_matches_the_row_loop(tmp_path):
+    grid = FrequencyGrid(256, 0.25)
+    s1, s2 = _unit_gauss_pair(grid)
+    d = coincidence_profile(make_pair_model(s1, s2, gaussian_cross(grid, 0.4, 0.7), window=20.0))
+    lines = [f"# n={d.grid.n} domega_rad_ps={d.grid.domega:.17g}\n", "tau_ps,signal,background,window_ps\n"]
+    for tau, s in zip(d.taus, d.signal):
+        lines.append(f"{tau:.17g},{s:.17g},{d.background:.17g},{d.window:.17g}\n")
+    path = tmp_path / "profile.csv"
+    tau_density_to_csv(d, path)
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
