@@ -152,20 +152,21 @@ def _draw_signal_taus(rng, d: TauDensity, count):
     idx = _inverse_cdf_draw(rng, d.signal * d.dt, count)
     tau = d.taus[idx] + (rng.random(count) - 0.5) * d.dt
     # Profile mass beyond the window is negligible by the 6x RMS precondition;
-    # clamp so the mean-time rejection below always terminates.
+    # clamp so the mean-time interval of _draw_mean_times is never empty.
     return np.clip(tau, -d.window, d.window)
 
 
-def _reject_mean_times(rng, tau, T):
-    """Uniform mean times conditioned on both detections landing in [0, T]."""
-    tbar = rng.random(len(tau)) * T
-    while True:
-        t1 = tbar + 0.5 * tau
-        t2 = tbar - 0.5 * tau
-        bad = (t1 < 0.0) | (t1 > T) | (t2 < 0.0) | (t2 > T)
-        if not bad.any():
-            return t1, t2
-        tbar[bad] = rng.random(int(bad.sum())) * T
+def _draw_mean_times(rng, tau, T):
+    """Uniform mean times conditioned on both detections landing in [0, T].
+
+    Given tau (|tau| <= T), that law is tbar = (t1 + t2)/2 uniform on
+    [|tau|/2, T - |tau|/2], drawn once per event.  t1, t2 >= 0 holds in
+    floating point (tbar >= |tau|/2); the cap at T absorbs the last-ulp
+    rounding of the sum.
+    """
+    half = 0.5 * np.abs(tau)
+    tbar = half + rng.random(len(tau)) * (T - 2.0 * half)
+    return np.minimum(tbar + 0.5 * tau, T), np.minimum(tbar - 0.5 * tau, T)
 
 
 def _sample_tau_mixture(rng, d: TauDensity, count):
@@ -181,7 +182,7 @@ def _sample_tau_mixture(rng, d: TauDensity, count):
     t2[~signal] = rng.random(n_bg) * T
     if n_sig:
         tau = _draw_signal_taus(rng, d, n_sig)
-        t1[signal], t2[signal] = _reject_mean_times(rng, tau, T)
+        t1[signal], t2[signal] = _draw_mean_times(rng, tau, T)
     return t1, t2, signal
 
 

@@ -24,6 +24,7 @@ from nldc.moments import DispersionKit, shear_covariance
 from nldc.sampler import (
     EventBatch,
     TauStats,
+    _draw_mean_times,
     _generator,
     derive_seed,
     empirical_witness,
@@ -145,6 +146,24 @@ def test_background_only_mixture_is_triangular():
     assert batch.window == (0.0, 12.0)
     stats = estimate_tau_stats(batch, 0.0, seed=0)
     assert abs(stats.var_tau - 12.0 ** 2 / 6.0) <= 3.0 * stats.stderr
+
+
+def test_mean_times_keep_both_detections_in_the_window():
+    # |tau| = T leaves a single admissible mean time, T/2; a rejection
+    # sampler never lands on it.
+    T = 7.3
+    tau = np.repeat([T, -T, 0.0, T / 2, -T / 2], 4000)
+    t1, t2 = _draw_mean_times(_generator(5, "mean-times"), tau, T)
+    for t in (t1, t2):
+        assert np.all((t >= 0.0) & (t <= T))
+    assert np.allclose(t1 - t2, tau, rtol=0.0, atol=1e-12 * T)
+    tbar = 0.5 * (t1 + t2)
+    assert np.allclose(tbar[:8000], T / 2, rtol=0.0, atol=1e-12 * T)
+    for start, lo, hi in ((8000, 0.0, T), (12000, T / 4, 3 * T / 4)):  # tau = 0, T/2
+        part = tbar[start : start + 4000]
+        assert lo <= part.min() and part.max() <= hi
+        # Uniform on [lo, hi]: mean (lo+hi)/2, sd (hi-lo)/sqrt(12)/sqrt(4000) each.
+        assert abs(part.mean() - 0.5 * (lo + hi)) < 4.0 * (hi - lo) / math.sqrt(12.0 * 4000)
 
 
 def test_mixture_variance_tracks_the_windowed_formula():
