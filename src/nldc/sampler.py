@@ -164,8 +164,8 @@ def _draw_mean_times(rng, tau, T):
     floating point (tbar >= |tau|/2); the cap at T absorbs the last-ulp
     rounding of the sum.
     """
-    half = 0.5 * np.abs(tau)
-    tbar = half + rng.random(len(tau)) * (T - 2.0 * half)
+    abs_tau = np.abs(tau)
+    tbar = 0.5 * abs_tau + rng.random(len(tau)) * (T - abs_tau)
     return np.minimum(tbar + 0.5 * tau, T), np.minimum(tbar - 0.5 * tau, T)
 
 

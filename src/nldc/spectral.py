@@ -218,8 +218,9 @@ def max_classical_cross(s1: SpectralModel, s2: SpectralModel) -> CrossSpectrum:
 # CSV interchange.  Columns hold (omega, value) or (omega, re, im); an exact
 # grid descriptor rides in a comment line so round trips are bit-faithful.
 
-# Rows formatted per `%`; bounds the value tuple and the text of one chunk
-# (about 0.7 MB for two columns), so 1e6-row tables stay small in memory.
+# Rows formatted per `%`.  Bounds what one `%` holds, the chunk's value
+# tuple and its text (about 0.6 MB of text for two 17-digit columns),
+# whatever the length of the table.
 _CHUNK_ROWS = 1 << 14
 
 

@@ -149,7 +149,7 @@ class TauDensity:
         return self.grid.dt
 
     @cached_property
-    def windowed(self) -> "WindowedTauStats":
+    def windowed(self) -> WindowedTauStats:
         """windowed_tau_variance(self), evaluated once per profile."""
         return windowed_tau_variance(self)
 
@@ -229,7 +229,9 @@ def _spectral_moments(s: SpectralModel) -> tuple[float, float]:
     return mean, var
 
 
-def windowed_covariance(m: StationaryPairModel, d: TauDensity | None = None) -> TemporalCovariance:
+def windowed_covariance(
+    m: StationaryPairModel, d: TauDensity | None = None
+) -> TemporalCovariance:
     """Covariance of (tau, Omega) for the windowed mixture.
 
     The background carries the convolved spectral Omega spread with tau and
