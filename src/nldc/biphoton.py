@@ -42,7 +42,7 @@ import numpy as np
 from ._fft import to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
-from .spectral import FrequencyGrid, _readonly, _write_rows
+from .spectral import FrequencyGrid, _readonly
 
 NORM_RTOL = 1e-9
 EDGE_MASS_LIMIT = 1e-6
@@ -275,16 +275,24 @@ def amplitude_moments(
 
 def amplitude_to_csv(psi: BiphotonAmplitude, path) -> None:
     """Row-major (omega1, omega2, re, im) rows, 17 significant digits."""
-    n, w = psi.grid.n, psi.grid.omegas
-    v = psi.values.ravel()
-    cols = (np.repeat(w, n), np.tile(w, n), v.real, v.imag)
-    _write_rows(path, psi.grid, "omega1_rad_ps,omega2_rad_ps,re,im", cols)
+    w = psi.grid.omegas
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# n={psi.grid.n} domega_rad_ps={psi.grid.domega:.17g}\n")
+        fh.write("omega1_rad_ps,omega2_rad_ps,re,im\n")
+        for i in range(psi.grid.n):
+            for j in range(psi.grid.n):
+                v = psi.values[i, j]
+                fh.write(f"{w[i]:.17g},{w[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def density_to_csv(density: JointTemporalDensity, path) -> None:
-    n, t = density.grid.n, density.grid.times
-    cols = (np.repeat(t, n), np.tile(t, n), density.values.ravel())
-    _write_rows(path, density.grid, "t1_ps,t2_ps,p", cols)
+    t = density.grid.times
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# n={density.grid.n} domega_rad_ps={density.grid.domega:.17g}\n")
+        fh.write("t1_ps,t2_ps,p\n")
+        for i in range(density.grid.n):
+            for j in range(density.grid.n):
+                fh.write(f"{t[i]:.17g},{t[j]:.17g},{density.values[i, j]:.17g}\n")
 
 
 def _binary_header(magic: float, grid: FrequencyGrid) -> bytes:

@@ -316,7 +316,6 @@ class BiphotonState:
 @dataclass(frozen=True)
 class StationaryState:
     model: st.StationaryPairModel
-    profile: st.TauDensity
     cov0: TemporalCovariance
     kind: ClassVar[str] = "stationary"
 
@@ -341,8 +340,7 @@ def _build_state(state: dict, base_dir) -> BiphotonState | StationaryState | Cov
         s2 = _build_spectrum(cfg["s2"], grid, base_dir)
         cross = _build_cross(cfg["cross"], s1, s2, grid, base_dir)
         model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
-        profile = st.coincidence_profile(model)
-        return StationaryState(model, profile, st.windowed_covariance(model, profile))
+        return StationaryState(model, st.windowed_covariance(model))
     cfg = state["covariance"]
     return CovarianceState(
         TemporalCovariance(
@@ -402,12 +400,12 @@ def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int)
             label: sp.sample_biphoton(density, count, sp.derive_seed(seed, label))
             for label, density in densities.items()
         }
-    m, profile = state.model, state.profile
+    m = state.model
     return {
-        "before": sp.sample_stationary(m, count, sp.derive_seed(seed, "before"), profile),
-        "plus": sp.sample_stationary_sheared(m, kit, count, sp.derive_seed(seed, "plus"), profile),
+        "before": sp.sample_stationary(m, count, sp.derive_seed(seed, "before")),
+        "plus": sp.sample_stationary_sheared(m, kit, count, sp.derive_seed(seed, "plus")),
         "minus": sp.sample_stationary_sheared(
-            m, kit.swapped(), count, sp.derive_seed(seed, "minus"), profile
+            m, kit.swapped(), count, sp.derive_seed(seed, "minus")
         ),
     }
 
@@ -460,11 +458,12 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             "symmetrized_var_tau_ps2": 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau),
         }
     if isinstance(state, StationaryState):
-        stats = state.profile.windowed
+        profile = state.model.profile
+        stats = profile.windowed
         record["windowed"] = {
             "variance_ps2": stats.variance,
             "signal_fraction": stats.signal_fraction,
-            "background": state.profile.background,
+            "background": profile.background,
             "regime": state.model.regime,
         }
     if jitter_var > 0.0:
@@ -527,7 +526,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         record["sampling"] = sampling
 
     if isinstance(state, StationaryState) and scenario["outputs"]["tau_profile_csv"]:
-        st.tau_density_to_csv(state.profile, out_dir / "tau_profile.csv")
+        st.tau_density_to_csv(state.model.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
     if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
         bp.density_to_binary(state.density, out_dir / "density_before.bin")

@@ -24,7 +24,7 @@ from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
 from .spectral import _readonly, _write_formatted_rows
-from .stationary import StationaryPairModel, TauDensity, coincidence_profile
+from .stationary import StationaryPairModel, TauDensity
 
 
 def _seed_digest(seed: int, label: str) -> bytes:
@@ -197,25 +197,13 @@ def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-
     )
 
 
-def sample_stationary(
-    m: StationaryPairModel, count: int, seed: int, profile: TauDensity | None = None
-) -> EventBatch:
-    """Events of a windowed stationary model before any dispersion.
-
-    A caller that already holds `coincidence_profile(m)` passes it as
-    profile to save the transform.
-    """
-    if profile is None:
-        profile = coincidence_profile(m)
-    return sample_tau_density(profile, count, seed, source=f"stationary-{m.regime}")
+def sample_stationary(m: StationaryPairModel, count: int, seed: int) -> EventBatch:
+    """Events of a windowed stationary model before any dispersion."""
+    return sample_tau_density(m.profile, count, seed, source=f"stationary-{m.regime}")
 
 
 def sample_stationary_sheared(
-    m: StationaryPairModel,
-    kit: DispersionKit,
-    count: int,
-    seed: int,
-    profile: TauDensity | None = None,
+    m: StationaryPairModel, kit: DispersionKit, count: int, seed: int
 ) -> EventBatch:
     """Events of a windowed stationary model after dispersive propagation.
 
@@ -225,15 +213,12 @@ def sample_stationary_sheared(
     anticorrelated).  Each detection time then shifts by its group delay,
     t1 += delay_1 + 2*beta_L*omega1 and t2 += delay_2 - 2*beta_L*omega2,
     which realises the covariance shear per event.  Times may leave the
-    shutter window, so the batch is unwindowed.  profile is as in
-    sample_stationary.
+    shutter window, so the batch is unwindowed.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if profile is None:
-        profile = coincidence_profile(m)
     rng = _generator(seed, "stationary-sheared")
-    t1, t2, signal = _sample_tau_mixture(rng, profile, count)
+    t1, t2, signal = _sample_tau_mixture(rng, m.profile, count)
     n_bg = int(count - signal.sum())
     n_sig = int(signal.sum())
     grid = m.grid

@@ -90,6 +90,11 @@ class StationaryPairModel:
     def grid(self) -> FrequencyGrid:
         return self.s1.grid
 
+    @cached_property
+    def profile(self) -> TauDensity:
+        """coincidence_profile(self), evaluated once per model."""
+        return coincidence_profile(self)
+
 
 def make_pair_model(
     s1: SpectralModel, s2: SpectralModel, cross: CrossSpectrum, window: float
@@ -229,19 +234,14 @@ def _spectral_moments(s: SpectralModel) -> tuple[float, float]:
     return mean, var
 
 
-def windowed_covariance(
-    m: StationaryPairModel, d: TauDensity | None = None
-) -> TemporalCovariance:
+def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
     """Covariance of (tau, Omega) for the windowed mixture.
 
     The background carries the convolved spectral Omega spread with tau and
     Omega independent; the signal ridge carries Omega = 0 exactly.  This is
-    the moments-route entry point for stationary models.  A caller that
-    already holds `coincidence_profile(m)` passes it as d to save the
-    transform.
+    the moments-route entry point for stationary models.
     """
-    if d is None:
-        d = coincidence_profile(m)
+    d = m.profile
     stats = d.windowed
     f_s = stats.signal_fraction
     f_b = 1.0 - f_s

@@ -266,21 +266,3 @@ def test_tau_marginal_matches_the_index_gather(n):
     assert np.array_equal(tau, tau_ref)
     assert np.array_equal(q, q_ref)
 
-
-def test_csv_exports_match_the_row_loops(tmp_path):
-    grid = FrequencyGrid(n=32, domega=0.25)
-    psi = apply_dispersion_phase(build_pdc_amplitude(grid, 1.0, 0.8), DispersionKit(0.3, 0.1))
-    density = to_time_domain(psi)
-    w, t = grid.omegas, grid.times
-    head = f"# n=32 domega_rad_ps={grid.domega:.17g}\n"
-    amp = [head, "omega1_rad_ps,omega2_rad_ps,re,im\n"]
-    dens = [head, "t1_ps,t2_ps,p\n"]
-    for i in range(grid.n):
-        for j in range(grid.n):
-            v = psi.values[i, j]
-            amp.append(f"{w[i]:.17g},{w[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
-            dens.append(f"{t[i]:.17g},{t[j]:.17g},{density.values[i, j]:.17g}\n")
-    amplitude_to_csv(psi, tmp_path / "amp.csv")
-    density_to_csv(density, tmp_path / "dens.csv")
-    assert (tmp_path / "amp.csv").read_bytes() == "".join(amp).encode("utf-8")
-    assert (tmp_path / "dens.csv").read_bytes() == "".join(dens).encode("utf-8")

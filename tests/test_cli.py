@@ -276,7 +276,6 @@ def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
     # the windowed block, the tau-profile CSV and all three samplers.
     transforms = _count_calls(monkeypatch, stationary, "to_time_1d")
     profiles = _count_calls(monkeypatch, stationary, "coincidence_profile")
-    sampler_profiles = _count_calls(monkeypatch, sampler, "coincidence_profile")
     variances = _count_calls(monkeypatch, stationary, "windowed_tau_variance")
     separability = _count_calls(monkeypatch, cli, "separability_check")
     scenario = _stationary_scenario()
@@ -286,7 +285,7 @@ def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
     assert (out_dir / "tau_profile.csv").exists()
     assert _record(out_dir)["sampling"]["estimates"]["minus"]["n"] == 500
     assert len(transforms) == 1
-    assert len(profiles) + len(sampler_profiles) == 1
+    assert len(profiles) == 1
     assert len(variances) == 1
     assert len(separability) == 1
 
