@@ -17,14 +17,10 @@ from .biphoton import (
     BiphotonAmplitude,
     JointTemporalDensity,
     amplitude_moments,
-    amplitude_to_binary,
-    amplitude_to_csv,
-    amplitude_from_binary,
     apply_dispersion_phase,
     build_pdc_amplitude,
     density_from_binary,
     density_to_binary,
-    density_to_csv,
     tau_marginal,
     to_time_domain,
 )
@@ -105,9 +101,7 @@ __all__ = [
     # biphoton
     "BiphotonAmplitude", "JointTemporalDensity", "build_pdc_amplitude",
     "apply_dispersion_phase", "to_time_domain", "tau_marginal",
-    "amplitude_moments", "amplitude_to_csv", "density_to_csv",
-    "amplitude_to_binary", "amplitude_from_binary", "density_to_binary",
-    "density_from_binary",
+    "amplitude_moments", "density_to_binary", "density_from_binary",
     # stationary
     "StationaryPairModel", "TauDensity", "WindowedTauStats", "make_pair_model",
     "classical_extremal_model", "coincidence_profile", "windowed_tau_variance",

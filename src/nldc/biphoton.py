@@ -30,6 +30,19 @@ The t1 + t2 direction of a near-monochromatic pair state is uniform and
 wraps the periodic time grid benignly, exactly like the continuous-wave
 limit it represents.  Only the tau = t1 - t2 marginal feeds statistics, so
 the wrap check guards that marginal alone.
+
+Moments are read line by line in the sum frequency, with no 2D transform.
+On the cyclic anti-diagonal psi[i, (s - i) % n] the sum Omega = omega1 +
+omega2 is fixed, and the tau marginal is the sum over lines of |1D
+transform along omega1|^2 (the t1 + t2 direction drops out by Parseval).
+Dispersion beta_L*(omega1^2 - omega2^2) = beta_L*Omega*(omega1 - omega2) is
+a linear phase along each line, so it shifts that line's tau profile
+rigidly by 2*beta_L*Omega: the chronocyclic shear behind nonlocal
+dispersion cancellation (Franson, Phys. Rev. A 45, 3126 (1992)).
+cov(tau, Omega) is therefore the covariance of the line mean taus with the
+line frequencies, computed exactly.  A cyclic line also holds cells of a
+second true sum, Omega -+ n*domega; that branch, |omega1 + omega2| >=
+n*domega/2, must stay empty, or the moments are rejected.
 """
 
 from __future__ import annotations
@@ -39,15 +52,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import to_time_2d
+from ._fft import to_time_1d, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
-from .spectral import FrequencyGrid, _readonly
+from .spectral import FrequencyGrid, _readonly, _require_unwrapped
 
 NORM_RTOL = 1e-9
-EDGE_MASS_LIMIT = 1e-6
-AMPLITUDE_MAGIC = 20044001.0
+SECOND_BRANCH_LIMIT = 1e-9
 DENSITY_MAGIC = 20044002.0
+_LINE_BLOCK_CELLS = 1 << 16  # amplitude cells gathered per block of lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +80,7 @@ class BiphotonAmplitude:
             raise ValueError(f"amplitude must have shape ({n}, {n}), got {arr.shape}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("amplitude must be finite")
-        norm = float((np.abs(arr) ** 2).sum()) * self.grid.domega ** 2
+        norm = float(np.vdot(arr, arr).real) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
             raise ValueError(f"amplitude norm is {norm}, must be 1 within {NORM_RTOL}")
         object.__setattr__(self, "values", _readonly(arr))
@@ -118,7 +131,8 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     (domega < width/3) or the exact sub-cell delta-ridge limit
     (width <= domega/10); the band in between aliases and raises
     GridTooCoarseError.  Both widths need +-3 sigma inside the grid span or
-    GridTooNarrowError is raised.  Errors carry the violated ratio.
+    GridTooNarrowError is raised.  Errors carry ratio = measured / limit and
+    the limit.
     """
     a, b = pump_sigma, pm_sigma
     for name, width in (("pump_sigma", a), ("pm_sigma", b)):
@@ -130,6 +144,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
         raise GridTooNarrowError(
             f"grid half-span {half_span} rad/ps does not cover 3*max(a, b) = {3.0 * widest}",
             ratio=3.0 * widest / half_span,
+            limit=half_span,
         )
     for name, width in (("pump_sigma", a), ("pm_sigma", b)):
         if grid.domega < width / 3.0 or width <= grid.domega / 10.0:
@@ -138,6 +153,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
             f"domega = {grid.domega} cannot resolve {name} = {width}: "
             "need domega < width/3 (resolved) or width <= domega/10 (delta ridge)",
             ratio=3.0 * grid.domega / width,
+            limit=width / 3.0,
         )
     w = grid.omegas
     wsum = w[:, None] + w[None, :]
@@ -155,13 +171,16 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
     """
     w = psi.grid.omegas
     w2 = w ** 2
-    phase = (
-        kit.beta_L * w2[:, None]
-        - kit.beta_L * w2[None, :]
-        + kit.delay_1 * w[:, None]
-        + kit.delay_2 * w[None, :]
-    )
-    return BiphotonAmplitude(psi.grid, psi.values * np.exp(1j * phase))
+    phase = kit.beta_L * w2[:, None] - kit.beta_L * w2[None, :]
+    phase += kit.delay_1 * w[:, None]
+    phase += kit.delay_2 * w[None, :]
+    # The factor is formed in its own storage, so no more than two n x n
+    # temporaries are alive at once.
+    factor = 1j * phase
+    del phase
+    np.exp(factor, out=factor)
+    np.multiply(psi.values, factor, out=factor)
+    return BiphotonAmplitude(psi.grid, factor)
 
 
 def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
@@ -171,17 +190,18 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
     1e-9 means the kernel itself is broken and raises ParsevalError.
     """
-    field = to_time_2d(psi.values, psi.grid)
-    p = np.abs(field) ** 2
+    p = np.abs(to_time_2d(psi.values, psi.grid))
+    p **= 2
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
-    norm = float((np.abs(psi.values) ** 2).sum()) * psi.grid.domega ** 2
+    norm = float(np.vdot(psi.values, psi.values).real) * psi.grid.domega ** 2
     expected = norm / (2.0 * math.pi) ** 2
     if abs(mass / expected - 1.0) > NORM_RTOL:
         raise ParsevalError(
             f"Parseval identity violated: time mass {mass}, expected {expected}"
         )
-    return JointTemporalDensity(psi.grid, p / mass)
+    p /= mass
+    return JointTemporalDensity(psi.grid, p)
 
 
 def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -211,56 +231,101 @@ def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]
     return tau, centred / dt
 
 
-def _tau_moments(density: JointTemporalDensity) -> tuple[float, float]:
-    tau, q = tau_marginal(density)
-    dt = density.dt
-    edge_mass = float((q[0] + q[1] + q[-2] + q[-1]) * dt)
-    if edge_mass >= EDGE_MASS_LIMIT:
-        raise GridTooCoarseError(
-            f"tau marginal wraps the time grid: edge mass {edge_mass} >= {EDGE_MASS_LIMIT}",
-            ratio=edge_mass / EDGE_MASS_LIMIT,
-        )
-    weights = q * dt
-    total = float(weights.sum())
-    mean = float((tau * weights).sum() / total)
-    var = float((((tau - mean) ** 2) * weights).sum() / total)
-    return mean, var
+def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Tau marginal and per-line tau moments, one cyclic sum-frequency line at a time.
 
+    Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
+    is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
+    blocks of _LINE_BLOCK_CELLS cells and each block is transformed along i
+    by one batched to_time_1d; an all-zero line transforms to zeros and is
+    skipped.  With p = |transform|^2 on the tau grid grid.times, returns
 
-def amplitude_moments(
-    psi: BiphotonAmplitude, density: JointTemporalDensity | None = None
-) -> TemporalCovariance:
-    """Extract the (tau, Omega) covariance of an amplitude.
+        marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
+        weight[k]   = sum_d p[k, d]        (the weight of line k)
+        first[k]    = sum_d tau[d] p[k, d] (its unnormalized tau moment)
 
-    Omega moments come from |psi|^2 on the frequency grid; tau moments from
-    the tau marginal of the temporal density, which a caller that already
-    holds `to_time_domain(psi)` passes in to save the transform.  The mixed
-    covariance is not directly readable from either density, so it is
-    probed through two small dispersion kicks +-eps: the exact shear identity
-    Var_tau(betaL) = Var_tau + 4*betaL*cov + 4*betaL^2*Var_Omega makes the
-    antisymmetric difference pick out the coupling alone,
-
-        cov = (Var_tau(+eps) - Var_tau(-eps)) / (8*eps),
-        eps = 1e-3 * sqrt(Var(tau)/Var(Omega)).
-
-    When Var(Omega) is confined below a millionth of a grid cell the state
-    carries no resolvable tau-Omega coupling and cov is exactly 0 by the
-    Cauchy-Schwarz bound.
+    and the share of sum |psi|^2 on the second branch.  sum p must equal
+    n * (domega/2pi)^2 * sum |psi|^2 within NORM_RTOL, or ParsevalError.
     """
-    masses = (np.abs(psi.values) ** 2) * psi.grid.domega ** 2
-    w = psi.grid.omegas
-    wsum = w[:, None] + w[None, :]
-    total = float(masses.sum())
-    mean_omega = float((wsum * masses).sum() / total)
-    var_omega = float((((wsum - mean_omega) ** 2) * masses).sum() / total)
-    mean_tau, var_tau = _tau_moments(density if density is not None else to_time_domain(psi))
-    if var_omega <= 1e-12 * psi.grid.domega ** 2 or var_tau <= 0.0:
-        cov = 0.0
-    else:
-        eps = 1e-3 * math.sqrt(var_tau / var_omega)
-        var_plus = _tau_moments(to_time_domain(apply_dispersion_phase(psi, DispersionKit(eps))))[1]
-        var_minus = _tau_moments(to_time_domain(apply_dispersion_phase(psi, DispersionKit(-eps))))[1]
-        cov = (var_plus - var_minus) / (8.0 * eps)
+    grid = psi.grid
+    n = grid.n
+    half = n // 2
+    i = np.arange(n)
+    row_start = i * n
+    tau = grid.times
+    flat = psi.values.ravel()
+    rows = max(1, _LINE_BLOCK_CELLS // n)
+    marginal = np.zeros(n)
+    weight = np.zeros(n)
+    first = np.zeros(n)
+    norm = second = 0.0
+    for k0 in range(0, n, rows):
+        centred = np.arange(k0, min(k0 + rows, n))[:, None] - half
+        cols = (centred - i) & (n - 1)  # n is a power of two
+        lines = flat[cols + row_start]
+        cells = lines.real ** 2 + lines.imag ** 2
+        # A cell is on the first branch when its true sum i + cols - n is the
+        # line's centred index, and that index is inside (-n/2, n/2).
+        off_branch = (cols + i != centred + n) | (centred == -half)
+        second += float(cells.sum(where=off_branch))
+        line_norm = cells.sum(axis=1)
+        norm += float(line_norm.sum())
+        live = np.flatnonzero(line_norm)
+        if live.size == 0:
+            continue
+        g = to_time_1d(lines[live], grid)
+        p = g.real ** 2 + g.imag ** 2
+        marginal += p.sum(axis=0)
+        weight[k0 + live] = p.sum(axis=1)
+        first[k0 + live] = (p * tau).sum(axis=1)
+    expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
+    total = float(marginal.sum())
+    if abs(total / expected - 1.0) > NORM_RTOL:
+        raise ParsevalError(
+            f"Parseval identity violated: line transform mass {total}, expected {expected}"
+        )
+    return marginal, weight, first, second / norm
+
+
+def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
+    """Extract the (tau, Omega) covariance of an amplitude by the line route.
+
+    Every moment comes from one pass over the cyclic sum-frequency lines
+    (`_sum_frequency_lines`): line k has weight W_k, mean tau m_k and
+    frequency Omega_k = grid.omegas[k].  The tau moments come from the
+    cyclic tau marginal, Var(Omega) from W_k and Omega_k, and
+
+        cov(tau, Omega) = sum_k W_k (m_k - m)(Omega_k - Omega_bar) / sum_k W_k
+                        = sum_k W_k m_k (Omega_k - Omega_bar) / sum_k W_k
+
+    exactly (the m term drops, as sum_k W_k (Omega_k - Omega_bar) = 0):
+    dispersion shifts each line's taus rigidly by 2*beta_L*Omega_k, which is
+    the coupling this covariance measures.  A state confined to one
+    line (the monochromatic-pump ridge) has Var(Omega) = cov = 0 exactly.
+
+    Raises GridTooNarrowError when the second branch of the lines,
+    |omega1 + omega2| >= n*domega/2, holds SECOND_BRANCH_LIMIT of the norm
+    or more, and GridTooCoarseError when the tau marginal wraps the grid.
+    """
+    marginal, weight, first, second = _sum_frequency_lines(psi)
+    if second >= SECOND_BRANCH_LIMIT:
+        raise GridTooNarrowError(
+            f"amplitude reaches |omega1 + omega2| >= n*domega/2 with mass share {second} "
+            f">= {SECOND_BRANCH_LIMIT}; the sum frequency aliases on this grid",
+            ratio=second / SECOND_BRANCH_LIMIT,
+            limit=SECOND_BRANCH_LIMIT,
+        )
+    grid = psi.grid
+    total = float(marginal.sum())
+    _require_unwrapped(marginal / total, "tau marginal")
+    tau = grid.times
+    mean_tau = float((tau * marginal).sum() / total)
+    var_tau = float((((tau - mean_tau) ** 2) * marginal).sum() / total)
+    lines_total = float(weight.sum())
+    mean_omega = float((grid.omegas * weight).sum() / lines_total)
+    d_omega = grid.omegas - mean_omega
+    var_omega = float(((d_omega ** 2) * weight).sum() / lines_total)
+    cov = float((first * d_omega).sum() / lines_total)
     return TemporalCovariance(
         var_tau=var_tau,
         var_omega=var_omega,
@@ -271,72 +336,30 @@ def amplitude_moments(
 
 
 # ---------------------------------------------------------------------------
-# Interchange formats.
-
-def amplitude_to_csv(psi: BiphotonAmplitude, path) -> None:
-    """Row-major (omega1, omega2, re, im) rows, 17 significant digits."""
-    w = psi.grid.omegas
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={psi.grid.n} domega_rad_ps={psi.grid.domega:.17g}\n")
-        fh.write("omega1_rad_ps,omega2_rad_ps,re,im\n")
-        for i in range(psi.grid.n):
-            for j in range(psi.grid.n):
-                v = psi.values[i, j]
-                fh.write(f"{w[i]:.17g},{w[j]:.17g},{v.real:.17g},{v.imag:.17g}\n")
-
-
-def density_to_csv(density: JointTemporalDensity, path) -> None:
-    t = density.grid.times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={density.grid.n} domega_rad_ps={density.grid.domega:.17g}\n")
-        fh.write("t1_ps,t2_ps,p\n")
-        for i in range(density.grid.n):
-            for j in range(density.grid.n):
-                fh.write(f"{t[i]:.17g},{t[j]:.17g},{density.values[i, j]:.17g}\n")
-
-
-def _binary_header(magic: float, grid: FrequencyGrid) -> bytes:
-    header = np.array(
-        [magic, float(grid.n), grid.domega, grid.dt, 0.0, 0.0, 0.0, 0.0], dtype="<f8"
-    )
-    return header.tobytes()
-
-
-def _read_binary_header(raw: bytes, magic: float, path) -> FrequencyGrid:
-    header = np.frombuffer(raw[:64], dtype="<f8")
-    if len(header) != 8 or header[0] != magic:
-        raise ValueError(f"{path}: bad magic, not a recognised binary dump")
-    grid = FrequencyGrid(n=int(header[1]), domega=float(header[2]))
-    if abs(header[3] - grid.dt) > 1e-9 * grid.dt:
-        raise ValueError(f"{path}: header dt inconsistent with n and domega")
-    return grid
-
-
-def amplitude_to_binary(psi: BiphotonAmplitude, path) -> None:
-    """8-float64 header then row-major little-endian (re, im) float64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_binary_header(AMPLITUDE_MAGIC, psi.grid))
-        fh.write(np.ascontiguousarray(psi.values, dtype="<c16").tobytes())
-
-
-def amplitude_from_binary(path) -> BiphotonAmplitude:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    grid = _read_binary_header(raw, AMPLITUDE_MAGIC, path)
-    data = np.frombuffer(raw[64:], dtype="<c16")
-    return BiphotonAmplitude(grid, data.reshape(grid.n, grid.n))
-
+# Interchange format: the joint time density as a binary dump.
 
 def density_to_binary(density: JointTemporalDensity, path) -> None:
-    """8-float64 header then row-major little-endian float64 densities."""
+    """8-float64 header then row-major little-endian float64 densities.
+
+    The header is (DENSITY_MAGIC, n, domega, dt, 0, 0, 0, 0).
+    """
+    grid = density.grid
+    header = np.array(
+        [DENSITY_MAGIC, float(grid.n), grid.domega, grid.dt, 0.0, 0.0, 0.0, 0.0], dtype="<f8"
+    )
     with open(path, "wb") as fh:
-        fh.write(_binary_header(DENSITY_MAGIC, density.grid))
+        fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(density.values, dtype="<f8").tobytes())
 
 
 def density_from_binary(path) -> JointTemporalDensity:
     with open(path, "rb") as fh:
         raw = fh.read()
-    grid = _read_binary_header(raw, DENSITY_MAGIC, path)
+    header = np.frombuffer(raw[:64], dtype="<f8")
+    if len(header) != 8 or header[0] != DENSITY_MAGIC:
+        raise ValueError(f"{path}: bad magic, not a recognised binary dump")
+    grid = FrequencyGrid(n=int(header[1]), domega=float(header[2]))
+    if abs(header[3] - grid.dt) > 1e-9 * grid.dt:
+        raise ValueError(f"{path}: header dt inconsistent with n and domega")
     data = np.frombuffer(raw[64:], dtype="<f8")
     return JointTemporalDensity(grid, data.reshape(grid.n, grid.n))

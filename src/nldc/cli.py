@@ -10,7 +10,9 @@ RunRecord into deterministic SVG plots.
 Exit codes: 0 success, 2 validation error (malformed scenario, bad
 parameter path, missing events), 3 numerical precondition error (grid too
 coarse or narrow, window too small, inadmissible cross-spectrum, ...).
-Errors are emitted as one JSON object on stderr.
+Errors are emitted as one JSON object on stderr; a precondition error
+that measured a quantity against a limit adds "ratio" (measured / limit)
+and "limit".
 
 jitter_sigma_ps is the RMS timing jitter of the coincidence time
 difference: the analytic route adds jitter_sigma^2 to Var(tau) and the
@@ -308,7 +310,6 @@ def _build_cross(cross_spec, s1, s2, grid, base_dir) -> spc.CrossSpectrum:
 @dataclass(frozen=True)
 class BiphotonState:
     psi: bp.BiphotonAmplitude
-    density: bp.JointTemporalDensity
     cov0: TemporalCovariance
     kind: ClassVar[str] = "biphoton"
 
@@ -331,8 +332,7 @@ def _build_state(state: dict, base_dir) -> BiphotonState | StationaryState | Cov
         cfg = state["biphoton"]
         grid = _build_grid(cfg["grid"])
         psi = bp.build_pdc_amplitude(grid, cfg["pump_sigma_rad_ps"], cfg["pm_sigma_rad_ps"])
-        density = bp.to_time_domain(psi)
-        return BiphotonState(psi, density, bp.amplitude_moments(psi, density))
+        return BiphotonState(psi, bp.amplitude_moments(psi))
     if "stationary" in state:
         cfg = state["stationary"]
         grid = _build_grid(cfg["grid"])
@@ -395,7 +395,7 @@ def _stats_dict(stats: sp.TauStats) -> dict:
 
 
 def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int) -> dict:
-    if densities is not None:
+    if isinstance(state, BiphotonState):
         return {
             label: sp.sample_biphoton(density, count, sp.derive_seed(seed, label))
             for label, density in densities.items()
@@ -413,23 +413,27 @@ def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int)
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
     """Execute one normalized scenario, writing outputs into out_dir.
 
-    A biphoton state is dispersed on the grid (the FFT route) and each
-    arm's time density is transformed once, for both its moments and the
-    sampler; the other kinds are sheared in closed form.
+    A biphoton state is dispersed on the grid and each arm's moments come
+    from the sum-frequency line route; the 2D time transform runs only for
+    what needs the joint density, once per arm for the sampler and once for
+    density_before.bin.  The other kinds are sheared in closed form.
     """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
     jitter_var = jitter_sigma ** 2
     state = _build_state(scenario["state"], base_dir)
     cov0 = state.cov0
-    densities = None
+    densities = {}
     if isinstance(state, BiphotonState):
-        densities = {"before": state.density}
+        sampled = "sampler" in scenario
+        if sampled or scenario["outputs"]["density_binary"]:
+            densities["before"] = bp.to_time_domain(state.psi)
         arms = {}
         for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
             psi = bp.apply_dispersion_phase(state.psi, arm_kit)
-            densities[label] = bp.to_time_domain(psi)
-            arms[label] = bp.amplitude_moments(psi, densities[label])
+            arms[label] = bp.amplitude_moments(psi)
+            if sampled:
+                densities[label] = bp.to_time_domain(psi)
     else:
         arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
     separability = separability_check(cov0)
@@ -529,7 +533,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         st.tau_density_to_csv(state.model.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
     if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
-        bp.density_to_binary(state.density, out_dir / "density_before.bin")
+        bp.density_to_binary(densities["before"], out_dir / "density_before.bin")
         outputs["density_before"] = "density_before.bin"
 
     record["outputs"] = outputs
@@ -754,7 +758,13 @@ def _out_dir(args, scenario: dict) -> Path:
 
 
 def _emit_error(kind: str, err: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": str(err)}) + "\n")
+    """One JSON line on stderr, with the ratio and limit an error carries."""
+    payload = {"error": kind, "message": str(err)}
+    for key in ("ratio", "limit"):
+        value = getattr(err, key, None)
+        if value is not None:
+            payload[key] = float(value)
+    sys.stderr.write(json.dumps(payload) + "\n")
 
 
 def _cmd_run(args) -> int:

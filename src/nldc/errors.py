@@ -13,20 +13,25 @@ class GridMismatchError(PreconditionError):
     """Two objects that must share a frequency grid do not."""
 
 
-class GridTooCoarseError(PreconditionError):
+class _LimitError(PreconditionError):
+    """A measured quantity reached its limit.
+
+    ratio is measured / limit (>= 1 when raised) and limit is the bound the
+    measured quantity must stay below; the CLI reports both.
+    """
+
+    def __init__(self, message, ratio=None, limit=None):
+        super().__init__(message)
+        self.ratio = ratio
+        self.limit = limit
+
+
+class GridTooCoarseError(_LimitError):
     """The grid spacing cannot resolve a requested spectral or temporal width."""
 
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
 
-
-class GridTooNarrowError(PreconditionError):
+class GridTooNarrowError(_LimitError):
     """The grid span does not cover a requested spectral width."""
-
-    def __init__(self, message, ratio=None):
-        super().__init__(message)
-        self.ratio = ratio
 
 
 class WindowTooSmallError(PreconditionError):

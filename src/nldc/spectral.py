@@ -32,9 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, GridTooCoarseError
 
 SATURATION_RTOL = 1e-9
+EDGE_MASS_LIMIT = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -71,6 +72,22 @@ class FrequencyGrid:
     @cached_property
     def times(self) -> np.ndarray:
         return _readonly((np.arange(self.n) - self.n // 2) * self.dt)
+
+
+def _require_unwrapped(mass: np.ndarray, what: str) -> None:
+    """Reject a tau profile that reaches the edge of the centred time grid.
+
+    mass holds each cell's share of the profile (summing to 1).  Mass in the
+    two outermost cells at either end means the profile wraps the periodic
+    grid, so it must stay below EDGE_MASS_LIMIT.
+    """
+    edge = float(mass[0] + mass[1] + mass[-2] + mass[-1])
+    if edge >= EDGE_MASS_LIMIT:
+        raise GridTooCoarseError(
+            f"{what} wraps the time grid: edge mass {edge} >= {EDGE_MASS_LIMIT}",
+            ratio=edge / EDGE_MASS_LIMIT,
+            limit=EDGE_MASS_LIMIT,
+        )
 
 
 def _coerce_values(values, n, dtype, what):

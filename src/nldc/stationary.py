@@ -34,18 +34,14 @@ from functools import cached_property
 import numpy as np
 
 from ._fft import to_time_1d
-from .errors import (
-    AdmissibilityError,
-    DegenerateStateError,
-    GridTooCoarseError,
-    WindowTooSmallError,
-)
+from .errors import AdmissibilityError, DegenerateStateError, WindowTooSmallError
 from .moments import TemporalCovariance
 from .spectral import (
     CrossSpectrum,
     FrequencyGrid,
     SpectralModel,
     _readonly,
+    _require_unwrapped,
     _write_rows,
     classical_admissible,
     intensity,
@@ -54,7 +50,6 @@ from .spectral import (
     require_same_grid,
 )
 
-EDGE_MASS_LIMIT = 1e-6
 REGIMES = ("quantum", "classical")
 
 
@@ -105,15 +100,10 @@ def make_pair_model(
     one that needs the spontaneous term is quantum; anything above the
     quantum bound is rejected.
     """
-    if classical_admissible(s1, s2, cross).ok:
+    try:
         return StationaryPairModel(s1, s2, cross, window, "classical")
-    report = quantum_admissible(s1, s2, cross)
-    if report.ok:
+    except AdmissibilityError:
         return StationaryPairModel(s1, s2, cross, window, "quantum")
-    raise AdmissibilityError(
-        f"cross-spectrum violates the quantum bound: worst ratio {report.worst_ratio} "
-        f"at omega = {report.worst_omega} rad/ps"
-    )
 
 
 def classical_extremal_model(
@@ -187,12 +177,7 @@ def _signal_moments(d: TauDensity) -> tuple[float, float, float]:
     if total == 0.0:
         return 0.0, 0.0, 0.0
     weights = d.signal * d.dt / total
-    edge_mass = float(weights[0] + weights[1] + weights[-2] + weights[-1])
-    if edge_mass >= EDGE_MASS_LIMIT:
-        raise GridTooCoarseError(
-            f"signal profile reaches the tau grid edge: edge mass {edge_mass}",
-            ratio=edge_mass / EDGE_MASS_LIMIT,
-        )
+    _require_unwrapped(weights, "signal profile")
     tau = d.taus
     mean = float((tau * weights).sum())
     var = float((((tau - mean) ** 2) * weights).sum())

@@ -12,22 +12,20 @@ import numpy as np
 import pytest
 
 from nldc.biphoton import (
+    SECOND_BRANCH_LIMIT,
     BiphotonAmplitude,
     JointTemporalDensity,
-    amplitude_from_binary,
+    _sum_frequency_lines,
     amplitude_moments,
-    amplitude_to_binary,
-    amplitude_to_csv,
     apply_dispersion_phase,
     build_pdc_amplitude,
     density_from_binary,
     density_to_binary,
-    density_to_csv,
     tau_marginal,
     to_time_domain,
 )
 from nldc.errors import GridTooCoarseError, GridTooNarrowError
-from nldc.moments import DispersionKit, shear_covariance
+from nldc.moments import DispersionKit, TemporalCovariance, shear_covariance
 from nldc.spectral import FrequencyGrid
 
 # Acceptance-regime grid: resolves b = 10 rad/ps, carries a = 1e-4 rad/ps
@@ -215,35 +213,19 @@ def test_amplitude_validation():
 def test_binary_round_trips(tmp_path):
     grid = FrequencyGrid(n=32, domega=0.25)
     psi = apply_dispersion_phase(build_pdc_amplitude(grid, 1.0, 0.8), DispersionKit(0.2))
-    apath = tmp_path / "amp.bin"
-    amplitude_to_binary(psi, apath)
-    back = amplitude_from_binary(apath)
-    assert back.grid == psi.grid
-    assert np.array_equal(back.values, psi.values)
-
     density = to_time_domain(psi)
     dpath = tmp_path / "dens.bin"
     density_to_binary(density, dpath)
     dback = density_from_binary(dpath)
+    assert dback.grid == density.grid
     assert np.array_equal(dback.values, density.values)
 
+    raw = bytearray(dpath.read_bytes())
+    raw[:8] = np.array([1.0], dtype="<f8").tobytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
-        amplitude_from_binary(dpath)  # wrong magic
-
-
-def test_csv_exports_have_declared_shape(tmp_path):
-    grid = FrequencyGrid(n=32, domega=0.25)
-    psi = build_pdc_amplitude(grid, 1.0, 0.8)
-    apath = tmp_path / "amp.csv"
-    amplitude_to_csv(psi, apath)
-    lines = apath.read_text().splitlines()
-    assert lines[1] == "omega1_rad_ps,omega2_rad_ps,re,im"
-    assert len(lines) == 2 + 32 * 32
-    dpath = tmp_path / "dens.csv"
-    density_to_csv(to_time_domain(psi), dpath)
-    lines = dpath.read_text().splitlines()
-    assert lines[1] == "t1_ps,t2_ps,p"
-    assert len(lines) == 2 + 32 * 32
+        density_from_binary(bad)  # wrong magic
 
 
 def _tau_marginal_oracle(density):
@@ -266,3 +248,100 @@ def test_tau_marginal_matches_the_index_gather(n):
     assert np.array_equal(tau, tau_ref)
     assert np.array_equal(q, q_ref)
 
+
+# ---------------------------------------------------------------------------
+# The sum-frequency line route against the former 2D-FFT route.
+
+def _tau_moments_oracle(density):
+    """Mean and variance of the tau marginal of a transformed density."""
+    tau, q = tau_marginal(density)
+    weights = q * density.dt
+    total = weights.sum()
+    mean = (tau * weights).sum() / total
+    return mean, (((tau - mean) ** 2) * weights).sum() / total
+
+
+def _probe_moments(psi):
+    """The 2D-FFT route the line route replaced.
+
+    Omega moments from |psi|^2 with the true sum omega1 + omega2, tau
+    moments from the 2D transform, and cov from two dispersion kicks +-eps:
+    Var_tau(beta) = Var_tau + 4*beta*cov + 4*beta^2*Var_Omega, so the
+    antisymmetric difference picks out cov.
+    """
+    masses = np.abs(psi.values) ** 2
+    w = psi.grid.omegas
+    wsum = w[:, None] + w[None, :]
+    mean_omega = (wsum * masses).sum() / masses.sum()
+    var_omega = (((wsum - mean_omega) ** 2) * masses).sum() / masses.sum()
+    mean_tau, var_tau = _tau_moments_oracle(to_time_domain(psi))
+    eps = 1e-3 * math.sqrt(var_tau / var_omega)
+    plus = _tau_moments_oracle(to_time_domain(apply_dispersion_phase(psi, DispersionKit(eps))))
+    minus = _tau_moments_oracle(to_time_domain(apply_dispersion_phase(psi, DispersionKit(-eps))))
+    return TemporalCovariance(
+        var_tau=var_tau,
+        var_omega=var_omega,
+        cov_tau_omega=(plus[1] - minus[1]) / (8.0 * eps),
+        mean_tau=mean_tau,
+        mean_omega=mean_omega,
+    )
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_line_marginal_matches_the_2d_transform(n):
+    grid = FrequencyGrid(n=n, domega=0.1)
+    psi = apply_dispersion_phase(
+        build_pdc_amplitude(grid, 0.6, 1.3), DispersionKit(beta_L=0.4, delay_1=0.8, delay_2=-0.5)
+    )
+    marginal, weight, first, second = _sum_frequency_lines(psi)
+    _, q_ref = tau_marginal(to_time_domain(psi))
+    q = marginal / (marginal.sum() * grid.dt)
+    assert np.max(np.abs(q - q_ref)) <= 1e-14 * q_ref.max()
+    # each line's weight is its share of |psi|^2 (Parseval along the line),
+    # line k holding the true sum index k - n/2
+    masses = np.abs(psi.values) ** 2
+    index_sum = np.arange(n)[:, None] + np.arange(n)[None, :]  # true sum index + n
+    by_sum = np.bincount(index_sum.ravel(), weights=masses.ravel())[n // 2 : n // 2 + n]
+    assert np.allclose(weight / weight.sum(), by_sum / masses.sum(), rtol=0.0, atol=1e-15)
+    assert second < 1e-30
+
+
+def test_line_moments_match_the_probe_oracle():
+    rng = np.random.default_rng(2010)
+    for _ in range(5):
+        a, b = rng.uniform(0.5, 2.0, size=2)
+        grid = FrequencyGrid(512, min(min(a, b) / 3.5, 0.12))
+        kit = DispersionKit(
+            beta_L=rng.uniform(0.0, 0.5),
+            delay_1=rng.uniform(-1.0, 1.0),
+            delay_2=rng.uniform(-1.0, 1.0),
+        )
+        psi = apply_dispersion_phase(build_pdc_amplitude(grid, a, b), kit)
+        line = amplitude_moments(psi)
+        probe = _probe_moments(psi)
+        assert line.var_tau == pytest.approx(probe.var_tau, rel=1e-12)
+        assert line.var_omega == pytest.approx(probe.var_omega, rel=1e-12)
+        assert line.mean_tau == pytest.approx(probe.mean_tau, rel=1e-12, abs=1e-12)
+        assert line.mean_omega == pytest.approx(probe.mean_omega, abs=1e-12)
+        # the probe is a central difference; the line route is exact
+        assert line.cov_tau_omega == pytest.approx(probe.cov_tau_omega, rel=1e-11)
+        assert line.cov_tau_omega == pytest.approx(2.0 * kit.beta_L * line.var_omega, rel=1e-13)
+
+
+def test_second_sum_frequency_branch_is_rejected():
+    # Var(Omega) = a^2 with a = 10.6 on a half span of 32 rad/ps: about
+    # 0.3% of the mass sits at |omega1 + omega2| >= n*domega/2, where a
+    # cyclic line would alias it onto the wrong sum frequency.
+    grid = FrequencyGrid(n=64, domega=1.0)
+    psi = build_pdc_amplitude(grid, 10.6, 4.0)
+    masses = np.abs(psi.values) ** 2
+    index_sum = np.arange(64)[:, None] + np.arange(64)[None, :] - 64
+    share = masses[np.abs(index_sum) >= 32].sum() / masses.sum()
+    assert share > 1e-3
+    with pytest.raises(GridTooNarrowError) as err:
+        amplitude_moments(psi)
+    assert err.value.limit == SECOND_BRANCH_LIMIT
+    assert err.value.ratio == pytest.approx(share / SECOND_BRANCH_LIMIT, rel=1e-9)
+    # a narrower pump on the same grid leaves the second branch empty
+    narrower = amplitude_moments(build_pdc_amplitude(grid, 5.0, 4.0))
+    assert narrower.var_omega == pytest.approx(25.0, rel=1e-6)

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from nldc import biphoton, cli, sampler, stationary
-from nldc.spectral import _CHUNK_ROWS
+from nldc.moments import DispersionKit
+from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
 
 
 def _write(tmp_path, name, obj):
@@ -133,7 +134,56 @@ def test_unresolvable_grid_exits_3(tmp_path, capsys):
     scenario["state"]["biphoton"]["pump_sigma_rad_ps"] = 0.5
     rc, _ = _run(tmp_path, scenario)
     assert rc == 3
-    assert _stderr_error(capsys)["error"] == "GridTooCoarseError"
+    err = _stderr_error(capsys)
+    assert err["error"] == "GridTooCoarseError"
+    # domega = 0.25 must stay below a/3
+    assert err["ratio"] == pytest.approx(1.5, rel=1e-12)
+    assert err["limit"] == pytest.approx(0.5 / 3.0, rel=1e-12)
+
+
+def _edge_ratio(a, b, n, domega, beta_L):
+    """Edge mass over its limit for the dispersed tau marginal, by the 2D route."""
+    grid = FrequencyGrid(n=n, domega=domega)
+    psi = biphoton.apply_dispersion_phase(
+        biphoton.build_pdc_amplitude(grid, a, b), DispersionKit(beta_L=beta_L, delay_1=0.3)
+    )
+    _, q = biphoton.tau_marginal(biphoton.to_time_domain(psi))
+    return (q[0] + q[1] + q[-2] + q[-1]) * grid.dt / 1e-6
+
+
+def _branch_ratio(a, b, n, domega):
+    """Mass share at |omega1 + omega2| >= n*domega/2, over its limit."""
+    psi = biphoton.build_pdc_amplitude(FrequencyGrid(n=n, domega=domega), a, b)
+    masses = np.abs(psi.values) ** 2
+    index_sum = np.arange(n)[:, None] + np.arange(n)[None, :] - n
+    return masses[np.abs(index_sum) >= n // 2].sum() / masses.sum() / 1e-9
+
+
+@pytest.mark.parametrize(
+    "a, b, n, domega, beta_L, error, ratio, limit",
+    [
+        # 3*b = 33 rad/ps against a half span of 32
+        (1e-4, 11.0, 256, 0.25, 0.0, "GridTooNarrowError", 33.0 / 32.0, 32.0),
+        # Var(Omega) = 10.6^2 reaches the second sum-frequency branch
+        (10.6, 4.0, 64, 1.0, 0.0, "GridTooNarrowError", "branch", 1e-9),
+        # beta_L = 6 shears the dispersed tau marginal off the grid
+        (0.5, 10.0, 512, 0.125, 6.0, "GridTooCoarseError", "edge", 1e-6),
+    ],
+)
+def test_precondition_error_json_carries_ratio_and_limit(
+    tmp_path, capsys, a, b, n, domega, beta_L, error, ratio, limit
+):
+    rc, _ = _run(tmp_path, _resolved_biphoton(a=a, b=b, n=n, domega=domega, beta_L=beta_L))
+    assert rc == 3
+    err = _stderr_error(capsys)
+    if ratio == "branch":
+        ratio = _branch_ratio(a, b, n, domega)
+    elif ratio == "edge":
+        ratio = _edge_ratio(a, b, n, domega, beta_L)
+    assert err["error"] == error
+    assert ratio > 1.0
+    assert err["ratio"] == pytest.approx(ratio, rel=1e-6)
+    assert err["limit"] == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -178,17 +228,23 @@ def test_integer_fields_accept_integral_floats_only(tmp_path, capsys):
 
 
 def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
-    real = biphoton.to_time_2d
-    monkeypatch.setattr(biphoton, "to_time_2d", lambda values, grid: real(values, grid) * 1.01)
-    scenario = _biphoton_scenario()
-    del scenario["sampler"]
-    rc, _ = _run(tmp_path, scenario)
-    assert rc == 3
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    err = json.loads(lines[0])
-    assert err["error"] == "ParsevalError"
-    assert "Parseval" in err["message"]
+    # A broken kernel exits 3 in either transform: the 1D one behind the
+    # moments of every biphoton run, and the 2D one behind the density dump.
+    for kernel, outputs in (("to_time_1d", {}), ("to_time_2d", {"density_binary": True})):
+        with monkeypatch.context() as patch:
+            real = getattr(biphoton, kernel)
+            patch.setattr(biphoton, kernel, lambda values, grid, real=real: real(values, grid) * 1.01)
+            scenario = _biphoton_scenario()
+            del scenario["sampler"]
+            scenario["outputs"] = outputs
+            rc, _ = _run(tmp_path, scenario, out=kernel)
+        assert rc == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParsevalError"
+        assert "Parseval" in err["message"]
+        assert "ratio" not in err and "limit" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +325,24 @@ def test_sampling_run_transforms_each_arm_once(tmp_path, monkeypatch):
     rc, _ = _run(tmp_path, scenario)
     assert rc == 0
     assert len(transforms) == 3
+
+
+def test_unsampled_biphoton_run_makes_no_2d_transform(tmp_path, monkeypatch):
+    # The moments come from the line route; only the density dump (and the
+    # sampler) need the joint time density.
+    transforms = _count_calls(monkeypatch, biphoton, "to_time_2d")
+    densities = _count_calls(monkeypatch, biphoton, "to_time_domain")
+    scenario = _biphoton_scenario()
+    del scenario["sampler"]
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    assert transforms == [] and densities == []
+    assert _record(out_dir)["fft"]["symmetrized_var_tau_ps2"] == pytest.approx(0.01, rel=1e-6)
+    scenario["outputs"] = {"density_binary": True}
+    rc, out_dir = _run(tmp_path, scenario, out="dump")
+    assert rc == 0
+    assert len(transforms) == 1 and len(densities) == 1
+    assert (out_dir / "density_before.bin").exists()
 
 
 def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
@@ -447,12 +521,15 @@ def test_scan_builds_each_distinct_state_once(tmp_path, monkeypatch, param, valu
     amplitudes = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
     moments = _count_calls(monkeypatch, biphoton, "amplitude_moments")
     phases = _count_calls(monkeypatch, biphoton, "apply_dispersion_phase")
+    densities = _count_calls(monkeypatch, biphoton, "to_time_domain")
+    transforms_2d = _count_calls(monkeypatch, biphoton, "to_time_2d")
     rc, rows = _scan(tmp_path, _resolved_biphoton(), param, values)
     assert rc == 0
     assert len(rows) == len(values.split(","))
     assert len(amplitudes) == builds
     assert len(moments) == builds
-    assert len(phases) == 2 * builds  # the +-eps probes of amplitude_moments only
+    # The line route reads the moments with no dispersion and no 2D transform.
+    assert phases == [] and densities == [] and transforms_2d == []
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from nldc.errors import (
     GridTooCoarseError,
     WindowTooSmallError,
 )
+from nldc import stationary
 from nldc.spectral import (
     CrossSpectrum,
     FrequencyGrid,
@@ -34,6 +35,7 @@ from nldc.spectral import (
     gaussian_cross,
     gaussian_spectrum,
     max_classical_cross,
+    quantum_admissible,
 )
 from nldc.stationary import (
     StationaryPairModel,
@@ -195,6 +197,37 @@ def test_make_pair_model_classifies_regimes():
     assert make_pair_model(s1, s2, gaussian_cross(GRID, 1.2, 1.0), 10.0).regime == "quantum"
     with pytest.raises(AdmissibilityError):
         make_pair_model(s1, s2, gaussian_cross(GRID, 2.0, 1.0), 10.0)
+
+
+@pytest.mark.parametrize(
+    "peak, regime, classical_calls, quantum_calls",
+    [(0.5, "classical", 1, 0), (1.2, "quantum", 1, 1), (2.0, None, 1, 1)],
+)
+def test_make_pair_model_checks_each_regime_once(
+    monkeypatch, peak, regime, classical_calls, quantum_calls
+):
+    calls = {"classical": 0, "quantum": 0}
+    for name in calls:
+        real = getattr(stationary, f"{name}_admissible")
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(stationary, f"{name}_admissible", counting)
+    s1, s2 = _unit_gauss_pair(GRID)
+    cross = gaussian_cross(GRID, peak, 1.0)
+    if regime is None:
+        with pytest.raises(AdmissibilityError) as err:
+            make_pair_model(s1, s2, cross, 10.0)
+        report = quantum_admissible(s1, s2, cross)
+        assert str(err.value) == (
+            f"cross-spectrum violates the quantum bound: worst ratio {report.worst_ratio} "
+            f"at omega = {report.worst_omega} rad/ps"
+        )
+    else:
+        assert make_pair_model(s1, s2, cross, 10.0).regime == regime
+    assert calls == {"classical": classical_calls, "quantum": quantum_calls}
 
 
 def test_declared_regime_is_enforced_at_construction():
