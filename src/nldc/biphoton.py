@@ -170,6 +170,13 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
     marginals and the norm are preserved.
     """
     w = psi.grid.omegas
+    w_max = float(np.abs(w).max())
+    peak = abs(kit.beta_L) * w_max * w_max + (abs(kit.delay_1) + abs(kit.delay_2)) * w_max
+    if not math.isfinite(peak):
+        raise ValueError(
+            f"dispersion phase overflows on |omega| <= {w_max} rad/ps: beta_L = {kit.beta_L!r} ps^2, "
+            f"delay_1 = {kit.delay_1!r} ps, delay_2 = {kit.delay_2!r} ps"
+        )
     w2 = w ** 2
     phase = kit.beta_L * w2[:, None] - kit.beta_L * w2[None, :]
     phase += kit.delay_1 * w[:, None]

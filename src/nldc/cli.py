@@ -265,11 +265,16 @@ def scenario_hash(scenario: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json(scenario).encode("utf-8")).hexdigest()
 
 
+def _reject_constant(name):
+    raise ScenarioError(f"{name} is not a JSON number")
+
+
 def load_scenario(path) -> dict:
+    """Parse strict JSON (no Infinity or NaN) and normalize it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as err:
+            raw = json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, ScenarioError) as err:
             raise ScenarioError(f"{path} is not valid JSON: {err}") from err
     return normalize_scenario(raw)
 
@@ -360,6 +365,14 @@ def _kit_from(scenario) -> DispersionKit:
     )
 
 
+def _jitter_var(scenario) -> float:
+    """The jitter variance jitter_sigma_ps^2, rejected when it overflows."""
+    sigma = scenario["jitter_sigma_ps"]
+    if not math.isfinite(sigma * sigma):  # a product overflows to inf where ** raises
+        raise ScenarioError(f"jitter_sigma_ps = {sigma!r} is too large: its square overflows")
+    return sigma ** 2
+
+
 def _cov_dict(cov: TemporalCovariance) -> dict:
     return {
         "var_tau_ps2": cov.var_tau,
@@ -420,7 +433,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
-    jitter_var = jitter_sigma ** 2
+    jitter_var = _jitter_var(scenario)
     state = _build_state(scenario["state"], base_dir)
     cov0 = state.cov0
     densities = {}
@@ -538,21 +551,34 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
 
     record["outputs"] = outputs
     with open(out_dir / "runrecord.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_plain(record), fh, indent=2, sort_keys=True)
+        json.dump(_plain(record), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return record
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars so json sees pure Python types."""
+    """Recursively convert to the pure Python types of strict JSON.
+
+    Numpy scalars become Python ones.  A non-finite float (such as the
+    significance of a zero-stderr margin) becomes null, and its dict gains
+    "<key>_reason" naming the value, so every record and error line parses
+    without Infinity or NaN.
+    """
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        out = {}
+        for k, v in obj.items():
+            out[k] = _plain(v)
+            if out[k] is None and v is not None:
+                out[f"{k}_reason"] = f"not finite: {float(v)!r}"
+        return out
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.bool_):
         return bool(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -598,7 +624,7 @@ def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")
         key = canonical_json(variant["state"])
         if key not in cov0_by_state:
             cov0_by_state[key] = _build_state(variant["state"], base_dir).cov0
-        cov_obs = apply_jitter(cov0_by_state[key], variant["jitter_sigma_ps"] ** 2)
+        cov_obs = apply_jitter(cov0_by_state[key], _jitter_var(variant))
         report = evaluate_witness(cov_obs, _kit_from(variant))
         rows.append(
             {
@@ -731,10 +757,12 @@ def render_record(record_path, out_dir=None) -> list[Path]:
     record_path = Path(record_path)
     with open(record_path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
-    sampling = record.get("sampling")
-    if not sampling or "events" not in sampling:
+    sampling = record.get("sampling") if isinstance(record, dict) else None
+    events = sampling.get("events") if isinstance(sampling, dict) else None
+    before = events.get("before") if isinstance(events, dict) else None
+    if not isinstance(before, str):
         raise ScenarioError(f"{record_path} contains no sampled events to render")
-    events_path = record_path.parent / sampling["events"]["before"]
+    events_path = record_path.parent / before
     if not events_path.exists():
         raise ScenarioError(f"events file {events_path} is missing")
     batch = sp.events_from_csv(events_path)
@@ -764,7 +792,7 @@ def _emit_error(kind: str, err: Exception) -> None:
         value = getattr(err, key, None)
         if value is not None:
             payload[key] = float(value)
-    sys.stderr.write(json.dumps(payload) + "\n")
+    sys.stderr.write(json.dumps(_plain(payload), allow_nan=False) + "\n")
 
 
 def _cmd_run(args) -> int:

@@ -73,11 +73,15 @@ class TemporalCovariance:
             raise ValueError(f"var_tau must be >= 0, got {self.var_tau}")
         if self.var_omega < 0.0:
             raise ValueError(f"var_omega must be >= 0, got {self.var_omega}")
-        if self.cov_tau_omega ** 2 > self.var_tau * self.var_omega * _CS_SLACK:
+        # Products, not **, so that an overflow is an inf that the check names
+        # instead of an OverflowError.
+        cov_sq = self.cov_tau_omega * self.cov_tau_omega
+        var_product = self.var_tau * self.var_omega
+        _require_finite(**{"cov_tau_omega^2": cov_sq, "var_tau*var_omega": var_product})
+        if cov_sq > var_product * _CS_SLACK:
             raise ValueError(
                 "cov_tau_omega violates Cauchy-Schwarz: "
-                f"cov^2 = {self.cov_tau_omega ** 2} > var_tau*var_omega = "
-                f"{self.var_tau * self.var_omega}"
+                f"cov^2 = {cov_sq} > var_tau*var_omega = {var_product}"
             )
 
 
@@ -94,6 +98,9 @@ class DispersionKit:
 
     def __post_init__(self):
         _require_finite(beta_L=self.beta_L, delay_1=self.delay_1, delay_2=self.delay_2)
+        two_bl = 2.0 * self.beta_L
+        if not math.isfinite(two_bl * two_bl):
+            raise ValueError(f"beta_L = {self.beta_L!r} ps^2 is too large: (2*beta_L)^2 overflows")
 
     def swapped(self) -> "DispersionKit":
         """The same hardware with the two media exchanged between the arms."""

@@ -110,13 +110,49 @@ class EmpiricalWitnessReport:
     violated: bool
 
 
+# Buckets of the guide table in _inverse_cdf_draw.  A power of two, so that
+# u*K, its floor and the bucket edges k/K are exact in binary floating point.
+_GUIDE_CELLS = 1 << 16
+
+
 def _inverse_cdf_draw(rng, weights, count):
-    """Indices distributed as weights (need not be normalized)."""
+    """Indices distributed as weights (need not be normalized).
+
+    The result is exactly searchsorted(cdf, u, side="right") on the
+    normalized CDF, with u = rng.random(count); only the route differs.
+
+    A CDF of at most K = _GUIDE_CELLS cells queried at least K times uses a
+    guide table (Chen & Asau, AIIE Trans. 6, 1974).  Bucket k = floor(u*K)
+    holds the u in [k/K, (k+1)/K), and guide[k] = searchsorted(cdf, k/K) is
+    the answer for all of them unless a CDF value falls inside the bucket
+    (guide[k] != guide[k+1]); only those queries are searched.  At most
+    len(cdf) buckets are split and each takes 1/K of the queries, so a
+    1024-cell CDF searches under 1.6% of them.  Any other CDF (the n^2-cell
+    biphoton one) is searched in sorted query order, which keeps the lookups
+    cache-friendly, and the results are scattered back.
+    """
     cdf = np.cumsum(weights)
     if cdf[-1] <= 0.0:
         raise DegenerateStateError("cannot sample from an all-zero density")
     cdf = cdf / cdf[-1]
-    return np.searchsorted(cdf, rng.random(count), side="right")
+    u = rng.random(count)
+    idx = np.empty(count, dtype=np.intp)
+    if len(cdf) <= _GUIDE_CELLS <= count:
+        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        guide = np.searchsorted(cdf, edges, side="right")
+        split = guide[1:] != guide[:-1]
+        bucket = np.empty(count, dtype=np.intp)
+        np.multiply(u, _GUIDE_CELLS, out=bucket, casting="unsafe")  # truncation is the floor
+        # bucket < K as u < 1; mode="clip" spares the buffered copy of out
+        # that mode="raise" makes.
+        np.take(guide, bucket, out=idx, mode="clip")
+        redo = np.flatnonzero(split[bucket])
+        del bucket
+        idx[redo] = np.searchsorted(cdf, u[redo], side="right")
+    else:
+        order = np.argsort(u)
+        idx[order] = np.searchsorted(cdf, u[order], side="right")
+    return idx
 
 
 def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> EventBatch:
@@ -265,9 +301,10 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     tau = t1 - t2
     n = batch.n
     mean = float(tau.mean())
-    dev = tau - mean
-    s2 = float((dev ** 2).sum() / (n - 1))
-    m4 = float((dev ** 4).mean())
+    d2 = tau - mean
+    d2 *= d2  # squared deviations; m4 squares them again by a multiply, not a pow
+    s2 = float(d2.sum() / (n - 1))
+    m4 = float((d2 * d2).mean())
     var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
     return TauStats(n=n, var_tau=s2, stderr=math.sqrt(max(var_of_var, 0.0)), mean_tau=mean)
 

@@ -7,6 +7,7 @@ itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_dispersion_preserves_norm_and_marginals():
         before = (np.abs(psi.values) ** 2).sum(axis=axis)
         after = (np.abs(out.values) ** 2).sum(axis=axis)
         assert np.allclose(after, before, rtol=1e-12, atol=1e-300)
+
+
+@pytest.mark.parametrize(
+    "kit", [DispersionKit(beta_L=1e10), DispersionKit(beta_L=0.0, delay_2=1e160)]
+)
+def test_overflowing_dispersion_phase_is_rejected_before_any_array_work(kit):
+    # |omega| reaches 4e150 on this grid, so beta_L*omega^2 or delay*omega
+    # overflows although the kit itself is finite.  The check runs on the
+    # scalar peak, before numpy could warn about inf or nan phases.
+    psi = build_pdc_amplitude(FrequencyGrid(n=8, domega=1e150), 1e148, 1e148)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dispersion phase overflows"):
+            apply_dispersion_phase(psi, kit)
 
 
 def test_monochromatic_pump_cancellation_is_exact():

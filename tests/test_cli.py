@@ -12,6 +12,7 @@ failures.
 
 import copy
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -86,13 +87,22 @@ def _run(tmp_path, scenario, name="scenario.json", out="out"):
     return rc, out_dir
 
 
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def _strict_json(text):
+    """json.loads that fails on Infinity and NaN, as strict parsers do."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def _record(out_dir):
-    return json.loads((out_dir / "runrecord.json").read_text())
+    return _strict_json((out_dir / "runrecord.json").read_text())
 
 
 def _stderr_error(capsys):
     err = capsys.readouterr().err.strip()
-    return json.loads(err.splitlines()[-1])
+    return _strict_json(err.splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +235,96 @@ def test_integer_fields_accept_integral_floats_only(tmp_path, capsys):
     assert rc == 2
     err = _stderr_error(capsys)
     assert err["error"] == "ScenarioError" and "grid.n" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        (_covariance_scenario(jitter_sigma_ps=1e160), "jitter_sigma_ps"),
+        (_covariance_scenario(kit={"beta_L_ps2": 1e160}), "beta_L"),
+        (
+            {
+                "state": {
+                    "covariance": {
+                        "var_tau_ps2": 1e308,
+                        "var_omega_rad2_ps2": 1e308,
+                        "cov_tau_omega": 1e308,
+                    }
+                },
+                "kit": {"beta_L_ps2": 1.0},
+            },
+            "cov_tau_omega",
+        ),
+    ],
+)
+def test_overflowing_inputs_exit_2_naming_the_field(tmp_path, capsys, scenario, field):
+    # Each of these squares past the float range; that used to escape as an
+    # OverflowError traceback (exit 1).
+    for argv in (["run"], ["scan", "--param", "kit.delay_1_ps", "--values", "0,1"]):
+        path = _write(tmp_path, "big.json", scenario)
+        rc = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = _strict_json(lines[0])
+        assert err["error"] in ("ScenarioError", "ValueError")
+        assert field in err["message"]
+
+
+def test_overflowing_dispersion_phase_exits_2_quietly(tmp_path):
+    # beta_L = 1e308 on a resolved n = 128 grid: numpy used to print four
+    # RuntimeWarnings, then fail with a message that did not name beta_L.
+    path = _write(tmp_path, "phase.json", _resolved_biphoton(n=128, beta_L=1e308))
+    proc = _checkout_subprocess(
+        [sys.executable, "-m", "nldc", "run", str(path), "--out", str(tmp_path / "o")], tmp_path
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError"
+    assert "beta_L = 1e+308 ps^2" in err["message"]
+
+
+def test_non_finite_error_ratio_is_null_with_a_reason(tmp_path, capsys):
+    # domega = 1e-320 makes the half-span ratio overflow to inf.
+    scenario = _resolved_biphoton(n=128, domega=1e-320)
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 3
+    err = _stderr_error(capsys)
+    assert err["error"] == "GridTooNarrowError"
+    assert err["ratio"] is None
+    assert err["ratio_reason"] == "not finite: inf"
+    assert err["limit"] > 0.0
+
+
+def test_infinite_significance_is_written_as_null(tmp_path, monkeypatch):
+    real = sampler.empirical_witness
+
+    def zero_stderr(*args):
+        report = real(*args)
+        return sampler.EmpiricalWitnessReport(
+            report.lhs, report.rhs, report.margin, 0.0, math.copysign(math.inf, report.margin),
+            report.violated,
+        )
+
+    monkeypatch.setattr(sampler, "empirical_witness", zero_stderr)
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=200, seed=5))
+    assert rc == 0
+    empirical = _record(out_dir)["sampling"]["empirical_witness"]
+    assert empirical["significance"] is None
+    assert empirical["significance_reason"] in ("not finite: inf", "not finite: -inf")
+    assert empirical["margin_stderr_ps2"] == 0.0
+
+
+def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(_covariance_scenario(jitter_sigma_ps=math.inf)))
+    assert "Infinity" in path.read_text()
+    rc = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ScenarioError" and "Infinity" in err["message"]
 
 
 def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -695,6 +795,25 @@ def test_render_requires_sampled_events(tmp_path, capsys):
     rc = cli.main(["render", str(out_dir / "runrecord.json")])
     assert rc == 2
     assert "events" in _stderr_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("doctor", ["list", "no_before"])
+def test_render_rejects_malformed_records(tmp_path, capsys, doctor):
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
+    assert rc == 0
+    record_path = out_dir / "runrecord.json"
+    record = _record(out_dir)
+    if doctor == "list":
+        record = [record]
+    else:
+        del record["sampling"]["events"]["before"]
+    record_path.write_text(json.dumps(record))
+    rc = cli.main(["render", str(record_path)])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "ScenarioError" and "events" in err["message"]
 
 
 def test_render_fails_when_events_file_vanished(tmp_path, capsys):

@@ -201,6 +201,14 @@ def test_covariance_validation():
         TemporalCovariance(var_tau=math.nan, var_omega=1.0)
     with pytest.raises(ValueError):
         DispersionKit(beta_L=math.inf)
+    # Squares past the float range are errors that name the field, not an
+    # OverflowError from **.
+    with pytest.raises(ValueError, match=r"cov_tau_omega\^2"):
+        TemporalCovariance(var_tau=1e308, var_omega=1e308, cov_tau_omega=1e308)
+    with pytest.raises(ValueError, match=r"var_tau\*var_omega"):
+        TemporalCovariance(var_tau=1e308, var_omega=10.0)
+    with pytest.raises(ValueError, match="beta_L"):
+        DispersionKit(beta_L=-1e160)
     # exact Cauchy-Schwarz saturation must construct
     TemporalCovariance(var_tau=4.0, var_omega=1.0, cov_tau_omega=2.0)
 
