@@ -9,7 +9,8 @@ RunRecord into deterministic SVG plots.
 
 Exit codes: 0 success, 2 validation error (malformed scenario, bad
 parameter path, missing events), 3 numerical precondition error (grid too
-coarse or narrow, window too small, inadmissible cross-spectrum, ...).
+coarse or narrow, window too small, inadmissible cross-spectrum, memory
+budget exceeded, ...).
 Errors are emitted as one JSON object on stderr; a precondition error
 that measured a quantity against a limit adds "ratio" (measured / limit)
 and "limit".
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
-import functools
 import hashlib
 import json
 import math
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -48,7 +47,8 @@ from . import biphoton as bp
 from . import sampler as sp
 from . import spectral as spc
 from . import stationary as st
-from .errors import DegenerateStateError, PreconditionError
+from ._schema import best_error
+from .errors import DegenerateStateError, MemoryBudgetError, PreconditionError
 from .moments import (
     DispersionKit,
     TemporalCovariance,
@@ -61,6 +61,14 @@ from .moments import (
 
 SCHEMA_VERSION = 1
 ENV_OUT_DIR = "NLDC_OUT_DIR"
+
+# The peak memory a run or scan may plan for, and the estimate checked
+# against it: the measured peak bytes per grid cell (n^2 cells for a
+# biphoton, n for a stationary state; 74-98 measured) and per sampled event
+# (88-134 measured), rounded up.
+MEMORY_BUDGET_BYTES = 4 * 2**30
+_BYTES_PER_CELL = 96
+_BYTES_PER_EVENT = 128
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -194,14 +202,6 @@ class ScenarioError(ValueError):
     """Scenario content failed validation (maps to exit code 2)."""
 
 
-@functools.cache
-def _scenario_validator():
-    """The schema validator, checked against its meta-schema once per process."""
-    cls = jsonschema.validators.validator_for(SCENARIO_SCHEMA)
-    cls.check_schema(SCENARIO_SCHEMA)
-    return cls(SCENARIO_SCHEMA)
-
-
 def _coerce_integers(node: dict, schema: dict) -> None:
     """Turn the integral floats that JSON Schema accepts as integers (256.0) into ints."""
     for key, sub in schema.get("properties", {}).items():
@@ -219,10 +219,10 @@ def normalize_scenario(raw: dict) -> dict:
     Integer fields come out as ints even when the input wrote them as
     integral floats, so later stages and scan's state cache see one value.
     """
-    err = jsonschema.exceptions.best_match(_scenario_validator().iter_errors(raw))
-    if err is not None:
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {path}: {err.message}") from err
+    error = best_error(raw, SCENARIO_SCHEMA)
+    if error is not None:
+        path, message = error
+        raise ScenarioError(f"scenario invalid at {'.'.join(map(str, path)) or '<root>'}: {message}")
     scenario = copy.deepcopy(raw)
     _coerce_integers(scenario, SCENARIO_SCHEMA)
     kit = scenario["kit"]
@@ -332,7 +332,32 @@ class CovarianceState:
     kind: ClassVar[str] = "covariance"
 
 
-def _build_state(state: dict, base_dir) -> BiphotonState | StationaryState | CovarianceState:
+def _check_memory_budget(state: dict, n_events: int) -> None:
+    """Reject a state whose estimated peak memory exceeds the budget, before any allocation."""
+    if "covariance" in state:
+        return
+    n = next(iter(state.values()))["grid"]["n"]
+    cells = n * n if "biphoton" in state else n
+    peak = _BYTES_PER_CELL * cells + _BYTES_PER_EVENT * n_events
+    if peak <= MEMORY_BUDGET_BYTES:
+        return
+    try:
+        ratio = peak / MEMORY_BUDGET_BYTES
+    except OverflowError:  # a ratio past the float range
+        ratio = math.inf
+    raise MemoryBudgetError(
+        f"grid.n = {n} with {n_events} sampled events needs an estimated {ratio:.3g} times "
+        f"the memory budget of {MEMORY_BUDGET_BYTES} bytes",
+        ratio=ratio,
+        limit=MEMORY_BUDGET_BYTES,
+    )
+
+
+def _build_state(
+    state: dict, base_dir, n_events: int
+) -> BiphotonState | StationaryState | CovarianceState:
+    """The source state; n_events is how many events per arm the caller will sample."""
+    _check_memory_budget(state, n_events)
     if "biphoton" in state:
         cfg = state["biphoton"]
         grid = _build_grid(cfg["grid"])
@@ -434,7 +459,8 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
     jitter_var = _jitter_var(scenario)
-    state = _build_state(scenario["state"], base_dir)
+    n_events = scenario["sampler"]["n_events"] if "sampler" in scenario else 0
+    state = _build_state(scenario["state"], base_dir, n_events)
     cov0 = state.cov0
     densities = {}
     if isinstance(state, BiphotonState):
@@ -623,7 +649,7 @@ def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")
     for value, variant in zip(values, variants):
         key = canonical_json(variant["state"])
         if key not in cov0_by_state:
-            cov0_by_state[key] = _build_state(variant["state"], base_dir).cov0
+            cov0_by_state[key] = _build_state(variant["state"], base_dir, 0).cov0
         cov_obs = apply_jitter(cov0_by_state[key], _jitter_var(variant))
         report = evaluate_witness(cov_obs, _kit_from(variant))
         rows.append(

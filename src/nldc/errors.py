@@ -34,6 +34,10 @@ class GridTooNarrowError(_LimitError):
     """The grid span does not cover a requested spectral width."""
 
 
+class MemoryBudgetError(_LimitError):
+    """A run's estimated peak memory exceeds the budget (limit in bytes)."""
+
+
 class WindowTooSmallError(PreconditionError):
     """The shutter window is too short relative to the correlation width."""
 

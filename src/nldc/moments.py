@@ -40,6 +40,12 @@ from .errors import DegenerateStateError
 # went through a rounding step or two still construct.
 _CS_SLACK = 1.0 + 1e-12
 
+# A margin certifies a violation only above this multiple of lhs + rhs.  It
+# bounds the rounding of the handful of float operations behind lhs, rhs and
+# their difference (Cauchy-Schwarz keeps the cancelling cross terms below
+# lhs), so a state on the separable boundary is never certified by rounding.
+_MARGIN_ROUNDING = 8 * 2.0 ** -52
+
 
 def _require_finite(**fields):
     for name, value in fields.items():
@@ -117,8 +123,9 @@ class SeparabilityCheck:
 class WitnessReport:
     """Outcome of the broadening inequality test.
 
-    lhs, rhs and margin = rhs - lhs are in ps^2; violated means margin > 0,
-    i.e. the symmetrized broadened variance fell below the separable bound.
+    lhs, rhs and margin = rhs - lhs are in ps^2; violated means the margin
+    exceeds its rounding bound 8*eps*(lhs + rhs), i.e. the symmetrized
+    broadened variance fell below the separable bound.
     product is the dimensionless Var(tau)*Var(Omega) of the input state.
     """
 
@@ -206,7 +213,7 @@ def evaluate_witness(cov_before: TemporalCovariance, kit: DispersionKit) -> Witn
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        violated=margin > 0.0,
+        violated=margin > _MARGIN_ROUNDING * (lhs + rhs),
         product=cov_before.var_tau * cov_before.var_omega,
     )
 

@@ -22,8 +22,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nldc import biphoton, cli, sampler, stationary
+from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
 
@@ -196,6 +198,55 @@ def test_precondition_error_json_carries_ratio_and_limit(
     assert err["limit"] == pytest.approx(limit, rel=1e-12)
 
 
+def _never_built(*args):
+    raise AssertionError("a grid was built past the memory budget")
+
+
+def _with_grid_n(scenario, n):
+    kind = next(iter(scenario["state"]))
+    scenario["state"][kind]["grid"]["n"] = n
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "scenario, cells, n_events",
+    [
+        (_with_grid_n(_biphoton_scenario(), 2**40), 2**80, 2000),
+        (_biphoton_scenario(n_events=10**11), 256**2, 10**11),
+        # 2^100 written as a float, which the schema takes as an integer
+        (_with_grid_n(_biphoton_scenario(), 2.0**100), 2**200, 2000),
+        (_with_grid_n(_stationary_scenario(), 2**40), 2**40, 0),
+        # an estimate whose ratio to the budget is past the float range
+        (_with_grid_n(_stationary_scenario(), 10**400), None, 0),
+    ],
+)
+def test_memory_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch, scenario, cells, n_events):
+    monkeypatch.setattr(cli, "_build_grid", _never_built)
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 3
+    err = _stderr_error(capsys)
+    assert err["error"] == "MemoryBudgetError"
+    assert err["limit"] == cli.MEMORY_BUDGET_BYTES
+    if cells is None:
+        assert err["ratio"] is None and err["ratio_reason"] == "not finite: inf"
+    else:
+        peak = cli._BYTES_PER_CELL * cells + cli._BYTES_PER_EVENT * n_events
+        assert err["ratio"] == pytest.approx(peak / cli.MEMORY_BUDGET_BYTES, rel=1e-12)
+    assert not out_dir.exists()
+
+
+def test_scan_shares_the_memory_budget(tmp_path, capsys):
+    # scan samples nothing, so the sampler's event count is not charged
+    path = _write(tmp_path, "s.json", _biphoton_scenario(n_events=10**11))
+    argv = ["scan", str(path), "--param", "state.biphoton.grid.n", "--out"]
+    assert cli.main([*argv, str(tmp_path / "ok"), "--values", "256"]) == 0
+    assert cli.main([*argv, str(tmp_path / "big"), "--values", "256,1099511627776"]) == 3
+    err = _stderr_error(capsys)
+    assert err["error"] == "MemoryBudgetError"
+    assert err["ratio"] == pytest.approx(cli._BYTES_PER_CELL * 2**80 / cli.MEMORY_BUDGET_BYTES)
+    assert not (tmp_path / "big").exists()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -217,6 +268,112 @@ def test_validation_messages_match_jsonschema_validate(bad):
         cli.normalize_scenario(bad)
     path = ".".join(str(p) for p in ref.value.absolute_path) or "<root>"
     assert str(got.value) == f"scenario invalid at {path}: {ref.value.message}"
+
+
+# Scenarios of all three kinds that between them hold every key the schema
+# names, so that each schema node is walked.
+_FULL_SCENARIOS = [
+    {
+        **_biphoton_scenario(),
+        "kit": {"beta_L_ps2": 32.0, "delay_1_ps": 0.5, "delay_2_ps": -0.5},
+        "jitter_sigma_ps": 0.1,
+        "outputs": {"dir": "out", "events_csv": True, "tau_profile_csv": False,
+                    "density_binary": False},
+    },
+    {
+        "state": {"stationary": {
+            "grid": {"n": 256, "domega_rad_ps": 0.25},
+            "s1": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0, "center_rad_ps": 0.5}},
+            "s2": {"flat": {"value": 1.0}},
+            "cross": {"csv": "cross.csv"},
+            "window_T_ps": 14.0,
+        }},
+        "kit": {"beta_L_ps2": 0.8},
+        "sampler": {"n_events": 100, "seed": 0},
+    },
+    _stationary_scenario(),
+    _covariance_scenario(),
+]
+_MUTANT_KEYS = ["extra", "alpha", "n", "flat", "gaussian", "peak"]
+_MUTANT_VALUES = [True, False, 256.0, 2.5, 0, -1, -0.5, "x", {}, "classical-extremal"]
+
+
+def _objects(node):
+    """node and every object nested in it."""
+    yield node
+    for value in node.values():
+        if isinstance(value, dict):
+            yield from _objects(value)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A full scenario with one to three keys replaced, deleted or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(_FULL_SCENARIOS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_objects(doc))))
+        key = draw(st.sampled_from(sorted(node) + _MUTANT_KEYS))
+        if key in node and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
+    return doc
+
+
+def _reference_error(validator, instance):
+    """What jsonschema.validate reports, short of its per-call schema check."""
+    ref = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    return None if ref is None else (tuple(ref.absolute_path), ref.message)
+
+
+_ORACLE = jsonschema.Draft202012Validator(cli.SCENARIO_SCHEMA)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_mutated_scenarios())
+def test_validation_matches_jsonschema_on_mutated_scenarios(doc):
+    assert _schema.best_error(doc, cli.SCENARIO_SCHEMA) == _reference_error(_ORACLE, doc)
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]:
+        yield from _schema_nodes(sub)
+
+
+def test_full_scenarios_are_valid_and_walk_every_schema_node(monkeypatch):
+    walked = set()
+    walk = _schema._walk
+
+    def spy(instance, schema, path, out):
+        walked.add(id(schema))
+        walk(instance, schema, path, out)
+
+    monkeypatch.setattr(_schema, "_walk", spy)
+    for doc in _FULL_SCENARIOS:
+        assert _schema.best_error(doc, cli.SCENARIO_SCHEMA) is None
+    assert {id(node) for node in _schema_nodes(cli.SCENARIO_SCHEMA)} <= walked
+
+
+def test_scenario_schema_is_valid_draft_2020_12():
+    jsonschema.Draft202012Validator.check_schema(cli.SCENARIO_SCHEMA)
+    assert jsonschema.validators.validator_for(cli.SCENARIO_SCHEMA) is jsonschema.Draft202012Validator
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"maximum": 1}, {"type": "array"}, {"additionalProperties": {"type": "string"}}, {"const": 1}],
+)
+def test_schema_walker_rejects_what_it_does_not_implement(schema):
+    with pytest.raises(NotImplementedError):
+        _schema.best_error(1, schema)
+
+
+@pytest.mark.parametrize("instance", [3, 2.5, "x"])
+def test_overlapping_one_of_matches_jsonschema(instance):
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    oracle = jsonschema.Draft202012Validator(schema)
+    assert _schema.best_error(instance, schema) == _reference_error(oracle, instance)
 
 
 def test_integer_fields_accept_integral_floats_only(tmp_path, capsys):
@@ -908,6 +1065,14 @@ def _checkout_subprocess(argv, cwd):
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(argv, capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def test_loading_a_scenario_does_not_import_jsonschema(tmp_path):
+    path = _write(tmp_path, "s.json", _stationary_scenario())
+    code = "import sys; from nldc import cli; cli.load_scenario(sys.argv[1]); print('jsonschema' in sys.modules)"
+    proc = _checkout_subprocess([sys.executable, "-c", code, str(path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(tmp_path):
