@@ -51,11 +51,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._fft import to_time_1d, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
-from .spectral import FrequencyGrid, _readonly, _require_unwrapped
+from .spectral import FrequencyGrid, _own_or_copy, _Owned, _readonly, _require_unwrapped
 
 NORM_RTOL = 1e-9
 SECOND_BRANCH_LIMIT = 1e-9
@@ -68,6 +69,8 @@ class BiphotonAmplitude:
     """Complex n x n amplitude with sum |psi|^2 * domega^2 = 1 (within 1e-9).
 
     Axis 0 is omega1, axis 1 is omega2, both running over grid.omegas.
+    values is copied, unless package code hands over a fresh array as
+    `_Owned(array)`; either way it is checked and stored read-only.
     """
 
     grid: FrequencyGrid
@@ -75,10 +78,10 @@ class BiphotonAmplitude:
 
     def __post_init__(self):
         n = self.grid.n
-        arr = np.array(self.values, dtype=np.complex128, copy=True)
+        arr = _own_or_copy(self.values, np.complex128)
         if arr.shape != (n, n):
             raise ValueError(f"amplitude must have shape ({n}, {n}), got {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise ValueError("amplitude must be finite")
         norm = float(np.vdot(arr, arr).real) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
@@ -92,14 +95,15 @@ class BiphotonAmplitude:
         norm = math.sqrt(float((np.abs(arr) ** 2).sum()) * grid.domega ** 2)
         if norm == 0.0:
             raise ValueError("cannot normalize an all-zero amplitude")
-        return cls(grid, arr / norm)
+        return cls(grid, _Owned(arr / norm))
 
 
 @dataclass(frozen=True, eq=False)
 class JointTemporalDensity:
     """Joint detection-time density p(t1, t2) on the conjugate time grid.
 
-    Spacing dt = 2*pi/(n*domega); sum p * dt^2 = 1 within 1e-9.
+    Spacing dt = 2*pi/(n*domega); sum p * dt^2 = 1 within 1e-9.  values is
+    copied unless handed over as `_Owned(array)`, as for BiphotonAmplitude.
     """
 
     grid: FrequencyGrid
@@ -107,7 +111,7 @@ class JointTemporalDensity:
 
     def __post_init__(self):
         n = self.grid.n
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = _own_or_copy(self.values, np.float64)
         if arr.shape != (n, n):
             raise ValueError(f"density must have shape ({n}, {n}), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -155,11 +159,32 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
             ratio=3.0 * grid.domega / width,
             limit=width / 3.0,
         )
+    # exp(-(wsum^2)/(4a^2) - (wdiff^2)/(4b^2)), normalized, with the same
+    # operations in the same order as the plain numpy expression, but in two
+    # n x n buffers: the exponent and the complex result.  The result's
+    # storage first holds the wdiff term and then the squares that give the
+    # norm (its leading n^2 floats, laid out as one contiguous n x n array,
+    # so the sum is that of a fresh array).
+    n = grid.n
     w = grid.omegas
-    wsum = w[:, None] + w[None, :]
-    wdiff = w[:, None] - w[None, :]
-    raw = np.exp(-(wsum ** 2) / (4.0 * a ** 2) - (wdiff ** 2) / (4.0 * b ** 2))
-    return BiphotonAmplitude.from_values(grid, raw)
+    out = np.empty((n, n), dtype=np.complex128)
+    scratch = out.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
+    raw = np.add.outer(w, w)
+    np.square(raw, out=raw)
+    np.negative(raw, out=raw)
+    raw /= 4.0 * a ** 2
+    np.subtract.outer(w, w, out=scratch)
+    np.square(scratch, out=scratch)
+    scratch /= 4.0 * b ** 2
+    raw -= scratch
+    np.exp(raw, out=raw)
+    np.multiply(raw, raw, out=scratch)
+    norm = math.sqrt(float(scratch.sum()) * grid.domega ** 2)
+    # A complex divided by a real is a multiply by its reciprocal in numpy,
+    # so this is the division of the plain expression, bit for bit.
+    np.multiply(raw, 1.0 / norm, out=out.real)
+    out.imag = 0.0
+    return BiphotonAmplitude(grid, _Owned(out))
 
 
 def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> BiphotonAmplitude:
@@ -177,17 +202,17 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
             f"dispersion phase overflows on |omega| <= {w_max} rad/ps: beta_L = {kit.beta_L!r} ps^2, "
             f"delay_1 = {kit.delay_1!r} ps, delay_2 = {kit.delay_2!r} ps"
         )
-    w2 = w ** 2
-    phase = kit.beta_L * w2[:, None] - kit.beta_L * w2[None, :]
+    # The phase is formed in the imaginary part of the factor's own storage,
+    # over a real part of zero, so the result is the only n x n buffer.
+    bw2 = kit.beta_L * w ** 2
+    factor = np.zeros((w.size, w.size), dtype=np.complex128)
+    phase = factor.imag
+    np.subtract(bw2[:, None], bw2[None, :], out=phase)
     phase += kit.delay_1 * w[:, None]
     phase += kit.delay_2 * w[None, :]
-    # The factor is formed in its own storage, so no more than two n x n
-    # temporaries are alive at once.
-    factor = 1j * phase
-    del phase
     np.exp(factor, out=factor)
     np.multiply(psi.values, factor, out=factor)
-    return BiphotonAmplitude(psi.grid, factor)
+    return BiphotonAmplitude(psi.grid, _Owned(factor))
 
 
 def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
@@ -208,7 +233,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
             f"Parseval identity violated: time mass {mass}, expected {expected}"
         )
     p /= mass
-    return JointTemporalDensity(psi.grid, p)
+    return JointTemporalDensity(psi.grid, _Owned(p))
 
 
 def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +263,42 @@ def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]
     return tau, centred / dt
 
 
+def _gather_lines(flat: np.ndarray, n: int, s0: int, out: np.ndarray, upper: np.ndarray) -> None:
+    """Copy the cyclic lines s0 .. s0 + m - 1 (m = len(out), s0 + m <= n) into out.
+
+    out[r, i] = psi[i, (s0 + r - i) % n], read from the row-major flat psi
+    through strided views, with no index array.  Along i a line steps by
+    n - 1 cells: it is flat[s + i*(n - 1)] up to i = s and flat[s + n +
+    i*(n - 1)] past its wrap.  Columns i <= s0 are before the wrap in every
+    line of the block and columns i >= s0 + m past it; in the band between,
+    line r wraps after i = s0 + r, which upper (True on and above the
+    diagonal) selects.  Every view stays inside flat.
+    """
+    m = len(out)
+    step = flat.strides[0]
+
+    def cells(base, rows, i0, i1):
+        return as_strided(
+            flat[base + i0 * (n - 1):], shape=(rows, i1 - i0), strides=(step, (n - 1) * step)
+        )
+
+    out[:, : s0 + 1] = cells(s0, m, 0, s0 + 1)
+    out[:, s0 + m :] = cells(s0 + n, m, s0 + m, n)
+    band = out[:, s0 + 1 : s0 + m]
+    band[...] = cells(s0, m, s0 + 1, s0 + m)
+    # The last line of the block wraps after the band, so it never reads past it.
+    np.copyto(band[: m - 1], cells(s0 + n, m - 1, s0 + 1, s0 + m), where=upper[: m - 1, : m - 1])
+
+
 def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Tau marginal and per-line tau moments, one cyclic sum-frequency line at a time.
 
     Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
     is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
-    blocks of _LINE_BLOCK_CELLS cells and each block is transformed along i
-    by one batched to_time_1d; an all-zero line transforms to zeros and is
-    skipped.  With p = |transform|^2 on the tau grid grid.times, returns
+    blocks of _LINE_BLOCK_CELLS cells (`_gather_lines`, into buffers reused
+    by every block) and each block is transformed along i by one batched
+    to_time_1d; an all-zero line transforms to zeros and is skipped.  With
+    p = |transform|^2 on the tau grid grid.times, returns
 
         marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
         weight[k]   = sum_d p[k, d]        (the weight of line k)
@@ -258,33 +311,50 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     n = grid.n
     half = n // 2
     i = np.arange(n)
-    row_start = i * n
     tau = grid.times
     flat = psi.values.ravel()
-    rows = max(1, _LINE_BLOCK_CELLS // n)
+    rows = min(n, max(1, _LINE_BLOCK_CELLS // n))  # a power of two, like n
+    upper = np.triu(np.ones((rows, rows), dtype=bool))
+    lines = np.empty((rows, n), dtype=np.complex128)
+    cells = np.empty((rows, n))
+    spare = np.empty((rows, n))
+    off_branch = np.empty((rows, n), dtype=bool)
     marginal = np.zeros(n)
     weight = np.zeros(n)
     first = np.zeros(n)
     norm = second = 0.0
     for k0 in range(0, n, rows):
-        centred = np.arange(k0, min(k0 + rows, n))[:, None] - half
-        cols = (centred - i) & (n - 1)  # n is a power of two
-        lines = flat[cols + row_start]
-        cells = lines.real ** 2 + lines.imag ** 2
-        # A cell is on the first branch when its true sum i + cols - n is the
-        # line's centred index, and that index is inside (-n/2, n/2).
-        off_branch = (cols + i != centred + n) | (centred == -half)
+        centred = np.arange(k0, k0 + rows) - half
+        s = centred % n
+        unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
+        _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
+        if unwrapped < rows:
+            _gather_lines(flat, n, 0, lines[unwrapped:], upper)
+        np.multiply(lines.real, lines.real, out=cells)
+        np.multiply(lines.imag, lines.imag, out=spare)
+        cells += spare
+        # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
+        # The first branch is the one equal to the centred index, and line
+        # -n/2 is all second branch.
+        np.less_equal(i, s[:, None], out=off_branch)
+        np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
+        off_branch[centred == -half] = True
         second += float(cells.sum(where=off_branch))
         line_norm = cells.sum(axis=1)
         norm += float(line_norm.sum())
         live = np.flatnonzero(line_norm)
-        if live.size == 0:
+        m = live.size
+        if m == 0:
             continue
-        g = to_time_1d(lines[live], grid)
-        p = g.real ** 2 + g.imag ** 2
+        g = to_time_1d(lines if m == rows else lines[live], grid)
+        p = cells[:m]
+        np.multiply(g.real, g.real, out=p)
+        np.multiply(g.imag, g.imag, out=spare[:m])
+        p += spare[:m]
         marginal += p.sum(axis=0)
         weight[k0 + live] = p.sum(axis=1)
-        first[k0 + live] = (p * tau).sum(axis=1)
+        np.multiply(p, tau, out=spare[:m])
+        first[k0 + live] = spare[:m].sum(axis=1)
     expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
     total = float(marginal.sum())
     if abs(total / expected - 1.0) > NORM_RTOL:

@@ -432,22 +432,6 @@ def _stats_dict(stats: sp.TauStats) -> dict:
     }
 
 
-def _sample_batches(state, densities, kit: DispersionKit, count: int, seed: int) -> dict:
-    if isinstance(state, BiphotonState):
-        return {
-            label: sp.sample_biphoton(density, count, sp.derive_seed(seed, label))
-            for label, density in densities.items()
-        }
-    m = state.model
-    return {
-        "before": sp.sample_stationary(m, count, sp.derive_seed(seed, "before")),
-        "plus": sp.sample_stationary_sheared(m, kit, count, sp.derive_seed(seed, "plus")),
-        "minus": sp.sample_stationary_sheared(
-            m, kit.swapped(), count, sp.derive_seed(seed, "minus")
-        ),
-    }
-
-
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
     """Execute one normalized scenario, writing outputs into out_dir.
 
@@ -455,26 +439,66 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     from the sum-frequency line route; the 2D time transform runs only for
     what needs the joint density, once per arm for the sampler and once for
     density_before.bin.  The other kinds are sheared in closed form.
+
+    Each sampled batch is estimated as soon as it is drawn, and a biphoton
+    arm's amplitude and density are released once its batch is drawn, so
+    at most one arm's n x n arrays are alive beside the source amplitude.
+    A batch is kept to the end only when its events CSV is written.
     """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
     jitter_var = _jitter_var(scenario)
-    n_events = scenario["sampler"]["n_events"] if "sampler" in scenario else 0
+    sampler = scenario.get("sampler")
+    n_events = sampler["n_events"] if sampler is not None else 0
     state = _build_state(scenario["state"], base_dir, n_events)
     cov0 = state.cov0
-    densities = {}
+    write_events = sampler is not None and scenario["outputs"]["events_csv"]
+    estimates: dict = {}
+    batches: dict = {}  # only the batches whose events CSV is written
+
+    def sample(label: str, density=None) -> None:
+        """Draw the batch of one arm ("before", "plus" or "minus") and estimate it.
+
+        A biphoton arm draws from its density; a stationary one from the model.
+        """
+        count, seed = sampler["n_events"], sampler["seed"]
+        sub_seed = sp.derive_seed(seed, label)
+        if density is not None:
+            batch = sp.sample_biphoton(density, count, sub_seed)
+        elif label == "before":
+            batch = sp.sample_stationary(state.model, count, sub_seed)
+        else:
+            arm_kit = kit if label == "plus" else kit.swapped()
+            batch = sp.sample_stationary_sheared(state.model, arm_kit, count, sub_seed)
+        estimates[label] = sp.estimate_tau_stats(
+            batch, jitter_sigma / math.sqrt(2.0), sp.derive_seed(seed, f"jitter-{label}")
+        )
+        if write_events:
+            batches[label] = batch
+
+    density_before = None
     if isinstance(state, BiphotonState):
-        sampled = "sampler" in scenario
-        if sampled or scenario["outputs"]["density_binary"]:
-            densities["before"] = bp.to_time_domain(state.psi)
+        dump = scenario["outputs"]["density_binary"]
+        if sampler is not None or dump:
+            density_before = bp.to_time_domain(state.psi)
+            if sampler is not None:
+                sample("before", density_before)
+            if not dump:
+                density_before = None
         arms = {}
         for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
             psi = bp.apply_dispersion_phase(state.psi, arm_kit)
             arms[label] = bp.amplitude_moments(psi)
-            if sampled:
-                densities[label] = bp.to_time_domain(psi)
+            density = bp.to_time_domain(psi) if sampler is not None else None
+            del psi  # released before the draw and before the next arm
+            if density is not None:
+                sample(label, density)
+                del density
     else:
         arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
+        if sampler is not None:
+            for label in ("before", "plus", "minus"):
+                sample(label)
     separability = separability_check(cov0)
 
     record = {
@@ -528,17 +552,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict = {"runrecord": "runrecord.json"}
 
-    if "sampler" in scenario:
-        count = scenario["sampler"]["n_events"]
-        seed = scenario["sampler"]["seed"]
-        batches = _sample_batches(state, densities, kit, count, seed)
-        sigma_per_detector = jitter_sigma / math.sqrt(2.0)
-        estimates = {
-            label: sp.estimate_tau_stats(
-                batch, sigma_per_detector, sp.derive_seed(seed, f"jitter-{label}")
-            )
-            for label, batch in batches.items()
-        }
+    if sampler is not None:
         try:
             emp = sp.empirical_witness(estimates["before"], estimates["plus"], estimates["minus"], kit)
             empirical = {
@@ -553,12 +567,12 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         except DegenerateStateError as err:
             empirical = {"evaluable": False, "reason": str(err)}
         sampling: dict = {
-            "n_events": count,
-            "seed": seed,
+            "n_events": sampler["n_events"],
+            "seed": sampler["seed"],
             "estimates": {label: _stats_dict(s) for label, s in estimates.items()},
             "empirical_witness": empirical,
         }
-        if scenario["outputs"]["events_csv"]:
+        if write_events:
             events = {}
             for label, batch in batches.items():
                 name = f"events_{label}.csv"
@@ -572,7 +586,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         st.tau_density_to_csv(state.model.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
     if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
-        bp.density_to_binary(densities["before"], out_dir / "density_before.bin")
+        bp.density_to_binary(density_before, out_dir / "density_before.bin")
         outputs["density_before"] = "density_before.bin"
 
     record["outputs"] = outputs

@@ -161,10 +161,18 @@ def shear_covariance(cov: TemporalCovariance, kit: DispersionKit) -> TemporalCov
         var_tau'   = var_tau + 4*beta_L*cov + (2*beta_L)^2*var_omega
         cov'       = cov + 2*beta_L*var_omega
         var_omega' = var_omega
+
+    The map keeps var_tau*var_omega - cov^2 exactly, so a state that meets
+    Cauchy-Schwarz still meets it after the shear.  Where var_tau' cancels
+    nearly to zero its rounding can put it below the floor cov'^2/var_omega
+    that the exact value keeps; var_tau' is then raised to that floor, which
+    leaves every other state's value as computed.
     """
     two_bl = 2.0 * kit.beta_L
     var_tau = cov.var_tau + 2.0 * two_bl * cov.cov_tau_omega + two_bl ** 2 * cov.var_omega
     cov_to = cov.cov_tau_omega + two_bl * cov.var_omega
+    if cov.var_omega > 0.0:
+        var_tau = max(var_tau, cov_to * cov_to / cov.var_omega)
     mean_tau = cov.mean_tau + kit.delay_1 - kit.delay_2 + two_bl * cov.mean_omega
     return TemporalCovariance(
         var_tau=var_tau,

@@ -23,7 +23,7 @@ import numpy as np
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
-from .spectral import _readonly, _write_formatted_rows
+from .spectral import _own_or_copy, _Owned, _readonly, _write_formatted_rows
 from .stationary import StationaryPairModel, TauDensity
 
 
@@ -47,7 +47,8 @@ class EventBatch:
 
     window is the (lo, hi) interval all times are guaranteed to lie in, or
     None for batches that are not window-bounded (dispersed stationary
-    events walk out of the shutter interval).
+    events walk out of the shutter interval).  t1 and t2 are copied unless
+    package code hands over fresh arrays as `_Owned(array)`.
     """
 
     t1: np.ndarray
@@ -57,8 +58,8 @@ class EventBatch:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        t1 = np.array(self.t1, dtype=np.float64, copy=True)
-        t2 = np.array(self.t2, dtype=np.float64, copy=True)
+        t1 = _own_or_copy(self.t1, np.float64)
+        t2 = _own_or_copy(self.t2, np.float64)
         if t1.ndim != 1 or t1.shape != t2.shape or len(t1) == 0:
             raise ValueError("t1 and t2 must be equal-length non-empty 1D arrays")
         if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
@@ -134,7 +135,7 @@ def _inverse_cdf_draw(rng, weights, count):
     cdf = np.cumsum(weights)
     if cdf[-1] <= 0.0:
         raise DegenerateStateError("cannot sample from an all-zero density")
-    cdf = cdf / cdf[-1]
+    cdf /= cdf[-1]
     u = rng.random(count)
     idx = np.empty(count, dtype=np.intp)
     if len(cdf) <= _GUIDE_CELLS <= count:
@@ -181,7 +182,7 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
     t2 += 0.5 * shift
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
-    return EventBatch(t1=t1, t2=t2, seed=seed, source=source, window=window)
+    return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
 
 
 def _draw_signal_taus(rng, d: TauDensity, count):
@@ -229,7 +230,11 @@ def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-
     rng = _generator(seed, "stationary")
     t1, t2, _ = _sample_tau_mixture(rng, d, count)
     return EventBatch(
-        t1=t1, t2=t2, seed=seed, source=f"{source}(T={d.window:.17g})", window=(0.0, d.window)
+        t1=_Owned(t1),
+        t2=_Owned(t2),
+        seed=seed,
+        source=f"{source}(T={d.window:.17g})",
+        window=(0.0, d.window),
     )
 
 
@@ -274,10 +279,16 @@ def sample_stationary_sheared(
             w = draw_omegas(mag2, n_sig)
             w1[signal] = w
             w2[signal] = -w
-    t1 = t1 + kit.delay_1 + 2.0 * kit.beta_L * w1
-    t2 = t2 + kit.delay_2 - 2.0 * kit.beta_L * w2
+    # t1 + delay_1 + 2*beta_L*w1 and t2 + delay_2 - 2*beta_L*w2, in the
+    # storage of the fresh t and w arrays
+    t1 += kit.delay_1
+    w1 *= 2.0 * kit.beta_L
+    t1 += w1
+    t2 += kit.delay_2
+    w2 *= 2.0 * kit.beta_L
+    t2 -= w2
     source = f"stationary-{m.regime}-sheared(beta_L={kit.beta_L:.17g},T={m.window:.17g})"
-    return EventBatch(t1=t1, t2=t2, seed=seed, source=source, window=None)
+    return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=None)
 
 
 def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> TauStats:
@@ -298,13 +309,14 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
         rng = _generator(seed, "detector-jitter")
         t1 = t1 + rng.normal(0.0, jitter_sigma, batch.n)
         t2 = t2 + rng.normal(0.0, jitter_sigma, batch.n)
-    tau = t1 - t2
+    d = t1 - t2  # tau; then its deviations, their squares and fourth powers, in place
     n = batch.n
-    mean = float(tau.mean())
-    d2 = tau - mean
-    d2 *= d2  # squared deviations; m4 squares them again by a multiply, not a pow
-    s2 = float(d2.sum() / (n - 1))
-    m4 = float((d2 * d2).mean())
+    mean = float(d.mean())
+    d -= mean
+    d *= d  # m4 squares the squares again by a multiply, not a pow
+    s2 = float(d.sum() / (n - 1))
+    d *= d
+    m4 = float(d.mean())
     var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
     return TauStats(n=n, var_tau=s2, stderr=math.sqrt(max(var_of_var, 0.0)), mean_tau=mean)
 
@@ -381,4 +393,6 @@ def events_from_csv(path) -> EventBatch:
         if header != "t1_ps,t2_ps":
             raise ValueError(f"{path}: unexpected header {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return EventBatch(t1=data[:, 0], t2=data[:, 1], seed=seed, source=source, window=window)
+    return EventBatch(
+        t1=_Owned(data[:, 0]), t2=_Owned(data[:, 1]), seed=seed, source=source, window=window
+    )

@@ -43,6 +43,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Owned:
+    """An array handed to a constructor, which keeps it instead of copying it.
+
+    Package code wraps only an array it has just allocated and holds no
+    other reference to.  The constructor still runs every check on it and
+    makes it read-only.  Anything passed unwrapped is copied, so a caller's
+    array never aliases the state of an object.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _own_or_copy(values, dtype) -> np.ndarray:
+    if isinstance(values, _Owned):
+        return np.asarray(values.array, dtype=dtype)
+    return np.array(values, dtype=dtype, copy=True)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform detuning grid omega_k = (k - n/2)*domega, k = 0..n-1.

@@ -842,6 +842,24 @@ def test_beta_scan_past_the_wrap_point_stays_algebraic(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "GridTooCoarseError"
 
 
+def test_saturated_state_sheared_near_zero_var_tau_runs_and_scans(tmp_path):
+    # A state on the Cauchy-Schwarz boundary whose shear cancels var_tau to
+    # about 1e-12: the rounding of the sheared var_tau must not turn into a
+    # Cauchy-Schwarz error about a state the scenario never wrote.
+    scenario = {
+        "state": {"covariance": {"var_tau_ps2": 1, "var_omega_rad2_ps2": 1, "cov_tau_omega": -1}},
+        "kit": {"beta_L_ps2": 0.4999995},
+    }
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    plus = _record(out_dir)["covariance_after_plus"]
+    assert plus["var_tau_ps2"] == pytest.approx(1e-12, rel=1e-4)
+    assert plus["cov_tau_omega"] ** 2 <= plus["var_tau_ps2"] * plus["var_omega_rad2_ps2"]
+    rc, rows = _scan(tmp_path, scenario, "kit.beta_L_ps2", "0.4999995,0.5")
+    assert rc == 0
+    assert [row[0] for row in rows] == [0.4999995, 0.5]
+
+
 def test_integer_leaves_scan(tmp_path, capsys):
     scenario = _biphoton_scenario(n_events=100, seed=1)
     rc, rows = _scan(tmp_path, scenario, "state.biphoton.grid.n", "256,512")

@@ -74,6 +74,22 @@ def test_shear_cancellation_at_zero_bandwidth():
         assert shear_covariance(cov, DispersionKit(beta_l)).var_tau == 0.25
 
 
+def test_shear_of_a_saturated_state_stays_valid_where_var_tau_cancels():
+    # var_tau' = (1 - 2*beta_L)^2 cancels to about 1e-12, and its rounding
+    # fell below the floor cov'^2/var_omega that the exact value keeps: the
+    # sheared state failed Cauchy-Schwarz.  It is raised to the floor.
+    cov = TemporalCovariance(var_tau=1.0, var_omega=1.0, cov_tau_omega=-1.0)
+    out = shear_covariance(cov, DispersionKit(beta_L=0.4999995))
+    assert out.var_tau == out.cov_tau_omega ** 2 / out.var_omega
+    assert out.var_tau == pytest.approx(1e-12, rel=1e-4)
+    assert shear_covariance(cov, DispersionKit(beta_L=0.5)).var_tau == 0.0
+
+
+def test_shear_leaves_a_valid_result_as_computed():
+    cov = TemporalCovariance(var_tau=0.25, var_omega=16.0, cov_tau_omega=0.3)
+    assert shear_covariance(cov, KIT15).var_tau == 0.25 + 2.0 * 3.0 * 0.3 + 3.0 ** 2 * 16.0
+
+
 def test_shear_moves_mean_by_delays_and_dispersion():
     cov = TemporalCovariance(var_tau=1.0, var_omega=1.0, mean_omega=2.0)
     out = shear_covariance(cov, DispersionKit(beta_L=1.0, delay_1=5.0, delay_2=3.0))
@@ -248,6 +264,16 @@ def test_shear_preserves_validity_and_frequency_moments(var_tau, var_omega, rho,
     out = shear_covariance(cov, DispersionKit(beta_l))  # would raise if invalid
     assert out.var_omega == cov.var_omega
     assert out.mean_omega == cov.mean_omega
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_vars, _vars, st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1e-5, max_value=1e-5))
+def test_shear_of_saturated_states_keeps_cauchy_schwarz(var_tau, var_omega, sign, detune):
+    # beta_L near the value 2*beta_L = -cov/var_omega that shears var_tau to 0
+    cov = _make_cov(var_tau, var_omega, sign)
+    beta_l = -0.5 * cov.cov_tau_omega / var_omega * (1.0 + detune)
+    out = shear_covariance(cov, DispersionKit(beta_l))  # would raise if invalid
+    assert out.var_tau >= 0.0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
