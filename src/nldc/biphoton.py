@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._fft import to_time_1d, to_time_2d
+from ._blocks import _block_rows, _for_row_blocks
+from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
 from .spectral import FrequencyGrid, _own_or_copy, _Owned, _readonly, _require_unwrapped
@@ -61,7 +62,6 @@ from .spectral import FrequencyGrid, _own_or_copy, _Owned, _readonly, _require_u
 NORM_RTOL = 1e-9
 SECOND_BRANCH_LIMIT = 1e-9
 DENSITY_MAGIC = 20044002.0
-_LINE_BLOCK_CELLS = 1 << 16  # amplitude cells gathered per block of lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,8 @@ class BiphotonAmplitude:
 
     Axis 0 is omega1, axis 1 is omega2, both running over grid.omegas.
     values is copied, unless package code hands over a fresh array as
-    `_Owned(array)`; either way it is checked and stored read-only.
+    `_Owned(array)`; either way it is checked and stored read-only, and
+    its norm is kept as `_norm`.
     """
 
     grid: FrequencyGrid
@@ -81,12 +82,11 @@ class BiphotonAmplitude:
         arr = _own_or_copy(self.values, np.complex128)
         if arr.shape != (n, n):
             raise ValueError(f"amplitude must have shape ({n}, {n}), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("amplitude must be finite")
-        norm = float(np.vdot(arr, arr).real) * self.grid.domega ** 2
+        norm = _finite_sum_of_squares(arr) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
             raise ValueError(f"amplitude norm is {norm}, must be 1 within {NORM_RTOL}")
         object.__setattr__(self, "values", _readonly(arr))
+        object.__setattr__(self, "_norm", norm)  # for the Parseval check of to_time_domain
 
     @classmethod
     def from_values(cls, grid: FrequencyGrid, values) -> "BiphotonAmplitude":
@@ -114,9 +114,18 @@ class JointTemporalDensity:
         arr = _own_or_copy(self.values, np.float64)
         if arr.shape != (n, n):
             raise ValueError(f"density must have shape ({n}, {n}), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("density must be finite")
-        if np.any(arr < 0.0):
+        rows = _block_rows(n, n)
+        negative = np.zeros(n // rows, dtype=bool)
+
+        def check(r0, r1):
+            for r in range(r0, r1, rows):
+                block = arr[r : r + rows]
+                if not np.isfinite(block).all():
+                    raise ValueError("density must be finite")
+                negative[r // rows] = (block < 0.0).any()
+
+        _for_row_blocks(n, n, check)
+        if negative.any():
             raise ValueError("density must be >= 0")
         mass = float(arr.sum()) * self.dt ** 2
         if abs(mass - 1.0) > NORM_RTOL:
@@ -126,6 +135,30 @@ class JointTemporalDensity:
     @property
     def dt(self) -> float:
         return self.grid.dt
+
+
+def _finite_sum_of_squares(values: np.ndarray) -> float:
+    """sum |values|^2 of an n x n complex array, or ValueError if a value is not finite.
+
+    Each block of rows sums its own squares with no BLAS call (a threaded
+    BLAS keeps spinning on the cores the row blocks need), and the block
+    sums are added in one fixed order, so the value is the same on any
+    machine.
+    """
+    n = len(values)
+    rows = _block_rows(n, n)
+    parts = np.zeros(n // rows)
+    cells = values.view(np.float64)  # each row's real and imaginary parts, interleaved
+
+    def blocks(r0, r1):
+        for r in range(r0, r1, rows):
+            block = cells[r : r + rows]
+            if not np.isfinite(block).all():
+                raise ValueError("amplitude must be finite")
+            parts[r // rows] = np.einsum("ij,ij->", block, block)
+
+    _for_row_blocks(n, n, blocks)
+    return float(parts.sum())
 
 
 def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float) -> BiphotonAmplitude:
@@ -164,26 +197,37 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     # n x n buffers: the exponent and the complex result.  The result's
     # storage first holds the wdiff term and then the squares that give the
     # norm (its leading n^2 floats, laid out as one contiguous n x n array,
-    # so the sum is that of a fresh array).
+    # so the sum is that of a fresh array).  Each row block writes only its
+    # own rows of both; the norm is summed over all of them at once.
     n = grid.n
     w = grid.omegas
     out = np.empty((n, n), dtype=np.complex128)
     scratch = out.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
-    raw = np.add.outer(w, w)
-    np.square(raw, out=raw)
-    np.negative(raw, out=raw)
-    raw /= 4.0 * a ** 2
-    np.subtract.outer(w, w, out=scratch)
-    np.square(scratch, out=scratch)
-    scratch /= 4.0 * b ** 2
-    raw -= scratch
-    np.exp(raw, out=raw)
-    np.multiply(raw, raw, out=scratch)
+    raw = np.empty((n, n))
+
+    def exponent(r0, r1):
+        e, s = raw[r0:r1], scratch[r0:r1]
+        np.add.outer(w[r0:r1], w, out=e)
+        np.square(e, out=e)
+        np.negative(e, out=e)
+        e /= 4.0 * a ** 2
+        np.subtract.outer(w[r0:r1], w, out=s)
+        np.square(s, out=s)
+        s /= 4.0 * b ** 2
+        e -= s
+        np.exp(e, out=e)
+        np.multiply(e, e, out=s)
+
+    _for_row_blocks(n, n, exponent)
     norm = math.sqrt(float(scratch.sum()) * grid.domega ** 2)
+
     # A complex divided by a real is a multiply by its reciprocal in numpy,
     # so this is the division of the plain expression, bit for bit.
-    np.multiply(raw, 1.0 / norm, out=out.real)
-    out.imag = 0.0
+    def scale(r0, r1):
+        np.multiply(raw[r0:r1], 1.0 / norm, out=out.real[r0:r1])
+        out.imag[r0:r1] = 0.0
+
+    _for_row_blocks(n, n, scale)
     return BiphotonAmplitude(grid, _Owned(out))
 
 
@@ -204,14 +248,21 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
         )
     # The phase is formed in the imaginary part of the factor's own storage,
     # over a real part of zero, so the result is the only n x n buffer.
+    n = w.size
     bw2 = kit.beta_L * w ** 2
-    factor = np.zeros((w.size, w.size), dtype=np.complex128)
-    phase = factor.imag
-    np.subtract(bw2[:, None], bw2[None, :], out=phase)
-    phase += kit.delay_1 * w[:, None]
-    phase += kit.delay_2 * w[None, :]
-    np.exp(factor, out=factor)
-    np.multiply(psi.values, factor, out=factor)
+    factor = np.empty((n, n), dtype=np.complex128)
+
+    def rows(r0, r1):
+        block = factor[r0:r1]
+        block.real = 0.0
+        phase = block.imag
+        np.subtract(bw2[r0:r1, None], bw2[None, :], out=phase)
+        phase += kit.delay_1 * w[r0:r1, None]
+        phase += kit.delay_2 * w[None, :]
+        np.exp(block, out=block)
+        np.multiply(psi.values[r0:r1], block, out=block)
+
+    _for_row_blocks(n, n, rows)
     return BiphotonAmplitude(psi.grid, _Owned(factor))
 
 
@@ -222,17 +273,30 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
     1e-9 means the kernel itself is broken and raises ParsevalError.
     """
-    p = np.abs(to_time_2d(psi.values, psi.grid))
-    p **= 2
+    n = psi.grid.n
+    field = to_time_2d(psi.values, psi.grid)
+    p = np.empty((n, n))
+
+    def square(r0, r1):
+        block = p[r0:r1]
+        np.abs(field[r0:r1], out=block)
+        block **= 2
+
+    _for_row_blocks(n, n, square)
+    del field
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
-    norm = float(np.vdot(psi.values, psi.values).real) * psi.grid.domega ** 2
-    expected = norm / (2.0 * math.pi) ** 2
+    expected = psi._norm / (2.0 * math.pi) ** 2
     if abs(mass / expected - 1.0) > NORM_RTOL:
         raise ParsevalError(
             f"Parseval identity violated: time mass {mass}, expected {expected}"
         )
-    p /= mass
+
+    def normalize(r0, r1):
+        block = p[r0:r1]
+        block /= mass
+
+    _for_row_blocks(n, n, normalize)
     return JointTemporalDensity(psi.grid, _Owned(p))
 
 
@@ -295,9 +359,11 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
 
     Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
     is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
-    blocks of _LINE_BLOCK_CELLS cells (`_gather_lines`, into buffers reused
-    by every block) and each block is transformed along i by one batched
-    to_time_1d; an all-zero line transforms to zeros and is skipped.  With
+    fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into
+    buffers that each worker reuses for its blocks) and each block is
+    transformed along i by one batched to_time_1d; an all-zero line
+    transforms to zeros and is skipped.  Per-block sums are added in block
+    order, so the result is that of one thread, bit for bit.  With
     p = |transform|^2 on the tau grid grid.times, returns
 
         marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
@@ -313,48 +379,63 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     i = np.arange(n)
     tau = grid.times
     flat = psi.values.ravel()
-    rows = min(n, max(1, _LINE_BLOCK_CELLS // n))  # a power of two, like n
+    rows = _block_rows(n, n)  # a power of two, like n
     upper = np.triu(np.ones((rows, rows), dtype=bool))
-    lines = np.empty((rows, n), dtype=np.complex128)
-    cells = np.empty((rows, n))
-    spare = np.empty((rows, n))
-    off_branch = np.empty((rows, n), dtype=bool)
-    marginal = np.zeros(n)
     weight = np.zeros(n)
     first = np.zeros(n)
+    # Per block: its marginal, its sum |psi|^2 and its second-branch sum.
+    marginals = np.zeros((n // rows, n))
+    norms = np.zeros(n // rows)
+    seconds = np.zeros(n // rows)
+
+    def line_blocks(k_start, k_stop):
+        lines = np.empty((rows, n), dtype=np.complex128)
+        # cells and spare are dead while a block is transformed, so their
+        # storage doubles as the transform's work array.
+        work = np.empty((rows, n), dtype=np.complex128)
+        cells, spare = work.reshape(-1).view(np.float64).reshape(2, rows, n)
+        off_branch = np.empty((rows, n), dtype=bool)
+        for k0 in range(k_start, k_stop, rows):
+            block = k0 // rows
+            centred = np.arange(k0, k0 + rows) - half
+            s = centred % n
+            unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
+            _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
+            if unwrapped < rows:
+                _gather_lines(flat, n, 0, lines[unwrapped:], upper)
+            np.multiply(lines.real, lines.real, out=cells)
+            np.multiply(lines.imag, lines.imag, out=spare)
+            cells += spare
+            # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
+            # The first branch is the one equal to the centred index, and line
+            # -n/2 is all second branch.
+            np.less_equal(i, s[:, None], out=off_branch)
+            np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
+            off_branch[centred == -half] = True
+            seconds[block] = cells.sum(where=off_branch)
+            line_norm = cells.sum(axis=1)
+            norms[block] = line_norm.sum()
+            live = np.flatnonzero(line_norm)
+            m = live.size
+            if m == 0:
+                continue
+            g = _to_time_rows(lines if m == rows else lines[live], grid, work[:m], lines[:m])
+            p = cells[:m]
+            np.multiply(g.real, g.real, out=p)
+            np.multiply(g.imag, g.imag, out=spare[:m])
+            p += spare[:m]
+            marginals[block] = p.sum(axis=0)
+            weight[k0 + live] = p.sum(axis=1)
+            np.multiply(p, tau, out=spare[:m])
+            first[k0 + live] = spare[:m].sum(axis=1)
+
+    _for_row_blocks(n, n, line_blocks)
+    marginal = np.zeros(n)
     norm = second = 0.0
-    for k0 in range(0, n, rows):
-        centred = np.arange(k0, k0 + rows) - half
-        s = centred % n
-        unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
-        _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
-        if unwrapped < rows:
-            _gather_lines(flat, n, 0, lines[unwrapped:], upper)
-        np.multiply(lines.real, lines.real, out=cells)
-        np.multiply(lines.imag, lines.imag, out=spare)
-        cells += spare
-        # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
-        # The first branch is the one equal to the centred index, and line
-        # -n/2 is all second branch.
-        np.less_equal(i, s[:, None], out=off_branch)
-        np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
-        off_branch[centred == -half] = True
-        second += float(cells.sum(where=off_branch))
-        line_norm = cells.sum(axis=1)
-        norm += float(line_norm.sum())
-        live = np.flatnonzero(line_norm)
-        m = live.size
-        if m == 0:
-            continue
-        g = to_time_1d(lines if m == rows else lines[live], grid)
-        p = cells[:m]
-        np.multiply(g.real, g.real, out=p)
-        np.multiply(g.imag, g.imag, out=spare[:m])
-        p += spare[:m]
-        marginal += p.sum(axis=0)
-        weight[k0 + live] = p.sum(axis=1)
-        np.multiply(p, tau, out=spare[:m])
-        first[k0 + live] = spare[:m].sum(axis=1)
+    for block in range(n // rows):  # in block order, as one thread would
+        marginal += marginals[block]
+        norm += float(norms[block])
+        second += float(seconds[block])
     expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
     total = float(marginal.sum())
     if abs(total / expected - 1.0) > NORM_RTOL:

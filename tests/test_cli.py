@@ -487,10 +487,10 @@ def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
 def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
     # A broken kernel exits 3 in either transform: the 1D one behind the
     # moments of every biphoton run, and the 2D one behind the density dump.
-    for kernel, outputs in (("to_time_1d", {}), ("to_time_2d", {"density_binary": True})):
+    for kernel, outputs in (("_to_time_rows", {}), ("to_time_2d", {"density_binary": True})):
         with monkeypatch.context() as patch:
             real = getattr(biphoton, kernel)
-            patch.setattr(biphoton, kernel, lambda values, grid, real=real: real(values, grid) * 1.01)
+            patch.setattr(biphoton, kernel, lambda *args, real=real: real(*args) * 1.01)
             scenario = _biphoton_scenario()
             del scenario["sampler"]
             scenario["outputs"] = outputs

@@ -3,10 +3,10 @@
 Each kernel writes into storage it owns and hands its result to the
 constructor without a copy.  The plain numpy expressions it replaced are
 kept here as oracles, and every rewritten kernel must match its oracle bit
-for bit (compared as uint64 views).  The owning constructor path must
-still run every check, and the public constructors must still copy.  The
-tracemalloc budgets count the arrays a kernel holds at its peak, so a copy
-that comes back fails them.
+for bit (compared as uint64 views), on any number of workers.  The owning
+constructor path must still run every check, and the public constructors
+must still copy.  The tracemalloc budgets count the arrays a kernel holds
+at its peak, so a copy that comes back fails them.
 """
 
 import math
@@ -15,11 +15,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nldc import _blocks
 from nldc._fft import to_time_1d, to_time_2d
 from nldc.biphoton import (
     BiphotonAmplitude,
     JointTemporalDensity,
     _sum_frequency_lines,
+    amplitude_moments,
     apply_dispersion_phase,
     build_pdc_amplitude,
     to_time_domain,
@@ -114,12 +116,27 @@ def _lines_oracle(values, grid):
 # ---------------------------------------------------------------------------
 # Bit identity.
 
-@pytest.fixture(scope="module", params=[(n, pump) for n in (256, 512, 1024) for pump in PUMPS])
+# Multi-block grids run again on 1, 2 and 3 workers (None: every CPU).
+CASES = [(n, pump, None) for n in (256, 512, 1024) for pump in PUMPS] + [
+    pytest.param((n, pump, workers), id=f"{n}-{pump}-{workers}-workers")
+    for n in (512, 1024)
+    for pump in PUMPS
+    for workers in (1, 2, 3)
+]
+
+
+@pytest.fixture(scope="module", params=CASES)
 def case(request):
-    n, pump = request.param
-    grid = _grid(n)
-    psi = build_pdc_amplitude(grid, PUMPS[pump], PM_SIGMA)
-    return grid, PUMPS[pump], psi, apply_dispersion_phase(psi, KIT)
+    n, pump, workers = request.param
+    pool = _blocks._Pool(workers)
+    saved, _blocks._POOL = _blocks._POOL, pool
+    try:
+        grid = _grid(n)
+        psi = build_pdc_amplitude(grid, PUMPS[pump], PM_SIGMA)
+        yield grid, PUMPS[pump], psi, apply_dispersion_phase(psi, KIT)
+    finally:
+        _blocks._POOL = saved
+        pool.shutdown()
 
 
 def test_build_matches_its_oracle(case):
@@ -255,3 +272,15 @@ def test_kernels_stay_within_their_memory_budgets():
     assert _traced_peak(apply_dispersion_phase, psi, KIT) <= 1.2 * unit
     # the transformed field (1) and the density (0.5)
     assert _traced_peak(to_time_domain, dispersed) <= 1.55 * unit
+
+
+def test_line_route_stays_within_its_memory_budget(workers):
+    # Each of two workers holds one block of gathered lines and one block
+    # that serves as |line|^2, spare and transform work (0.25 + 0.25 each at
+    # n = 512); one more block-sized complex copy (0.25) breaks the budget.
+    workers(2)
+    grid = _grid(512)
+    unit = 16 * grid.n ** 2
+    psi = build_pdc_amplitude(grid, PUMPS["resolved"], PM_SIGMA)
+    amplitude_moments(psi)  # the pool threads start here
+    assert _traced_peak(amplitude_moments, psi) <= 1.2 * unit
