@@ -1,12 +1,12 @@
-"""Fixed row blocks of the n x n kernels, spread over a lazily started thread pool.
+"""Fixed row blocks of the n x n kernels and the samplers, spread over a lazily started thread pool.
 
-A kernel cuts its rows (or columns, or sum-frequency lines) into blocks of
-BLOCK_CELLS cells, and `_for_row_blocks` hands each worker one contiguous
-group of whole blocks.  The partition depends on the array's shape alone,
-never on the number of workers, and a kernel combines any per-block sum in
-block order, so every output bit is the same on any machine.  numpy
-releases the interpreter lock inside its loops and FFTs, so the groups run
-in parallel.
+A kernel cuts its rows (or columns, or sum-frequency lines, or the events
+of a batch) into blocks of BLOCK_CELLS cells, and `_for_row_blocks` hands
+each worker one contiguous group of whole blocks.  The partition depends on
+the array's shape alone, never on the number of workers, and a kernel
+combines any per-block sum in block order, so every output bit is the same
+on any machine.  numpy releases the interpreter lock inside its loops, FFTs
+and random fills, so the groups run in parallel.
 
 This is the only module that knows about threads.  Work handed to it must
 call no public nldc function: span tracers wrap those and assume that

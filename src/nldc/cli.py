@@ -42,7 +42,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blocks
 from . import biphoton as bp
 from . import sampler as sp
 from . import spectral as spc
@@ -64,11 +64,15 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 
 # The peak memory a run or scan may plan for, and the estimate checked
 # against it: the measured peak bytes per grid cell (n^2 cells for a
-# biphoton, n for a stationary state; 74-98 measured) and per sampled event
-# (88-134 measured), rounded up.
+# biphoton, n for a stationary state; 74-98 measured), per sampled event
+# (88-134 measured) and per worker of the block pool, which each hold their
+# own block buffers (tracemalloc over 1-3 workers: 2.1 MiB per worker for
+# the line route, 3.5 MiB for the stationary samplers and 4.4 MiB for the
+# biphoton sampler), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
+_BYTES_PER_WORKER = 5 * 2**20
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -338,7 +342,11 @@ def _check_memory_budget(state: dict, n_events: int) -> None:
         return
     n = next(iter(state.values()))["grid"]["n"]
     cells = n * n if "biphoton" in state else n
-    peak = _BYTES_PER_CELL * cells + _BYTES_PER_EVENT * n_events
+    peak = (
+        _BYTES_PER_CELL * cells
+        + _BYTES_PER_EVENT * n_events
+        + _BYTES_PER_WORKER * _blocks._POOL.workers
+    )
     if peak <= MEMORY_BUDGET_BYTES:
         return
     try:

@@ -10,16 +10,36 @@ grid plus a uniform offset inside the selected cell.  The offset makes the
 samples continuous but adds the cell variance to tau: dt^2/6 for joint
 2D draws (two independent offsets), dt^2/12 for direct tau draws.  Tests
 comparing against density moments must include that term.
+
+Every uniform a sampler uses has a fixed position in its stream, and
+`_uniforms` reads it there.  A batch is filled in fixed blocks of
+BLOCK_CELLS events on the row-block pool, each block reading its share of
+every kind of draw, so its bytes do not depend on the number of workers.
+The layouts, for count events of which n_sig are signal and n_bg
+background events, each kind in event order:
+
+* "biphoton": count cell uniforms, count t1 jitters, count t2 jitters;
+* "stationary" (sample_tau_density, sample_stationary): count signal-mask
+  uniforms, n_bg background t1, n_bg background t2, n_sig tau cells, n_sig
+  tau jitters, n_sig mean times;
+* "stationary-sheared": the "stationary" layout, then n_bg s1 cells, n_bg
+  s1 jitters, n_bg s2 cells, n_bg s2 jitters, n_sig cross cells and n_sig
+  cross jitters (no cross draws when |x|^2 is all zero).
+
+The detector jitter of estimate_tau_stats is drawn in sequence: a normal
+variate takes a variable number of stream values, so it has no position.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import BLOCK_CELLS, _for_row_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
@@ -36,9 +56,13 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(_seed_digest(seed, label)[:8], "little")
 
 
+def _stream_key(seed: int, label: str) -> int:
+    """The Philox key of the (seed, label) stream."""
+    return int.from_bytes(_seed_digest(seed, label)[:16], "little")
+
+
 def _generator(seed: int, label: str) -> np.random.Generator:
-    key = int.from_bytes(_seed_digest(seed, label)[:16], "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, label)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +135,30 @@ class EmpiricalWitnessReport:
     violated: bool
 
 
-# Buckets of the guide table in _inverse_cdf_draw.  A power of two, so that
-# u*K, its floor and the bucket edges k/K are exact in binary floating point.
+# Buckets of the guide table in _InverseCdf.  A power of two, so that u*K,
+# its floor and the bucket edges k/K are exact in binary floating point.
 _GUIDE_CELLS = 1 << 16
 
 
-def _inverse_cdf_draw(rng, weights, count):
-    """Indices distributed as weights (need not be normalized).
+def _uniforms(key: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with the doubles at positions [start, start + len(out)) of the Philox stream of key.
 
-    The result is exactly searchsorted(cdf, u, side="right") on the
-    normalized CDF, with u = rng.random(count); only the route differs.
+    Each double takes one 64-bit output, and one counter step of Philox
+    yields four of them (Salmon et al., SC11), so the stream is entered at
+    any position by advancing the counter start // 4 steps and dropping
+    start % 4 outputs.
+    """
+    bits = np.random.Philox(key=key).advance(start // 4)
+    bits.random_raw(start % 4)
+    np.random.Generator(bits).random(out=out)
+    return out
+
+
+class _InverseCdf:
+    """Inverse-CDF lookup in weights (need not be normalized), for `count` queries in all.
+
+    draw(u, out, bucket) writes exactly searchsorted(cdf, u, side="right") on
+    the normalized CDF into out; only the route differs.
 
     A CDF of at most K = _GUIDE_CELLS cells queried at least K times uses a
     guide table (Chen & Asau, AIIE Trans. 6, 1974).  Bucket k = floor(u*K)
@@ -130,30 +168,76 @@ def _inverse_cdf_draw(rng, weights, count):
     len(cdf) buckets are split and each takes 1/K of the queries, so a
     1024-cell CDF searches under 1.6% of them.  Any other CDF (the n^2-cell
     biphoton one) is searched in sorted query order, which keeps the lookups
-    cache-friendly, and the results are scattered back.
+    cache-friendly, and the results are scattered back.  The table is built
+    once; draw only reads it, so blocks of queries may run in parallel.
     """
-    cdf = np.cumsum(weights)
-    if cdf[-1] <= 0.0:
-        raise DegenerateStateError("cannot sample from an all-zero density")
-    cdf /= cdf[-1]
-    u = rng.random(count)
-    idx = np.empty(count, dtype=np.intp)
-    if len(cdf) <= _GUIDE_CELLS <= count:
-        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
-        guide = np.searchsorted(cdf, edges, side="right")
-        split = guide[1:] != guide[:-1]
-        bucket = np.empty(count, dtype=np.intp)
+
+    def __init__(self, weights: np.ndarray, count: int):
+        cdf = np.cumsum(weights)
+        if cdf[-1] <= 0.0:
+            raise DegenerateStateError("cannot sample from an all-zero density")
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self.guide = self.split = None
+        if len(cdf) <= _GUIDE_CELLS <= count:
+            edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+            self.guide = np.searchsorted(cdf, edges, side="right")
+            self.split = self.guide[1:] != self.guide[:-1]
+
+    def draw(self, u: np.ndarray, out: np.ndarray, bucket: np.ndarray) -> np.ndarray:
+        """Indices for the uniforms u, into out; bucket is intp scratch of the same length."""
+        if self.guide is None:
+            order = np.argsort(u)
+            out[order] = np.searchsorted(self.cdf, u[order], side="right")
+            return out
         np.multiply(u, _GUIDE_CELLS, out=bucket, casting="unsafe")  # truncation is the floor
         # bucket < K as u < 1; mode="clip" spares the buffered copy of out
         # that mode="raise" makes.
-        np.take(guide, bucket, out=idx, mode="clip")
-        redo = np.flatnonzero(split[bucket])
-        del bucket
-        idx[redo] = np.searchsorted(cdf, u[redo], side="right")
-    else:
-        order = np.argsort(u)
-        idx[order] = np.searchsorted(cdf, u[order], side="right")
-    return idx
+        np.take(self.guide, bucket, out=out, mode="clip")
+        redo = np.flatnonzero(self.split[bucket])
+        out[redo] = np.searchsorted(self.cdf, u[redo], side="right")
+        return out
+
+
+class _Scratch:
+    """One worker's buffers for blocks of at most `size` events, reused block after block."""
+
+    def __init__(self, size: int):
+        self.u, self.v, self.w, self.x = (np.empty(size) for _ in range(4))
+        self.idx = np.empty(size, dtype=np.intp)
+        self.bucket = np.empty(size, dtype=np.intp)
+
+
+def _for_event_blocks(count: int, fn) -> None:
+    """Call fn(start, stop, scratch) on every block of BLOCK_CELLS events of a batch, in parallel.
+
+    The partition depends on count alone.  Each worker takes one contiguous
+    group of blocks and its own scratch.
+    """
+
+    def group(e0, e1):
+        scratch = _Scratch(min(e1 - e0, BLOCK_CELLS))
+        for start in range(e0, e1, BLOCK_CELLS):
+            fn(start, min(start + BLOCK_CELLS, e1), scratch)
+
+    _for_row_blocks(count, 1, group)
+
+
+def _draw_cells(key, start, total, cdf, centers, width, out, s: _Scratch):
+    """centers[i] + (jitter - 0.5) * width for len(out) events, into out.
+
+    The cell uniforms are read from position start, their jitters from
+    start + total: a batch draws all `total` cell uniforms of one kind
+    before their jitters.
+    """
+    n = len(out)
+    idx = cdf.draw(_uniforms(key, start, s.u[:n]), s.idx[:n], s.bucket[:n])
+    np.take(centers, idx, out=out)
+    jitter = _uniforms(key, start + total, s.u[:n])
+    jitter -= 0.5
+    jitter *= width
+    out += jitter
+    return out
 
 
 def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> EventBatch:
@@ -168,67 +252,154 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = _generator(seed, "biphoton")
+    key = _stream_key(seed, "biphoton")
     n = density.grid.n
     dt = density.dt
-    idx = _inverse_cdf_draw(rng, density.values.ravel(), count)
-    i1, i2 = np.divmod(idx, n)
+    # The events outlive the call, the n^2-cell CDF does not.  Allocated
+    # first, they do not split the hole it leaves, where the next n x n
+    # array of a run fits (peak RSS over biphoton run + render cycles at
+    # n = 1024: 101.6 MB, against 109.5 MB with the CDF allocated first).
+    t1 = np.empty(count)
+    t2 = np.empty(count)
+    cdf = _InverseCdf(density.values.ravel(), count)
     times = density.grid.times
-    t1 = times[i1] + (rng.random(count) - 0.5) * dt
-    t2 = times[i2] + (rng.random(count) - 0.5) * dt
     period = n * dt
-    shift = period * np.round((t1 - t2) / period)
-    t1 -= 0.5 * shift
-    t2 += 0.5 * shift
+
+    def block(start, stop, s):
+        size = stop - start
+        idx = cdf.draw(_uniforms(key, start, s.u[:size]), s.idx[:size], s.bucket[:size])
+        i1, i2 = np.divmod(idx, n, out=(s.bucket[:size], idx))
+        for t, cells, at in ((t1[start:stop], i1, count), (t2[start:stop], i2, 2 * count)):
+            np.take(times, cells, out=t)
+            jitter = _uniforms(key, at + start, s.u[:size])
+            jitter -= 0.5
+            jitter *= dt
+            t += jitter
+        # half the shift period * round((t1 - t2) / period), applied to both times
+        half = np.subtract(t1[start:stop], t2[start:stop], out=s.u[:size])
+        half /= period
+        np.round(half, out=half)
+        half *= period
+        half *= 0.5
+        t1[start:stop] -= half
+        t2[start:stop] += half
+
+    _for_event_blocks(count, block)
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
 
 
-def _draw_signal_taus(rng, d: TauDensity, count):
-    idx = _inverse_cdf_draw(rng, d.signal * d.dt, count)
-    tau = d.taus[idx] + (rng.random(count) - 0.5) * d.dt
-    # Profile mass beyond the window is negligible by the 6x RMS precondition;
-    # clamp so the mean-time interval of _draw_mean_times is never empty.
-    return np.clip(tau, -d.window, d.window)
-
-
-def _draw_mean_times(rng, tau, T):
-    """Uniform mean times conditioned on both detections landing in [0, T].
+def _draw_mean_times(tau, u, T, t1, t2):
+    """Uniform mean times conditioned on both detections landing in [0, T], into t1 and t2.
 
     Given tau (|tau| <= T), that law is tbar = (t1 + t2)/2 uniform on
-    [|tau|/2, T - |tau|/2], drawn once per event.  t1, t2 >= 0 holds in
-    floating point (tbar >= |tau|/2); the cap at T absorbs the last-ulp
-    rounding of the sum.
+    [|tau|/2, T - |tau|/2], drawn from one uniform u per event.  t1, t2 >= 0
+    holds in floating point (tbar >= |tau|/2); the cap at T absorbs the
+    last-ulp rounding of the sum.  tau and u are overwritten.
     """
-    abs_tau = np.abs(tau)
-    tbar = 0.5 * abs_tau + rng.random(len(tau)) * (T - abs_tau)
-    return np.minimum(tbar + 0.5 * tau, T), np.minimum(tbar - 0.5 * tau, T)
+    abs_tau = np.abs(tau, out=t1)
+    u *= np.subtract(T, abs_tau, out=t2)
+    tbar = np.multiply(abs_tau, 0.5, out=t2)
+    tbar += u
+    tau *= 0.5
+    np.minimum(np.add(tbar, tau, out=t1), T, out=t1)
+    np.minimum(np.subtract(tbar, tau, out=t2), T, out=t2)
+    return t1, t2
 
 
-def _sample_tau_mixture(rng, d: TauDensity, count):
-    """Shared signal/background split; returns (t1, t2, signal mask)."""
-    f_s = d.windowed.signal_fraction
+def _signal_mask(key, f_s, count):
+    """The signal mask u < f_s (stream positions 0 .. count) and the signal events before each block."""
+    signal = np.empty(count, dtype=bool)
+    before = np.zeros(-(-count // BLOCK_CELLS) + 1, dtype=np.intp)
+
+    def block(start, stop, s):
+        mask = np.less(_uniforms(key, start, s.u[: stop - start]), f_s, out=signal[start:stop])
+        before[start // BLOCK_CELLS + 1] = np.count_nonzero(mask)
+
+    _for_event_blocks(count, block)
+    return signal, np.cumsum(before)
+
+
+def _sample_mixture(key, d: TauDensity, count, sheared=None):
+    """(t1, t2) of the windowed background/signal mixture d.
+
+    sheared = (model, kit) also gives every event its frequencies and
+    shifts each time by its group delay.  The stream positions are those of
+    the module docstring; a block of events reads its share of each kind at
+    the count of that kind in the blocks before it.
+    """
     T = d.window
-    signal = rng.random(count) < f_s
-    n_bg = int(count - signal.sum())
-    n_sig = int(signal.sum())
+    signal, sig_before = _signal_mask(key, d.windowed.signal_fraction, count)
+    n_sig = int(sig_before[-1])
+    n_bg = count - n_sig
+    # stream positions of the first draw of each kind
+    bg_at = (count, count + n_bg)  # t1, t2
+    tau_at = count + 2 * n_bg  # cells, then jitters and mean times
+    tau_cdf = _InverseCdf(d.signal * d.dt, n_sig) if n_sig else None
+    if sheared is not None:
+        m, kit = sheared
+        omegas, domega = m.grid.omegas, m.grid.domega
+        bg_omega_at = (tau_at + 3 * n_sig, tau_at + 3 * n_sig + 2 * n_bg)  # s1, s2
+        cross_at = tau_at + 3 * n_sig + 4 * n_bg
+        bg_cdfs = (_InverseCdf(m.s1.values, n_bg), _InverseCdf(m.s2.values, n_bg)) if n_bg else None
+        mag2 = np.abs(m.cross.values) ** 2
+        cross_cdf = _InverseCdf(mag2, n_sig) if n_sig and mag2.sum() > 0.0 else None
+        two_beta = 2.0 * kit.beta_L
+        delays = (kit.delay_1, kit.delay_2)
+        shifts = (np.add, np.subtract)  # t1 + 2*beta_L*w1, t2 - 2*beta_L*w2
     t1 = np.empty(count)
     t2 = np.empty(count)
-    t1[~signal] = rng.random(n_bg) * T
-    t2[~signal] = rng.random(n_bg) * T
-    if n_sig:
-        tau = _draw_signal_taus(rng, d, n_sig)
-        t1[signal], t2[signal] = _draw_mean_times(rng, tau, T)
-    return t1, t2, signal
+
+    def block(start, stop, s):
+        b = start // BLOCK_CELLS
+        k = int(sig_before[b])  # signal events before this block
+        ns = int(sig_before[b + 1]) - k
+        j = start - k  # background events before it
+        nb = stop - start - ns
+        mask = signal[start:stop]
+        bg = np.flatnonzero(~mask)
+        sg = np.flatnonzero(mask)
+        times = (t1[start:stop], t2[start:stop])
+        if nb:
+            for t, at in zip(times, bg_at):
+                u = _uniforms(key, at + j, s.u[:nb])
+                u *= T
+                t[bg] = u
+        if ns:
+            tau = _draw_cells(key, tau_at + k, n_sig, tau_cdf, d.taus, d.dt, s.x[:ns], s)
+            # Profile mass beyond the window is negligible by the 6x RMS
+            # precondition; clamp so the mean-time interval is never empty.
+            np.clip(tau, -T, T, out=tau)
+            u = _uniforms(key, tau_at + 2 * n_sig + k, s.u[:ns])
+            for t, mean_time in zip(times, _draw_mean_times(tau, u, T, s.v[:ns], s.w[:ns])):
+                t[sg] = mean_time
+        if sheared is None:
+            return
+        ridge = None  # omega1 of the signal events; 0 when the cross is all zero
+        if ns and cross_cdf is not None:
+            ridge = _draw_cells(key, cross_at + k, n_sig, cross_cdf, omegas, domega, s.x[:ns], s)
+        w = s.w[: stop - start]
+        for arm, t in enumerate(times):
+            w.fill(0.0)
+            if nb:
+                w[bg] = _draw_cells(key, bg_omega_at[arm] + j, n_bg, bg_cdfs[arm], omegas, domega, s.v[:nb], s)
+            if ridge is not None:
+                w[sg] = ridge
+                np.negative(ridge, out=ridge)  # omega2 = -omega1 on the ridge
+            t += delays[arm]
+            w *= two_beta
+            shifts[arm](t, w, out=t)
+
+    _for_event_blocks(count, block)
+    return t1, t2
 
 
 def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-density") -> EventBatch:
     """Events of the windowed background/signal mixture described by d."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = _generator(seed, "stationary")
-    t1, t2, _ = _sample_tau_mixture(rng, d, count)
+    t1, t2 = _sample_mixture(_stream_key(seed, "stationary"), d, count)
     return EventBatch(
         t1=_Owned(t1),
         t2=_Owned(t2),
@@ -258,35 +429,7 @@ def sample_stationary_sheared(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = _generator(seed, "stationary-sheared")
-    t1, t2, signal = _sample_tau_mixture(rng, m.profile, count)
-    n_bg = int(count - signal.sum())
-    n_sig = int(signal.sum())
-    grid = m.grid
-
-    def draw_omegas(weights, n_draw):
-        idx = _inverse_cdf_draw(rng, weights, n_draw)
-        return grid.omegas[idx] + (rng.random(n_draw) - 0.5) * grid.domega
-
-    w1 = np.zeros(count)
-    w2 = np.zeros(count)
-    if n_bg:
-        w1[~signal] = draw_omegas(m.s1.values, n_bg)
-        w2[~signal] = draw_omegas(m.s2.values, n_bg)
-    if n_sig:
-        mag2 = np.abs(m.cross.values) ** 2
-        if mag2.sum() > 0.0:
-            w = draw_omegas(mag2, n_sig)
-            w1[signal] = w
-            w2[signal] = -w
-    # t1 + delay_1 + 2*beta_L*w1 and t2 + delay_2 - 2*beta_L*w2, in the
-    # storage of the fresh t and w arrays
-    t1 += kit.delay_1
-    w1 *= 2.0 * kit.beta_L
-    t1 += w1
-    t2 += kit.delay_2
-    w2 *= 2.0 * kit.beta_L
-    t2 -= w2
+    t1, t2 = _sample_mixture(_stream_key(seed, "stationary-sheared"), m.profile, count, (m, kit))
     source = f"stationary-{m.regime}-sheared(beta_L={kit.beta_L:.17g},T={m.window:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=None)
 
@@ -392,7 +535,12 @@ def events_from_csv(path) -> EventBatch:
         header = fh.readline().strip()
         if header != "t1_ps,t2_ps":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty body is rejected below, by its shape, without a numpy warning on stderr.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: events body must have 2 columns (t1_ps, t2_ps), found shape {data.shape}")
     return EventBatch(
         t1=_Owned(data[:, 0]), t2=_Owned(data[:, 1]), seed=seed, source=source, window=window
     )

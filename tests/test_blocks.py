@@ -1,4 +1,4 @@
-"""The row-block pool behind the n x n kernels.
+"""The row-block pool behind the n x n kernels and the event samplers.
 
 The pool must deliver errors whole and late, never start a thread it does
 not need, run nested and forked calls without deadlock, and leave every
@@ -125,9 +125,11 @@ def test_a_forked_child_starts_its_own_pool_threads(workers):
 
 
 # ---------------------------------------------------------------------------
-# Through the command line, at n = 512 (4 blocks).
+# Through the command line: a biphoton state at n = 512 (4 blocks of grid
+# cells) and a stationary one sampled in batches of 200,000 events (4 blocks
+# of events).
 
-def _scenario():
+def _biphoton_scenario():
     return {
         "state": {
             "biphoton": {
@@ -141,15 +143,35 @@ def _scenario():
     }
 
 
+def _stationary_scenario():
+    gaussian = {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}}
+    return {
+        "state": {
+            "stationary": {
+                "grid": {"n": 1024, "domega_rad_ps": 0.0625},
+                "s1": gaussian,
+                "s2": gaussian,
+                "cross": {"gaussian": {"peak": 1.2, "sigma_rad_ps": 1.0}},
+                "window_T_ps": 20.0,
+            }
+        },
+        "kit": {"beta_L_ps2": 5.0, "delay_1_ps": 0.3},
+        "sampler": {"n_events": 200_000, "seed": 12},
+    }
+
+
 def _run_and_scan(base):
-    """run + render and a beta_L scan of the n = 512 scenario, under base."""
+    """run + render and a beta_L scan of the biphoton scenario, and a run of the stationary one, under base."""
     base.mkdir()
     path = base / "scenario.json"
-    path.write_text(json.dumps(_scenario()))
+    path.write_text(json.dumps(_biphoton_scenario()))
     assert cli.main(["run", str(path), "--out", str(base / "run")]) == 0
     assert cli.main(["render", str(base / "run" / "runrecord.json")]) == 0
     argv = ["scan", str(path), "--param", "kit.beta_L_ps2", "--values", "0,0.5,1,2", "--out", str(base / "scan")]
     assert cli.main(argv) == 0
+    path = base / "stationary.json"
+    path.write_text(json.dumps(_stationary_scenario()))
+    assert cli.main(["run", str(path), "--out", str(base / "stationary")]) == 0
 
 
 def _files(directory):
@@ -170,10 +192,12 @@ def test_outputs_are_byte_identical_on_one_and_two_workers(tmp_path, workers):
     for count in (1, 2):
         workers(count)
         _run_and_scan(tmp_path / f"workers{count}")
-        outputs.append([_files(tmp_path / f"workers{count}" / d) for d in ("run", "scan")])
-    run, scan = outputs[0]
+        outputs.append([_files(tmp_path / f"workers{count}" / d) for d in ("run", "scan", "stationary")])
+    run, scan, stationary = outputs[0]
     assert {"runrecord.json", "scatter.svg", "tau_hist.svg"} <= run.keys()
     assert any(name.startswith("events_") for name in run) and "scan_kit_beta_L_ps2.csv" in scan
+    assert {"events_before.csv", "events_plus.csv", "events_minus.csv"} <= stationary.keys()
+    assert stationary["events_before.csv"].count(b"\n") == 2 + 200_000
     assert outputs[0] == outputs[1]
 
 
@@ -204,4 +228,5 @@ def test_every_public_call_runs_on_the_calling_thread(tmp_path, monkeypatch, wor
     _run_and_scan(tmp_path / "traced")
     names = {name for name, _ in calls}
     assert {"build_pdc_amplitude", "apply_dispersion_phase", "to_time_domain", "to_time_2d", "amplitude_moments"} <= names
+    assert {"sample_biphoton", "sample_stationary", "sample_stationary_sheared", "sample_tau_density"} <= names
     assert all(thread is threading.main_thread() for _, thread in calls)

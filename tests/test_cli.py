@@ -220,8 +220,9 @@ def _with_grid_n(scenario, n):
         (_with_grid_n(_stationary_scenario(), 10**400), None, 0),
     ],
 )
-def test_memory_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch, scenario, cells, n_events):
+def test_memory_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch, workers, scenario, cells, n_events):
     monkeypatch.setattr(cli, "_build_grid", _never_built)
+    workers(3)  # each worker of the block pool is charged its own buffers
     rc, out_dir = _run(tmp_path, scenario)
     assert rc == 3
     err = _stderr_error(capsys)
@@ -230,7 +231,7 @@ def test_memory_budget_exits_3_before_allocating(tmp_path, capsys, monkeypatch, 
     if cells is None:
         assert err["ratio"] is None and err["ratio_reason"] == "not finite: inf"
     else:
-        peak = cli._BYTES_PER_CELL * cells + cli._BYTES_PER_EVENT * n_events
+        peak = cli._BYTES_PER_CELL * cells + cli._BYTES_PER_EVENT * n_events + cli._BYTES_PER_WORKER * 3
         assert err["ratio"] == pytest.approx(peak / cli.MEMORY_BUDGET_BYTES, rel=1e-12)
     assert not out_dir.exists()
 
@@ -989,6 +990,26 @@ def test_render_rejects_malformed_records(tmp_path, capsys, doctor):
     assert len(lines) == 1
     err = _strict_json(lines[0])
     assert err["error"] == "ScenarioError" and "events" in err["message"]
+
+
+@pytest.mark.parametrize("columns, shape", [(0, "(0, 1)"), (1, "(100, 1)"), (3, "(100, 3)")])
+def test_render_rejects_an_events_body_without_two_columns(tmp_path, capsys, columns, shape):
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
+    assert rc == 0
+    events = out_dir / "events_before.csv"
+    head, header, *rows = events.read_text().splitlines(keepends=True)
+    t1, t2 = zip(*(row.rstrip("\n").split(",") for row in rows))
+    body = {0: [], 1: t1, 3: [f"{a},{b},{a}" for a, b in zip(t1, t2)]}[columns]
+    events.write_text(head + header + "".join(f"{line}\n" for line in body))
+    capsys.readouterr()
+    rc = cli.main(["render", str(out_dir / "runrecord.json")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1  # the error line alone, no numpy warning
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError"
+    assert str(events) in err["message"] and f"found shape {shape}" in err["message"]
+    assert not (out_dir / "scatter.svg").exists()
 
 
 def test_render_fails_when_events_file_vanished(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nldc._blocks import BLOCK_CELLS
 from nldc.biphoton import (
     JointTemporalDensity,
     amplitude_moments,
@@ -29,7 +30,9 @@ from nldc.sampler import (
     TauStats,
     _draw_mean_times,
     _generator,
-    _inverse_cdf_draw,
+    _InverseCdf,
+    _stream_key,
+    _uniforms,
     derive_seed,
     empirical_witness,
     estimate_tau_stats,
@@ -44,11 +47,13 @@ from nldc.spectral import (
     _CHUNK_ROWS,
     FrequencyGrid,
     flat_cross,
+    flat_spectrum,
     gaussian_cross,
     gaussian_spectrum,
 )
 from nldc.stationary import (
     TauDensity,
+    classical_extremal_model,
     coincidence_profile,
     make_pair_model,
     windowed_covariance,
@@ -157,7 +162,8 @@ def test_mean_times_keep_both_detections_in_the_window():
     # sampler never lands on it.
     T = 7.3
     tau = np.repeat([T, -T, 0.0, T / 2, -T / 2], 4000)
-    t1, t2 = _draw_mean_times(_generator(5, "mean-times"), tau, T)
+    u = _generator(5, "mean-times").random(len(tau))
+    t1, t2 = _draw_mean_times(tau.copy(), u, T, np.empty(len(tau)), np.empty(len(tau)))
     for t in (t1, t2):
         assert np.all((t >= 0.0) & (t <= T))
     assert np.allclose(t1 - t2, tau, rtol=0.0, atol=1e-12 * T)
@@ -379,22 +385,18 @@ def test_events_csv_matches_the_row_loop(tmp_path, rows):
 
 # ---------------------------------------------------------------------------
 # The inverse-CDF kernel and the tau estimator against plain numpy oracles.
-# _inverse_cdf_draw takes a guide-table path for a CDF of at most K cells
-# queried at least K times and a sorted-query path otherwise; both must give
+# _InverseCdf takes a guide-table path for a CDF of at most K cells queried
+# at least K times and a sorted-query path otherwise; both must give
 # searchsorted(cdf, u, side="right") element for element.
 
 K = _GUIDE_CELLS
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose next random(count) returns u."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
-
-    def random(self, count):
-        assert count == len(self.u)
-        return self.u.copy()
+def _inverse_cdf_draw(weights, u):
+    """_InverseCdf(weights, len(u)).draw on u, into fresh arrays."""
+    u = np.asarray(u, dtype=np.float64)
+    out, bucket = np.empty(len(u), dtype=np.intp), np.empty(len(u), dtype=np.intp)
+    return _InverseCdf(weights, len(u)).draw(u, out, bucket)
 
 
 def _draw_oracle(weights, u):
@@ -404,7 +406,7 @@ def _draw_oracle(weights, u):
 
 def _assert_draw_is_searchsorted(weights, u):
     weights = np.asarray(weights, dtype=np.float64)
-    got = _inverse_cdf_draw(_FixedUniforms(u), weights, len(u))
+    got = _inverse_cdf_draw(weights, u)
     assert np.array_equal(got, _draw_oracle(weights, u))
 
 
@@ -437,9 +439,8 @@ def test_inverse_cdf_draw_equals_searchsorted_on_both_paths(cells, count):
     weights[: cells // 8] = 0.0
     weights[cells // 2 : cells // 2 + cells // 16] = 0.0
     weights[-cells // 8 :] = 0.0
-    got = _inverse_cdf_draw(_generator(5, "oracle"), weights, count)
-    expected = _draw_oracle(weights, _generator(5, "oracle").random(count))
-    assert np.array_equal(got, expected)
+    u = _generator(5, "oracle").random(count)
+    assert np.array_equal(_inverse_cdf_draw(weights, u), _draw_oracle(weights, u))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +479,7 @@ def test_inverse_cdf_draw_with_cdf_values_on_the_bucket_edges():
 _weights = st.lists(
     st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e3)), min_size=1, max_size=40
 ).filter(lambda w: sum(w) > 0.0)
-_uniforms = st.lists(
+_uniform_lists = st.lists(
     st.one_of(
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
         st.integers(min_value=0, max_value=K - 1).map(lambda j: j / K),
@@ -489,7 +490,7 @@ _uniforms = st.lists(
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_weights, _uniforms)
+@given(_weights, _uniform_lists)
 def test_inverse_cdf_draw_property(weights, u):
     u = np.asarray(u)
     _assert_draw_is_searchsorted(weights, u)  # sorted path
@@ -522,3 +523,162 @@ def test_estimate_tau_stats_matches_the_pow_oracle(seed):
         assert stats.var_tau == var_tau
         assert stats.mean_tau == mean_tau
         assert stats.stderr == pytest.approx(stderr, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Counter-addressed draws.  Every sampler fills its batch in fixed blocks of
+# BLOCK_CELLS events on the row-block pool, each block reading its uniforms at the
+# stream positions the batch layout fixes.  The sequential bodies below are
+# the samplers as they were written before the blocks: one Generator drawn
+# in order, plain searchsorted lookups.  The blocked samplers must give the
+# same bits on any number of workers.
+
+def _searchsorted_oracle(rng, weights, count):
+    cdf = np.cumsum(weights)
+    if cdf[-1] <= 0.0:
+        raise DegenerateStateError("cannot sample from an all-zero density")
+    return np.searchsorted(cdf / cdf[-1], rng.random(count), side="right")
+
+
+def _mixture_oracle(rng, d, count):
+    f_s = d.windowed.signal_fraction
+    T = d.window
+    signal = rng.random(count) < f_s
+    n_bg = int(count - signal.sum())
+    n_sig = int(signal.sum())
+    t1 = np.empty(count)
+    t2 = np.empty(count)
+    t1[~signal] = rng.random(n_bg) * T
+    t2[~signal] = rng.random(n_bg) * T
+    if n_sig:
+        idx = _searchsorted_oracle(rng, d.signal * d.dt, n_sig)
+        tau = np.clip(d.taus[idx] + (rng.random(n_sig) - 0.5) * d.dt, -T, T)
+        abs_tau = np.abs(tau)
+        tbar = 0.5 * abs_tau + rng.random(n_sig) * (T - abs_tau)
+        t1[signal] = np.minimum(tbar + 0.5 * tau, T)
+        t2[signal] = np.minimum(tbar - 0.5 * tau, T)
+    return t1, t2, signal
+
+
+def _tau_density_oracle(d, count, seed):
+    t1, t2, _ = _mixture_oracle(_generator(seed, "stationary"), d, count)
+    return t1, t2
+
+
+def _sheared_oracle(m, kit, count, seed):
+    rng = _generator(seed, "stationary-sheared")
+    t1, t2, signal = _mixture_oracle(rng, m.profile, count)
+    n_sig = int(signal.sum())
+    n_bg = count - n_sig
+    grid = m.grid
+
+    def draw_omegas(weights, n_draw):
+        idx = _searchsorted_oracle(rng, weights, n_draw)
+        return grid.omegas[idx] + (rng.random(n_draw) - 0.5) * grid.domega
+
+    w1 = np.zeros(count)
+    w2 = np.zeros(count)
+    if n_bg:
+        w1[~signal] = draw_omegas(m.s1.values, n_bg)
+        w2[~signal] = draw_omegas(m.s2.values, n_bg)
+    if n_sig:
+        mag2 = np.abs(m.cross.values) ** 2
+        if mag2.sum() > 0.0:
+            w = draw_omegas(mag2, n_sig)
+            w1[signal] = w
+            w2[signal] = -w
+    return t1 + kit.delay_1 + w1 * (2.0 * kit.beta_L), t2 + kit.delay_2 - w2 * (2.0 * kit.beta_L)
+
+
+def _biphoton_oracle(density, count, seed):
+    rng = _generator(seed, "biphoton")
+    n = density.grid.n
+    dt = density.dt
+    i1, i2 = np.divmod(_searchsorted_oracle(rng, density.values.ravel(), count), n)
+    times = density.grid.times
+    t1 = times[i1] + (rng.random(count) - 0.5) * dt
+    t2 = times[i2] + (rng.random(count) - 0.5) * dt
+    period = n * dt
+    shift = period * np.round((t1 - t2) / period)
+    return t1 - 0.5 * shift, t2 + 0.5 * shift
+
+
+def _assert_same_bits(batch, expected):
+    for got, want in zip((batch.t1, batch.t2), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_COUNTS = [1, 2, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 5]
+
+
+def _mixture_model(kind):
+    grid = FrequencyGrid(256, 0.25)
+    s = gaussian_spectrum(grid, 1.0, 1.0)
+    if kind == "quantum":
+        return make_pair_model(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
+    if kind == "classical-extremal":
+        return classical_extremal_model(s, gaussian_spectrum(grid, 0.5, 1.3), window=14.0)
+    if kind == "zero-cross":  # no signal events, and an all-zero |x|^2
+        return make_pair_model(s, s, flat_cross(grid, 0.0), window=12.0)
+    # zero background: a dark first beam, so every event is a signal event
+    return make_pair_model(flat_spectrum(grid, 0.0), s, gaussian_cross(grid, 0.9, 1.0), window=14.0)
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+@pytest.mark.parametrize("kind", ["quantum", "classical-extremal", "zero-cross", "zero-background"])
+def test_stationary_samplers_match_the_sequential_oracle(workers, kind, count):
+    m = _mixture_model(kind)
+    f_s = m.profile.windowed.signal_fraction
+    assert {"zero-cross": f_s == 0.0, "zero-background": f_s == 1.0}.get(kind, 0.0 < f_s < 1.0)
+    kit = DispersionKit(beta_L=-0.8, delay_1=0.3, delay_2=-0.2)
+    seed = 1000 + count
+    tau_density = _tau_density_oracle(m.profile, count, seed)
+    sheared = _sheared_oracle(m, kit, count, seed)
+    for worker_count in (1, 2, 3):
+        workers(worker_count)
+        _assert_same_bits(sample_tau_density(m.profile, count, seed), tau_density)
+        _assert_same_bits(sample_stationary(m, count, seed), tau_density)
+        _assert_same_bits(sample_stationary_sheared(m, kit, count, seed), sheared)
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+@pytest.mark.parametrize("n", [128, 512])  # a guide-table and a sorted-search CDF
+def test_sample_biphoton_matches_the_sequential_oracle(workers, n, count):
+    grid = FrequencyGrid(n, 0.25 * 128 / n)
+    density = to_time_domain(build_pdc_amplitude(grid, 0.9, 1.3))
+    expected = _biphoton_oracle(density, count, seed=count)
+    for worker_count in (1, 2, 3):
+        workers(worker_count)
+        _assert_same_bits(sample_biphoton(density, count, seed=count), expected)
+
+
+def test_all_zero_densities_still_raise_degenerate_state(workers):
+    workers(2)
+    grid = FrequencyGrid(32, 0.5)
+    # neither background nor signal weight: the mixture has no law
+    empty = TauDensity(grid=grid, signal=np.zeros(32), background=0.0, window=4.0)
+    with pytest.raises(DegenerateStateError, match="neither background nor signal"):
+        sample_tau_density(empty, 10, seed=0)
+    # signal weight whose cells all round to zero once scaled by dt
+    signal = np.zeros(32)
+    signal[16:20] = 5e-324
+    faint = TauDensity(grid=grid, signal=signal, background=0.0, window=4.0)
+    assert faint.windowed.signal_fraction == 1.0 and not np.any(faint.signal * faint.dt)
+    for count in (10, 3 * BLOCK_CELLS):
+        with pytest.raises(DegenerateStateError, match="all-zero density") as got:
+            sample_tau_density(faint, count, seed=0)
+        with pytest.raises(DegenerateStateError) as want:
+            _tau_density_oracle(faint, count, seed=0)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("length", [1, 3, 1000])
+def test_uniforms_are_addressed_by_stream_position(length):
+    key = _stream_key(42, "stationary-sheared")
+    assert key == int.from_bytes(hashlib.sha256(b"42:stationary-sheared").digest()[:16], "little")
+    starts = list(range(10)) + [4 * k + d for k in (1, 2, 4096, 250_000) for d in (-1, 1)]
+    stream = _generator(42, "stationary-sheared").random(max(starts) + length)
+    for start in starts:
+        got = _uniforms(key, start, np.empty(length))
+        assert np.array_equal(got.view(np.uint64), stream[start : start + length].view(np.uint64)), start
