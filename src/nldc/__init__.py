@@ -47,7 +47,6 @@ from .sampler import (
     events_from_csv,
     events_to_csv,
     sample_biphoton,
-    sample_stationary,
     sample_stationary_sheared,
     sample_tau_density,
 )
@@ -108,7 +107,7 @@ __all__ = [
     "windowed_covariance", "tau_density_to_csv",
     # sampler
     "EventBatch", "TauStats", "EmpiricalWitnessReport", "derive_seed",
-    "sample_biphoton", "sample_tau_density", "sample_stationary",
-    "sample_stationary_sheared", "estimate_tau_stats", "empirical_witness",
+    "sample_biphoton", "sample_tau_density", "sample_stationary_sheared",
+    "estimate_tau_stats", "empirical_witness",
     "events_to_csv", "events_from_csv",
 ]

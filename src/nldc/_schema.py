@@ -3,10 +3,11 @@
 Semantics and messages follow jsonschema 4.26 (Draft 2020-12): a bool is
 not a number, an integral float such as 256.0 is an integer, and extra keys
 are reported sorted.  Every error is collected, and the one reported is the
-one jsonschema.exceptions.best_match picks.  A keyword, type name or
-keyword value outside that set raises NotImplementedError, so a schema edit
-fails the tests, which check the messages against jsonschema, instead of
-going unchecked.
+one jsonschema.exceptions.best_match picks.  `default` is accepted as an
+annotation and checks nothing.  A keyword, type name or keyword value
+outside that set raises NotImplementedError, so a schema edit fails the
+tests, which check the messages against jsonschema, instead of going
+unchecked.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def _walk(instance, schema: dict, path: tuple, out: list) -> None:
         elif keyword == "const" and isinstance(value, str):
             if instance != value:
                 messages.append(f"{value!r} was expected")
+        elif keyword == "default":
+            pass  # an annotation, which jsonschema does not check either
         elif keyword == "oneOf":
             valid = []
             for sub in value:

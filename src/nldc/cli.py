@@ -36,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -67,12 +67,12 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 # biphoton, n for a stationary state; 74-98 measured), per sampled event
 # (88-134 measured) and per worker of the block pool, which each hold their
 # own block buffers (tracemalloc over 1-3 workers: 2.1 MiB per worker for
-# the line route, 3.5 MiB for the stationary samplers and 4.4 MiB for the
-# biphoton sampler), rounded up.
+# the line route, 2.5 MiB for the biphoton sampler and 3.5-3.7 MiB for the
+# stationary samplers), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
-_BYTES_PER_WORKER = 5 * 2**20
+_BYTES_PER_WORKER = 4 * 2**20
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -91,7 +91,7 @@ _GAUSSIAN_SCHEMA = {
     "properties": {
         "peak": {"type": "number", "minimum": 0},
         "sigma_rad_ps": {"type": "number", "exclusiveMinimum": 0},
-        "center_rad_ps": {"type": "number"},
+        "center_rad_ps": {"type": "number", "default": 0.0},
     },
 }
 
@@ -161,9 +161,9 @@ SCENARIO_SCHEMA = {
                     "properties": {
                         "var_tau_ps2": {"type": "number", "minimum": 0},
                         "var_omega_rad2_ps2": {"type": "number", "minimum": 0},
-                        "cov_tau_omega": {"type": "number"},
-                        "mean_tau_ps": {"type": "number"},
-                        "mean_omega_rad_ps": {"type": "number"},
+                        "cov_tau_omega": {"type": "number", "default": 0.0},
+                        "mean_tau_ps": {"type": "number", "default": 0.0},
+                        "mean_omega_rad_ps": {"type": "number", "default": 0.0},
                     },
                 },
             },
@@ -174,11 +174,11 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "beta_L_ps2": {"type": "number"},
-                "delay_1_ps": {"type": "number"},
-                "delay_2_ps": {"type": "number"},
+                "delay_1_ps": {"type": "number", "default": 0.0},
+                "delay_2_ps": {"type": "number", "default": 0.0},
             },
         },
-        "jitter_sigma_ps": {"type": "number", "minimum": 0},
+        "jitter_sigma_ps": {"type": "number", "minimum": 0, "default": 0.0},
         "sampler": {
             "type": "object",
             "required": ["n_events", "seed"],
@@ -191,11 +191,12 @@ SCENARIO_SCHEMA = {
         "outputs": {
             "type": "object",
             "additionalProperties": False,
+            "default": {},
             "properties": {
                 "dir": {"type": "string"},
-                "events_csv": {"type": "boolean"},
-                "tau_profile_csv": {"type": "boolean"},
-                "density_binary": {"type": "boolean"},
+                "events_csv": {"type": "boolean", "default": True},
+                "tau_profile_csv": {"type": "boolean", "default": True},
+                "density_binary": {"type": "boolean", "default": False},
             },
         },
     },
@@ -206,19 +207,25 @@ class ScenarioError(ValueError):
     """Scenario content failed validation (maps to exit code 2)."""
 
 
-def _coerce_integers(node: dict, schema: dict) -> None:
-    """Turn the integral floats that JSON Schema accepts as integers (256.0) into ints."""
-    for key, sub in schema.get("properties", {}).items():
-        if key not in node:
-            continue
-        if sub.get("type") == "integer":
-            node[key] = int(node[key])
-        elif sub.get("type") == "object":
-            _coerce_integers(node[key], sub)
+def _filled(node, schema: dict):
+    """A copy of the valid node with the schema's defaults filled in and integer fields as ints.
+
+    An object under a oneOf (the cross spectrum) follows the branch of
+    type object.
+    """
+    if isinstance(node, dict):
+        schema = next((s for s in schema.get("oneOf", ()) if s.get("type") == "object"), schema)
+        properties = schema["properties"]
+        out = {key: _filled(value, properties[key]) for key, value in node.items()}
+        for key, sub in properties.items():
+            if key not in out and "default" in sub:
+                out[key] = _filled(sub["default"], sub)
+        return out
+    return int(node) if schema.get("type") == "integer" else node
 
 
 def normalize_scenario(raw: dict) -> dict:
-    """Validate against the schema and fill defaults; returns a new dict.
+    """Validate against the schema and fill its defaults; returns a new dict.
 
     Integer fields come out as ints even when the input wrote them as
     integral floats, so later stages and scan's state cache see one value.
@@ -227,38 +234,9 @@ def normalize_scenario(raw: dict) -> dict:
     if error is not None:
         path, message = error
         raise ScenarioError(f"scenario invalid at {'.'.join(map(str, path)) or '<root>'}: {message}")
-    scenario = copy.deepcopy(raw)
-    _coerce_integers(scenario, SCENARIO_SCHEMA)
-    kit = scenario["kit"]
-    kit.setdefault("delay_1_ps", 0.0)
-    kit.setdefault("delay_2_ps", 0.0)
-    scenario.setdefault("jitter_sigma_ps", 0.0)
-    state = scenario["state"]
-    if "covariance" in state:
-        cov = state["covariance"]
-        cov.setdefault("cov_tau_omega", 0.0)
-        cov.setdefault("mean_tau_ps", 0.0)
-        cov.setdefault("mean_omega_rad_ps", 0.0)
-        if "sampler" in scenario:
-            raise ScenarioError("sampling needs a biphoton or stationary state, not a bare covariance")
-    for spec_dict in _iter_spectrum_specs(scenario):
-        if "gaussian" in spec_dict:
-            spec_dict["gaussian"].setdefault("center_rad_ps", 0.0)
-    outputs = scenario.setdefault("outputs", {})
-    outputs.setdefault("events_csv", True)
-    outputs.setdefault("tau_profile_csv", True)
-    outputs.setdefault("density_binary", False)
-    return scenario
-
-
-def _iter_spectrum_specs(scenario):
-    stationary = scenario["state"].get("stationary")
-    if stationary is None:
-        return
-    yield stationary["s1"]
-    yield stationary["s2"]
-    if isinstance(stationary["cross"], dict):
-        yield stationary["cross"]
+    if "covariance" in raw["state"] and "sampler" in raw:
+        raise ScenarioError("sampling needs a biphoton or stationary state, not a bare covariance")
+    return _filled(raw, SCENARIO_SCHEMA)
 
 
 def canonical_json(obj) -> str:
@@ -287,30 +265,21 @@ def _build_grid(grid_spec) -> spc.FrequencyGrid:
     return spc.FrequencyGrid(n=grid_spec["n"], domega=grid_spec["domega_rad_ps"])
 
 
-def _build_spectrum(spec_dict, grid, base_dir) -> spc.SpectralModel:
+def _build_spectrum(spec_dict, grid, base_dir, kind):
+    """A spectrum (kind "spectrum") or cross spectrum (kind "cross") from its scenario spec."""
+    gaussian, flat, from_csv = {
+        "spectrum": (spc.gaussian_spectrum, spc.flat_spectrum, spc.spectrum_from_csv),
+        "cross": (spc.gaussian_cross, spc.flat_cross, spc.cross_from_csv),
+    }[kind]
     if "gaussian" in spec_dict:
         g = spec_dict["gaussian"]
-        return spc.gaussian_spectrum(grid, g["peak"], g["sigma_rad_ps"], g["center_rad_ps"])
+        return gaussian(grid, g["peak"], g["sigma_rad_ps"], g["center_rad_ps"])
     if "flat" in spec_dict:
-        return spc.flat_spectrum(grid, spec_dict["flat"]["value"])
-    model = spc.spectrum_from_csv(Path(base_dir) / spec_dict["csv"])
+        return flat(grid, spec_dict["flat"]["value"])
+    model = from_csv(Path(base_dir) / spec_dict["csv"])
     if model.grid != grid:
-        raise ScenarioError(f"spectrum CSV {spec_dict['csv']} does not match the scenario grid")
+        raise ScenarioError(f"{kind} CSV {spec_dict['csv']} does not match the scenario grid")
     return model
-
-
-def _build_cross(cross_spec, s1, s2, grid, base_dir) -> spc.CrossSpectrum:
-    if cross_spec == "classical-extremal":
-        return spc.max_classical_cross(s1, s2)
-    if "gaussian" in cross_spec:
-        g = cross_spec["gaussian"]
-        return spc.gaussian_cross(grid, g["peak"], g["sigma_rad_ps"], g["center_rad_ps"])
-    if "flat" in cross_spec:
-        return spc.flat_cross(grid, cross_spec["flat"]["value"])
-    cross = spc.cross_from_csv(Path(base_dir) / cross_spec["csv"])
-    if cross.grid != grid:
-        raise ScenarioError(f"cross CSV {cross_spec['csv']} does not match the scenario grid")
-    return cross
 
 
 # The kit-independent source states.  `run` disperses one; `scan` needs
@@ -374,21 +343,17 @@ def _build_state(
     if "stationary" in state:
         cfg = state["stationary"]
         grid = _build_grid(cfg["grid"])
-        s1 = _build_spectrum(cfg["s1"], grid, base_dir)
-        s2 = _build_spectrum(cfg["s2"], grid, base_dir)
-        cross = _build_cross(cfg["cross"], s1, s2, grid, base_dir)
+        s1 = _build_spectrum(cfg["s1"], grid, base_dir, "spectrum")
+        s2 = _build_spectrum(cfg["s2"], grid, base_dir, "spectrum")
+        if cfg["cross"] == "classical-extremal":
+            cross = spc.max_classical_cross(s1, s2)
+        else:
+            cross = _build_spectrum(cfg["cross"], grid, base_dir, "cross")
         model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
         return StationaryState(model, st.windowed_covariance(model))
-    cfg = state["covariance"]
-    return CovarianceState(
-        TemporalCovariance(
-            var_tau=cfg["var_tau_ps2"],
-            var_omega=cfg["var_omega_rad2_ps2"],
-            cov_tau_omega=cfg["cov_tau_omega"],
-            mean_tau=cfg["mean_tau_ps"],
-            mean_omega=cfg["mean_omega_rad_ps"],
-        )
-    )
+    cfg = state["covariance"]  # keyed like the record's covariance blocks
+    field_of = {key: name for name, key in _UNIT_KEYS.items()}
+    return CovarianceState(TemporalCovariance(**{field_of.get(k, k): v for k, v in cfg.items()}))
 
 
 def _kit_from(scenario) -> DispersionKit:
@@ -406,38 +371,33 @@ def _jitter_var(scenario) -> float:
     return sigma ** 2
 
 
-def _cov_dict(cov: TemporalCovariance) -> dict:
-    return {
-        "var_tau_ps2": cov.var_tau,
-        "var_omega_rad2_ps2": cov.var_omega,
-        "cov_tau_omega": cov.cov_tau_omega,
-        "mean_tau_ps": cov.mean_tau,
-        "mean_omega_rad_ps": cov.mean_omega,
-    }
+# The record key of each report field that carries a unit; every other
+# field keeps its name.
+_UNIT_KEYS = {
+    "var_tau": "var_tau_ps2",
+    "var_omega": "var_omega_rad2_ps2",
+    "mean_tau": "mean_tau_ps",
+    "mean_omega": "mean_omega_rad_ps",
+    "lhs": "lhs_ps2",
+    "rhs": "rhs_ps2",
+    "margin": "margin_ps2",
+    "margin_stderr": "margin_stderr_ps2",
+    "stderr": "stderr_ps2",
+    "variance": "variance_ps2",
+}
 
 
-def _witness_dict(cov: TemporalCovariance, kit: DispersionKit) -> dict:
+def _fields(report) -> dict:
+    """The record dict of a report dataclass, its unit-carrying fields renamed by _UNIT_KEYS."""
+    return {_UNIT_KEYS.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
+
+
+def _witness(evaluate, *args) -> dict:
+    """The record of a witness evaluate(*args), or why it is not evaluable."""
     try:
-        w = evaluate_witness(cov, kit)
+        return {"evaluable": True, **_fields(evaluate(*args))}
     except DegenerateStateError as err:
         return {"evaluable": False, "reason": str(err)}
-    return {
-        "evaluable": True,
-        "lhs_ps2": w.lhs,
-        "rhs_ps2": w.rhs,
-        "margin_ps2": w.margin,
-        "violated": w.violated,
-        "product": w.product,
-    }
-
-
-def _stats_dict(stats: sp.TauStats) -> dict:
-    return {
-        "n": stats.n,
-        "var_tau_ps2": stats.var_tau,
-        "stderr_ps2": stats.stderr,
-        "mean_tau_ps": stats.mean_tau,
-    }
 
 
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
@@ -474,7 +434,9 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         if density is not None:
             batch = sp.sample_biphoton(density, count, sub_seed)
         elif label == "before":
-            batch = sp.sample_stationary(state.model, count, sub_seed)
+            batch = sp.sample_tau_density(
+                state.model.profile, count, sub_seed, source=f"stationary-{state.model.regime}"
+            )
         else:
             arm_kit = kit if label == "plus" else kit.swapped()
             batch = sp.sample_stationary_sheared(state.model, arm_kit, count, sub_seed)
@@ -507,8 +469,6 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         if sampler is not None:
             for label in ("before", "plus", "minus"):
                 sample(label)
-    separability = separability_check(cov0)
-
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -516,69 +476,42 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         "scenario": scenario,
         "scenario_hash": scenario_hash(scenario),
         "state_kind": state.kind,
-        "covariance_before": _cov_dict(cov0),
-        "covariance_after_plus": _cov_dict(arms["plus"]),
-        "covariance_after_minus": _cov_dict(arms["minus"]),
-        "separability": {
-            "product": separability.product,
-            "separable_consistent": separability.separable_consistent,
-        },
-        "witness": _witness_dict(cov0, kit),
+        "covariance_before": _fields(cov0),
+        "covariance_after_plus": _fields(arms["plus"]),
+        "covariance_after_minus": _fields(arms["minus"]),
+        "separability": _fields(separability_check(cov0)),
+        "witness": _witness(evaluate_witness, cov0, kit),
     }
     if isinstance(state, BiphotonState):
-        record["fft"] = {
-            "var_tau_before_ps2": cov0.var_tau,
-            "var_tau_plus_ps2": arms["plus"].var_tau,
-            "var_tau_minus_ps2": arms["minus"].var_tau,
-            "symmetrized_var_tau_ps2": 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau),
-        }
+        symmetrized = 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau)
+        record["fft"] = {"symmetrized_var_tau_ps2": symmetrized}
     if isinstance(state, StationaryState):
         profile = state.model.profile
-        stats = profile.windowed
         record["windowed"] = {
-            "variance_ps2": stats.variance,
-            "signal_fraction": stats.signal_fraction,
+            **_fields(profile.windowed),
             "background": profile.background,
             "regime": state.model.regime,
         }
     if jitter_var > 0.0:
-        cov_obs = apply_jitter(cov0, jitter_var)
-        feas = jitter_feasibility(cov0, kit, jitter_var)
         record["jitter"] = {
             "sigma_ps": jitter_sigma,
             "var_ps2": jitter_var,
-            "feasibility": {
-                "linewidth_ok": feas.linewidth_ok,
-                "dispersion_ok": feas.dispersion_ok,
-                "linewidth_product": feas.linewidth_product,
-                "dispersion_ratio": feas.dispersion_ratio,
-            },
+            "feasibility": _fields(jitter_feasibility(cov0, kit, jitter_var)),
         }
-        record["witness_observed"] = _witness_dict(cov_obs, kit)
+        record["witness_observed"] = _witness(evaluate_witness, apply_jitter(cov0, jitter_var), kit)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict = {"runrecord": "runrecord.json"}
 
     if sampler is not None:
-        try:
-            emp = sp.empirical_witness(estimates["before"], estimates["plus"], estimates["minus"], kit)
-            empirical = {
-                "evaluable": True,
-                "lhs_ps2": emp.lhs,
-                "rhs_ps2": emp.rhs,
-                "margin_ps2": emp.margin,
-                "margin_stderr_ps2": emp.margin_stderr,
-                "significance": emp.significance,
-                "violated": emp.violated,
-            }
-        except DegenerateStateError as err:
-            empirical = {"evaluable": False, "reason": str(err)}
         sampling: dict = {
             "n_events": sampler["n_events"],
             "seed": sampler["seed"],
-            "estimates": {label: _stats_dict(s) for label, s in estimates.items()},
-            "empirical_witness": empirical,
+            "estimates": {label: _fields(s) for label, s in estimates.items()},
+            "empirical_witness": _witness(
+                sp.empirical_witness, estimates["before"], estimates["plus"], estimates["minus"], kit
+            ),
         }
         if write_events:
             events = {}
@@ -674,26 +607,18 @@ def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")
             cov0_by_state[key] = _build_state(variant["state"], base_dir, 0).cov0
         cov_obs = apply_jitter(cov0_by_state[key], _jitter_var(variant))
         report = evaluate_witness(cov_obs, _kit_from(variant))
-        rows.append(
-            {
-                "value": float(value),
-                "lhs_ps2": report.lhs,
-                "rhs_ps2": report.rhs,
-                "margin_ps2": report.margin,
-                "product": report.product,
-            }
-        )
+        rows.append({"value": float(value), **_fields(report)})
     return rows
+
+
+_SCAN_COLUMNS = ("value", "lhs_ps2", "rhs_ps2", "margin_ps2", "product")
 
 
 def write_scan_csv(rows: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value,lhs_ps2,rhs_ps2,margin_ps2,product\n")
+        fh.write(",".join(_SCAN_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                f"{row['value']:.17g},{row['lhs_ps2']:.17g},{row['rhs_ps2']:.17g},"
-                f"{row['margin_ps2']:.17g},{row['product']:.17g}\n"
-            )
+            fh.write(",".join(f"{row[key]:.17g}" for key in _SCAN_COLUMNS) + "\n")
 
 
 # ---------------------------------------------------------------------------

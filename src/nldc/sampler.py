@@ -19,9 +19,9 @@ The layouts, for count events of which n_sig are signal and n_bg
 background events, each kind in event order:
 
 * "biphoton": count cell uniforms, count t1 jitters, count t2 jitters;
-* "stationary" (sample_tau_density, sample_stationary): count signal-mask
-  uniforms, n_bg background t1, n_bg background t2, n_sig tau cells, n_sig
-  tau jitters, n_sig mean times;
+* "stationary" (sample_tau_density): count signal-mask uniforms, n_bg
+  background t1, n_bg background t2, n_sig tau cells, n_sig tau jitters,
+  n_sig mean times;
 * "stationary-sheared": the "stationary" layout, then n_bg s1 cells, n_bg
   s1 jitters, n_bg s2 cells, n_bg s2 jitters, n_sig cross cells and n_sig
   cross jitters (no cross draws when |x|^2 is all zero).
@@ -185,10 +185,15 @@ class _InverseCdf:
             self.split = self.guide[1:] != self.guide[:-1]
 
     def draw(self, u: np.ndarray, out: np.ndarray, bucket: np.ndarray) -> np.ndarray:
-        """Indices for the uniforms u, into out; bucket is intp scratch of the same length."""
+        """Indices for the uniforms u, into out; bucket is int64 scratch of the same length.
+
+        The sorted route gathers the sorted uniforms into bucket, viewed as
+        float64.
+        """
         if self.guide is None:
             order = np.argsort(u)
-            out[order] = np.searchsorted(self.cdf, u[order], side="right")
+            sorted_u = np.take(u, order, out=bucket.view(np.float64), mode="clip")
+            out[order] = np.searchsorted(self.cdf, sorted_u, side="right")
             return out
         np.multiply(u, _GUIDE_CELLS, out=bucket, casting="unsafe")  # truncation is the floor
         # bucket < K as u < 1; mode="clip" spares the buffered copy of out
@@ -200,23 +205,29 @@ class _InverseCdf:
 
 
 class _Scratch:
-    """One worker's buffers for blocks of at most `size` events, reused block after block."""
+    """One worker's buffers for blocks of at most `size` events, reused block after block.
 
-    def __init__(self, size: int):
-        self.u, self.v, self.w, self.x = (np.empty(size) for _ in range(4))
-        self.idx = np.empty(size, dtype=np.intp)
-        self.bucket = np.empty(size, dtype=np.intp)
+    dtypes maps the name of each buffer the sampler uses to its dtype.
+    """
+
+    def __init__(self, size: int, dtypes: dict):
+        for name, dtype in dtypes.items():
+            setattr(self, name, np.empty(size, dtype=dtype))
 
 
-def _for_event_blocks(count: int, fn) -> None:
+# The buffers of _draw_cells and _InverseCdf.draw.
+_CELL_BUFFERS = {"u": np.float64, "idx": np.intp, "bucket": np.int64}
+
+
+def _for_event_blocks(count: int, fn, dtypes: dict) -> None:
     """Call fn(start, stop, scratch) on every block of BLOCK_CELLS events of a batch, in parallel.
 
     The partition depends on count alone.  Each worker takes one contiguous
-    group of blocks and its own scratch.
+    group of blocks and its own _Scratch of the buffers dtypes names.
     """
 
     def group(e0, e1):
-        scratch = _Scratch(min(e1 - e0, BLOCK_CELLS))
+        scratch = _Scratch(min(e1 - e0, BLOCK_CELLS), dtypes)
         for start in range(e0, e1, BLOCK_CELLS):
             fn(start, min(start + BLOCK_CELLS, e1), scratch)
 
@@ -284,7 +295,7 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
         t1[start:stop] -= half
         t2[start:stop] += half
 
-    _for_event_blocks(count, block)
+    _for_event_blocks(count, block, _CELL_BUFFERS)
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
@@ -317,7 +328,7 @@ def _signal_mask(key, f_s, count):
         mask = np.less(_uniforms(key, start, s.u[: stop - start]), f_s, out=signal[start:stop])
         before[start // BLOCK_CELLS + 1] = np.count_nonzero(mask)
 
-    _for_event_blocks(count, block)
+    _for_event_blocks(count, block, {"u": np.float64})
     return signal, np.cumsum(before)
 
 
@@ -391,7 +402,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
             w *= two_beta
             shifts[arm](t, w, out=t)
 
-    _for_event_blocks(count, block)
+    _for_event_blocks(count, block, dict(_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
     return t1, t2
 
 
@@ -407,11 +418,6 @@ def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-
         source=f"{source}(T={d.window:.17g})",
         window=(0.0, d.window),
     )
-
-
-def sample_stationary(m: StationaryPairModel, count: int, seed: int) -> EventBatch:
-    """Events of a windowed stationary model before any dispersion."""
-    return sample_tau_density(m.profile, count, seed, source=f"stationary-{m.regime}")
 
 
 def sample_stationary_sheared(
@@ -518,20 +524,28 @@ def events_to_csv(batch: EventBatch, path) -> None:
         _write_formatted_rows(fh, "%.17g,%.17g\n", (batch.t1, batch.t2))
 
 
+def _events_comment(path, comment: str):
+    """(seed, window, source) of the first line of an events CSV."""
+    try:
+        if not comment.startswith("# seed="):
+            raise ValueError
+        seed_part, rest = comment[len("# seed="):].split(" window=", 1)
+        window_part, source = rest.split(" source=", 1)
+        seed = int(seed_part)
+        if window_part == "none":
+            return seed, None, source
+        lo, hi = window_part.split(",")
+        return seed, (float(lo), float(hi)), source
+    except ValueError:
+        raise ValueError(
+            f"{path}: the first line must read '# seed=<int> window=<lo,hi|none> source=<text>', "
+            f"got {comment!r}"
+        ) from None
+
+
 def events_from_csv(path) -> EventBatch:
     with open(path, "r", encoding="utf-8") as fh:
-        comment = fh.readline().rstrip("\n")
-        if not comment.startswith("# seed="):
-            raise ValueError(f"{path}: missing events metadata comment")
-        body = comment[2:]
-        seed_part, rest = body.split(" window=", 1)
-        window_part, source = rest.split(" source=", 1)
-        seed = int(seed_part.split("=", 1)[1])
-        if window_part == "none":
-            window = None
-        else:
-            lo, hi = window_part.split(",")
-            window = (float(lo), float(hi))
+        seed, window, source = _events_comment(path, fh.readline().rstrip("\n"))
         header = fh.readline().strip()
         if header != "t1_ps,t2_ps":
             raise ValueError(f"{path}: unexpected header {header!r}")

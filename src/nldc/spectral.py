@@ -287,10 +287,16 @@ def _write_rows(path, grid, header, cols):
 def _read_rows(path, ncols):
     with open(path, "r", encoding="utf-8") as fh:
         comment = fh.readline().strip()
-        if not comment.startswith("# n="):
-            raise ValueError(f"{path}: missing grid descriptor comment")
-        parts = dict(p.split("=", 1) for p in comment[2:].split())
-        grid = FrequencyGrid(n=int(parts["n"]), domega=float(parts["domega_rad_ps"]))
+        try:
+            if not comment.startswith("# n="):
+                raise ValueError
+            parts = dict(p.split("=", 1) for p in comment[2:].split())
+            n, domega = int(parts["n"]), float(parts["domega_rad_ps"])
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}: the first line must read '# n=<int> domega_rad_ps=<float>', got {comment!r}"
+            ) from None
+        grid = FrequencyGrid(n=n, domega=domega)
         fh.readline()  # header
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (grid.n, ncols):

@@ -35,8 +35,8 @@ from nldc.sampler import (
     empirical_witness,
     estimate_tau_stats,
     sample_biphoton,
-    sample_stationary,
     sample_stationary_sheared,
+    sample_tau_density,
 )
 from nldc.spectral import (
     FrequencyGrid,
@@ -203,7 +203,9 @@ def test_criterion_5_background_law():
     misses = 0
     vars_10 = []
     for k in range(200):
-        batch = sample_stationary(model_10, 100_000, derive_seed(ACCEPT_SEED, f"floor-10-{k}"))
+        batch = sample_tau_density(
+            model_10.profile, 100_000, derive_seed(ACCEPT_SEED, f"floor-10-{k}")
+        )
         stats = estimate_tau_stats(batch, 0.0, 0)
         vars_10.append(stats.var_tau)
         if abs(stats.var_tau - 10.0 ** 2 / 6.0) > 3.0 * stats.stderr:
@@ -214,7 +216,7 @@ def test_criterion_5_background_law():
         model = make_pair_model(s, s, zero, window=T)
         draws = [
             estimate_tau_stats(
-                sample_stationary(model, 100_000, derive_seed(ACCEPT_SEED, f"floor-{T:g}-{k}")),
+                sample_tau_density(model.profile, 100_000, derive_seed(ACCEPT_SEED, f"floor-{T:g}-{k}")),
                 0.0,
                 0,
             ).var_tau

@@ -228,5 +228,5 @@ def test_every_public_call_runs_on_the_calling_thread(tmp_path, monkeypatch, wor
     _run_and_scan(tmp_path / "traced")
     names = {name for name, _ in calls}
     assert {"build_pdc_amplitude", "apply_dispersion_phase", "to_time_domain", "to_time_2d", "amplitude_moments"} <= names
-    assert {"sample_biphoton", "sample_stationary", "sample_stationary_sheared", "sample_tau_density"} <= names
+    assert {"sample_biphoton", "sample_stationary_sheared", "sample_tau_density"} <= names
     assert all(thread is threading.main_thread() for _, thread in calls)

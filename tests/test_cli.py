@@ -11,6 +11,7 @@ failures.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -137,6 +138,21 @@ def test_sampler_with_bare_covariance_exits_2(tmp_path, capsys):
     rc, _ = _run(tmp_path, scenario)
     assert rc == 2
     assert "covariance" in _stderr_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("spec", ["s1", "cross"])
+@pytest.mark.parametrize("comment", ["# n=8", "# n=8 junk"], ids=["no_domega", "junk"])
+def test_spectrum_csv_with_a_malformed_grid_line_exits_2(tmp_path, capsys, spec, comment):
+    (tmp_path / "bad.csv").write_text(f"{comment}\nomega_rad_ps,value\n0,1\n")
+    scenario = _stationary_scenario()
+    scenario["state"]["stationary"][spec] = {"csv": "bad.csv"}
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError" and str(tmp_path / "bad.csv") in err["message"]
+    assert "'# n=<int> domega_rad_ps=<float>'" in err["message"]
 
 
 def test_unresolvable_grid_exits_3(tmp_path, capsys):
@@ -508,6 +524,155 @@ def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # Run records.
 
+def _key_paths(node, prefix=""):
+    """The dotted path of every leaf of a record."""
+    paths = set()
+    for key, value in node.items():
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+        else:
+            paths.add(prefix + key)
+    return paths
+
+
+def _paths(spec):
+    """The paths of "block: key key ..." lines, each block.key; a line with no block lists top keys."""
+    paths = set()
+    for line in spec.strip().splitlines():
+        block, _, keys = line.rpartition(":")
+        paths |= {f"{block}.{key}" if block else key for key in keys.split()}
+    return paths
+
+
+_RECORD_PATHS = """
+: created_utc scenario_hash schema_version state_kind tool_version
+scenario: jitter_sigma_ps
+scenario.kit: beta_L_ps2 delay_1_ps delay_2_ps
+scenario.outputs: density_binary events_csv tau_profile_csv
+covariance_before: cov_tau_omega mean_omega_rad_ps mean_tau_ps var_omega_rad2_ps2 var_tau_ps2
+covariance_after_plus: cov_tau_omega mean_omega_rad_ps mean_tau_ps var_omega_rad2_ps2 var_tau_ps2
+covariance_after_minus: cov_tau_omega mean_omega_rad_ps mean_tau_ps var_omega_rad2_ps2 var_tau_ps2
+separability: product separable_consistent
+witness: evaluable lhs_ps2 margin_ps2 product rhs_ps2 violated
+outputs: runrecord
+"""
+_JITTER_PATHS = """
+jitter: sigma_ps var_ps2
+jitter.feasibility: dispersion_ok dispersion_ratio linewidth_ok linewidth_product
+witness_observed: evaluable lhs_ps2 margin_ps2 product rhs_ps2 violated
+"""
+_SAMPLING_PATHS = """
+scenario.sampler: n_events seed
+sampling: n_events seed
+sampling.estimates.before: mean_tau_ps n stderr_ps2 var_tau_ps2
+sampling.estimates.plus: mean_tau_ps n stderr_ps2 var_tau_ps2
+sampling.estimates.minus: mean_tau_ps n stderr_ps2 var_tau_ps2
+sampling.empirical_witness: evaluable lhs_ps2 margin_ps2 margin_stderr_ps2 rhs_ps2 significance violated
+sampling.events: before minus plus
+outputs.events: before minus plus
+"""
+_BIPHOTON_PATHS = """
+scenario.state.biphoton: pm_sigma_rad_ps pump_sigma_rad_ps
+scenario.state.biphoton.grid: domega_rad_ps n
+fft: symmetrized_var_tau_ps2
+"""
+_STATIONARY_PATHS = """
+scenario.state.stationary: window_T_ps
+scenario.state.stationary.grid: domega_rad_ps n
+scenario.state.stationary.s1.gaussian: center_rad_ps peak sigma_rad_ps
+windowed: background regime signal_fraction variance_ps2
+outputs: tau_profile
+"""
+
+
+def _record_case(kind):
+    """(scenario, the literal key paths of its run record)."""
+    if kind in ("biphoton", "zero-stderr"):
+        scenario = {**_biphoton_scenario(n_events=300, seed=5), "jitter_sigma_ps": 0.05}
+        scenario["outputs"] = {"density_binary": True}
+        paths = _RECORD_PATHS + _JITTER_PATHS + _SAMPLING_PATHS + _BIPHOTON_PATHS + "outputs: density_before"
+        if kind == "zero-stderr":
+            paths += "\nsampling.empirical_witness: significance_reason"
+        return scenario, paths
+    if kind == "stationary":
+        scenario = _stationary_scenario()
+        scenario["state"]["stationary"].update(
+            s2={"flat": {"value": 0.5}}, cross={"gaussian": {"peak": 0.3, "sigma_rad_ps": 0.8}}
+        )
+        scenario["sampler"] = {"n_events": 300, "seed": 3}
+        return scenario, _RECORD_PATHS + _SAMPLING_PATHS + _STATIONARY_PATHS + """
+scenario.state.stationary.s2.flat: value
+scenario.state.stationary.cross.gaussian: center_rad_ps peak sigma_rad_ps
+"""
+    if kind == "classical-extremal":
+        return {**_stationary_scenario(), "jitter_sigma_ps": 0.2}, (
+            _RECORD_PATHS + _JITTER_PATHS + _STATIONARY_PATHS + """
+scenario.state.stationary: cross
+scenario.state.stationary.s2.gaussian: center_rad_ps peak sigma_rad_ps
+"""
+        )
+    return _covariance_scenario(jitter_sigma_ps=0.1), _RECORD_PATHS + _JITTER_PATHS + """
+scenario.state.covariance: cov_tau_omega mean_omega_rad_ps mean_tau_ps var_omega_rad2_ps2 var_tau_ps2
+"""
+
+
+@pytest.mark.parametrize("kind", ["biphoton", "stationary", "classical-extremal", "covariance", "zero-stderr"])
+def test_run_record_has_exactly_its_key_paths(tmp_path, monkeypatch, kind):
+    if kind == "zero-stderr":
+        real = sampler.empirical_witness
+        monkeypatch.setattr(
+            sampler, "empirical_witness",
+            lambda *args: dataclasses.replace(real(*args), margin_stderr=0.0, significance=math.inf),
+        )
+    scenario, paths = _record_case(kind)
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    assert sorted(_key_paths(_record(out_dir))) == sorted(_paths(paths))
+
+
+def test_normalize_fills_every_schema_default():
+    biphoton = {
+        "pump_sigma_rad_ps": 1e-4, "pm_sigma_rad_ps": 10.0, "grid": {"n": 256.0, "domega_rad_ps": 0.25},
+    }
+    stationary = {
+        "grid": {"n": 256, "domega_rad_ps": 0.25},
+        "s1": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}},
+        "s2": {"flat": {"value": 1.0}},
+        "cross": {"gaussian": {"peak": 0.5, "sigma_rad_ps": 1.0}},
+        "window_T_ps": 14.0,
+    }
+    covariance = {"var_tau_ps2": 0.25, "var_omega_rad2_ps2": 16.0}
+    defaults = {
+        "kit": {"beta_L_ps2": 1.0, "delay_1_ps": 0.0, "delay_2_ps": 0.0},
+        "jitter_sigma_ps": 0.0,
+        "outputs": {"events_csv": True, "tau_profile_csv": True, "density_binary": False},
+    }
+    minimal = {"kit": {"beta_L_ps2": 1.0}}
+    assert cli.normalize_scenario({**minimal, "state": {"biphoton": biphoton}}) == {
+        **defaults,
+        "state": {"biphoton": {
+            "pump_sigma_rad_ps": 1e-4, "pm_sigma_rad_ps": 10.0, "grid": {"n": 256, "domega_rad_ps": 0.25},
+        }},
+    }
+    assert cli.normalize_scenario({**minimal, "state": {"stationary": stationary}}) == {
+        **defaults,
+        "state": {"stationary": {
+            "grid": {"n": 256, "domega_rad_ps": 0.25},
+            "s1": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0, "center_rad_ps": 0.0}},
+            "s2": {"flat": {"value": 1.0}},
+            "cross": {"gaussian": {"peak": 0.5, "sigma_rad_ps": 1.0, "center_rad_ps": 0.0}},
+            "window_T_ps": 14.0,
+        }},
+    }
+    assert cli.normalize_scenario({**minimal, "state": {"covariance": covariance}}) == {
+        **defaults,
+        "state": {"covariance": {
+            "var_tau_ps2": 0.25, "var_omega_rad2_ps2": 16.0,
+            "cov_tau_omega": 0.0, "mean_tau_ps": 0.0, "mean_omega_rad_ps": 0.0,
+        }},
+    }
+
+
 def test_covariance_record_shears_and_scores(tmp_path, capsys):
     rc, out_dir = _run(tmp_path, _covariance_scenario())
     assert rc == 0
@@ -541,10 +706,9 @@ def test_biphoton_run_cancels_dispersion_and_samples(tmp_path):
     rc, out_dir = _run(tmp_path, _biphoton_scenario())
     assert rc == 0
     rec = _record(out_dir)
-    fft = rec["fft"]
     # Opposite-sign media on an anticorrelated pair: no broadening at all.
-    assert fft["symmetrized_var_tau_ps2"] == pytest.approx(
-        fft["var_tau_before_ps2"], rel=1e-12
+    assert rec["fft"]["symmetrized_var_tau_ps2"] == pytest.approx(
+        rec["covariance_before"]["var_tau_ps2"], rel=1e-12
     )
     assert rec["witness"]["violated"] is True
     assert rec["separability"]["separable_consistent"] is False
@@ -973,23 +1137,35 @@ def test_render_requires_sampled_events(tmp_path, capsys):
     assert "events" in _stderr_error(capsys)["message"]
 
 
-@pytest.mark.parametrize("doctor", ["list", "no_before"])
+# First lines of an events CSV that do not follow its metadata format.
+_BAD_EVENTS_COMMENTS = {"seed_only": "# seed=3", "bad_seed": "# seed=x window=none source=y"}
+
+
+@pytest.mark.parametrize("doctor", ["list", "no_before", *_BAD_EVENTS_COMMENTS])
 def test_render_rejects_malformed_records(tmp_path, capsys, doctor):
     rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
     assert rc == 0
     record_path = out_dir / "runrecord.json"
+    events = out_dir / "events_before.csv"
     record = _record(out_dir)
     if doctor == "list":
-        record = [record]
-    else:
+        record_path.write_text(json.dumps([record]))
+    elif doctor == "no_before":
         del record["sampling"]["events"]["before"]
-    record_path.write_text(json.dumps(record))
+        record_path.write_text(json.dumps(record))
+    else:
+        _, *rest = events.read_text().splitlines(keepends=True)
+        events.write_text(_BAD_EVENTS_COMMENTS[doctor] + "\n" + "".join(rest))
     rc = cli.main(["render", str(record_path)])
     assert rc == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = _strict_json(lines[0])
-    assert err["error"] == "ScenarioError" and "events" in err["message"]
+    if doctor in _BAD_EVENTS_COMMENTS:
+        assert err["error"] == "ValueError" and str(events) in err["message"]
+        assert "'# seed=<int> window=<lo,hi|none> source=<text>'" in err["message"]
+    else:
+        assert err["error"] == "ScenarioError" and "events" in err["message"]
 
 
 @pytest.mark.parametrize("columns, shape", [(0, "(0, 1)"), (1, "(100, 1)"), (3, "(100, 3)")])

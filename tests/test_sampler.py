@@ -39,7 +39,6 @@ from nldc.sampler import (
     events_from_csv,
     events_to_csv,
     sample_biphoton,
-    sample_stationary,
     sample_stationary_sheared,
     sample_tau_density,
 )
@@ -151,7 +150,7 @@ def test_background_only_mixture_is_triangular():
     grid = FrequencyGrid(256, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
     m = make_pair_model(s, s, flat_cross(grid, 0.0), window=12.0)
-    batch = sample_stationary(m, 20_000, seed=21)
+    batch = sample_tau_density(m.profile, 20_000, seed=21)
     assert batch.window == (0.0, 12.0)
     stats = estimate_tau_stats(batch, 0.0, seed=0)
     assert abs(stats.var_tau - 12.0 ** 2 / 6.0) <= 3.0 * stats.stderr
@@ -182,7 +181,7 @@ def test_mixture_variance_tracks_the_windowed_formula():
     m = make_pair_model(s, s, gaussian_cross(grid, 1.0, 1.0), window=14.0)
     d = coincidence_profile(m)
     stats_formula = windowed_tau_variance(d)
-    batch = sample_stationary(m, 30_000, seed=17)
+    batch = sample_tau_density(m.profile, 30_000, seed=17)
     est = estimate_tau_stats(batch, 0.0, seed=0)
     expected = stats_formula.variance + stats_formula.signal_fraction * grid.dt ** 2 / 12.0
     assert abs(est.var_tau - expected) <= 3.0 * est.stderr
@@ -335,7 +334,7 @@ def test_events_csv_round_trips_bit_for_bit(tmp_path):
     assert back.source == sheared.source
     assert back.window is None
 
-    windowed = sample_stationary(m, 64, seed=13)
+    windowed = sample_tau_density(m.profile, 64, seed=13)
     path2 = tmp_path / "windowed.csv"
     events_to_csv(windowed, path2)
     back2 = events_from_csv(path2)
@@ -638,7 +637,6 @@ def test_stationary_samplers_match_the_sequential_oracle(workers, kind, count):
     for worker_count in (1, 2, 3):
         workers(worker_count)
         _assert_same_bits(sample_tau_density(m.profile, count, seed), tau_density)
-        _assert_same_bits(sample_stationary(m, count, seed), tau_density)
         _assert_same_bits(sample_stationary_sheared(m, kit, count, seed), sheared)
 
 
