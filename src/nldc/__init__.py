@@ -21,7 +21,6 @@ from .biphoton import (
     build_pdc_amplitude,
     density_from_binary,
     density_to_binary,
-    tau_marginal,
     to_time_domain,
 )
 from .moments import (
@@ -74,12 +73,9 @@ from .stationary import (
     StationaryPairModel,
     TauDensity,
     WindowedTauStats,
-    classical_extremal_model,
-    coincidence_profile,
     make_pair_model,
     tau_density_to_csv,
     windowed_covariance,
-    windowed_tau_variance,
 )
 
 __version__ = "0.1.0"
@@ -99,11 +95,10 @@ __all__ = [
     "spectrum_from_csv", "cross_to_csv", "cross_from_csv",
     # biphoton
     "BiphotonAmplitude", "JointTemporalDensity", "build_pdc_amplitude",
-    "apply_dispersion_phase", "to_time_domain", "tau_marginal",
-    "amplitude_moments", "density_to_binary", "density_from_binary",
+    "apply_dispersion_phase", "to_time_domain", "amplitude_moments",
+    "density_to_binary", "density_from_binary",
     # stationary
     "StationaryPairModel", "TauDensity", "WindowedTauStats", "make_pair_model",
-    "classical_extremal_model", "coincidence_profile", "windowed_tau_variance",
     "windowed_covariance", "tau_density_to_csv",
     # sampler
     "EventBatch", "TauStats", "EmpiricalWitnessReport", "derive_seed",

@@ -88,15 +88,6 @@ class BiphotonAmplitude:
         object.__setattr__(self, "values", _readonly(arr))
         object.__setattr__(self, "_norm", norm)  # for the Parseval check of to_time_domain
 
-    @classmethod
-    def from_values(cls, grid: FrequencyGrid, values) -> "BiphotonAmplitude":
-        """Normalize arbitrary finite values and construct."""
-        arr = np.asarray(values, dtype=np.complex128)
-        norm = math.sqrt(float((np.abs(arr) ** 2).sum()) * grid.domega ** 2)
-        if norm == 0.0:
-            raise ValueError("cannot normalize an all-zero amplitude")
-        return cls(grid, _Owned(arr / norm))
-
 
 @dataclass(frozen=True, eq=False)
 class JointTemporalDensity:
@@ -298,33 +289,6 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
 
     _for_row_blocks(n, n, normalize)
     return JointTemporalDensity(psi.grid, _Owned(p))
-
-
-def tau_marginal(density: JointTemporalDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal density of tau = t1 - t2, reduced cyclically to the centred grid.
-
-    Returns (tau values, density q) with sum q * dt = 1.  The cyclic
-    reduction is exact for periodic grids; whether the marginal actually
-    fits the grid is the caller's wrap check.
-
-    Index difference d collects the cyclic diagonal p[(m + d) % n, m] over
-    t2 index m.  Stacking the density twice along t1 makes every such
-    diagonal a straight strided line: with row stride n and element stride
-    n + 1 (in items), diag[d, m] = stacked[m + d, m].  The lines are copied
-    contiguous before summing each over m, so the sums are those of a
-    row-by-row gather, bit for bit.
-    """
-    n = density.grid.n
-    dt = density.dt
-    stacked = np.concatenate((density.values, density.values))
-    step = stacked.itemsize
-    diag = np.lib.stride_tricks.as_strided(
-        stacked, shape=(n, n), strides=(n * step, (n + 1) * step), writeable=False
-    )
-    mass_by_diff = np.ascontiguousarray(diag).sum(axis=1) * dt * dt
-    centred = mass_by_diff[(np.arange(n) - n // 2) % n]
-    tau = density.grid.times
-    return tau, centred / dt
 
 
 def _gather_lines(flat: np.ndarray, n: int, s0: int, out: np.ndarray, upper: np.ndarray) -> None:

@@ -36,9 +36,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -282,29 +281,6 @@ def _build_spectrum(spec_dict, grid, base_dir, kind):
     return model
 
 
-# The kit-independent source states.  `run` disperses one; `scan` needs
-# only cov0 and builds it once per distinct state.
-
-@dataclass(frozen=True)
-class BiphotonState:
-    psi: bp.BiphotonAmplitude
-    cov0: TemporalCovariance
-    kind: ClassVar[str] = "biphoton"
-
-
-@dataclass(frozen=True)
-class StationaryState:
-    model: st.StationaryPairModel
-    cov0: TemporalCovariance
-    kind: ClassVar[str] = "stationary"
-
-
-@dataclass(frozen=True)
-class CovarianceState:
-    cov0: TemporalCovariance
-    kind: ClassVar[str] = "covariance"
-
-
 def _check_memory_budget(state: dict, n_events: int) -> None:
     """Reject a state whose estimated peak memory exceeds the budget, before any allocation."""
     if "covariance" in state:
@@ -330,16 +306,14 @@ def _check_memory_budget(state: dict, n_events: int) -> None:
     )
 
 
-def _build_state(
-    state: dict, base_dir, n_events: int
-) -> BiphotonState | StationaryState | CovarianceState:
-    """The source state; n_events is how many events per arm the caller will sample."""
+def _build_state(state: dict, base_dir, n_events: int) -> tuple[object, TemporalCovariance]:
+    """The source (amplitude, stationary model or None) and cov0, budgeted for n_events per arm."""
     _check_memory_budget(state, n_events)
     if "biphoton" in state:
         cfg = state["biphoton"]
         grid = _build_grid(cfg["grid"])
         psi = bp.build_pdc_amplitude(grid, cfg["pump_sigma_rad_ps"], cfg["pm_sigma_rad_ps"])
-        return BiphotonState(psi, bp.amplitude_moments(psi))
+        return psi, bp.amplitude_moments(psi)
     if "stationary" in state:
         cfg = state["stationary"]
         grid = _build_grid(cfg["grid"])
@@ -350,10 +324,10 @@ def _build_state(
         else:
             cross = _build_spectrum(cfg["cross"], grid, base_dir, "cross")
         model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
-        return StationaryState(model, st.windowed_covariance(model))
+        return model, st.windowed_covariance(model)
     cfg = state["covariance"]  # keyed like the record's covariance blocks
     field_of = {key: name for name, key in _UNIT_KEYS.items()}
-    return CovarianceState(TemporalCovariance(**{field_of.get(k, k): v for k, v in cfg.items()}))
+    return None, TemporalCovariance(**{field_of.get(k, k): v for k, v in cfg.items()})
 
 
 def _kit_from(scenario) -> DispersionKit:
@@ -418,8 +392,8 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     jitter_var = _jitter_var(scenario)
     sampler = scenario.get("sampler")
     n_events = sampler["n_events"] if sampler is not None else 0
-    state = _build_state(scenario["state"], base_dir, n_events)
-    cov0 = state.cov0
+    kind = next(iter(scenario["state"]))
+    source, cov0 = _build_state(scenario["state"], base_dir, n_events)
     write_events = sampler is not None and scenario["outputs"]["events_csv"]
     estimates: dict = {}
     batches: dict = {}  # only the batches whose events CSV is written
@@ -435,11 +409,11 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             batch = sp.sample_biphoton(density, count, sub_seed)
         elif label == "before":
             batch = sp.sample_tau_density(
-                state.model.profile, count, sub_seed, source=f"stationary-{state.model.regime}"
+                source.profile, count, sub_seed, source=f"stationary-{source.regime}"
             )
         else:
             arm_kit = kit if label == "plus" else kit.swapped()
-            batch = sp.sample_stationary_sheared(state.model, arm_kit, count, sub_seed)
+            batch = sp.sample_stationary_sheared(source, arm_kit, count, sub_seed)
         estimates[label] = sp.estimate_tau_stats(
             batch, jitter_sigma / math.sqrt(2.0), sp.derive_seed(seed, f"jitter-{label}")
         )
@@ -447,17 +421,17 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             batches[label] = batch
 
     density_before = None
-    if isinstance(state, BiphotonState):
+    if kind == "biphoton":
         dump = scenario["outputs"]["density_binary"]
         if sampler is not None or dump:
-            density_before = bp.to_time_domain(state.psi)
+            density_before = bp.to_time_domain(source)
             if sampler is not None:
                 sample("before", density_before)
             if not dump:
                 density_before = None
         arms = {}
         for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
-            psi = bp.apply_dispersion_phase(state.psi, arm_kit)
+            psi = bp.apply_dispersion_phase(source, arm_kit)
             arms[label] = bp.amplitude_moments(psi)
             density = bp.to_time_domain(psi) if sampler is not None else None
             del psi  # released before the draw and before the next arm
@@ -475,22 +449,22 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "scenario": scenario,
         "scenario_hash": scenario_hash(scenario),
-        "state_kind": state.kind,
+        "state_kind": kind,
         "covariance_before": _fields(cov0),
         "covariance_after_plus": _fields(arms["plus"]),
         "covariance_after_minus": _fields(arms["minus"]),
         "separability": _fields(separability_check(cov0)),
         "witness": _witness(evaluate_witness, cov0, kit),
     }
-    if isinstance(state, BiphotonState):
+    if kind == "biphoton":
         symmetrized = 0.5 * (arms["plus"].var_tau + arms["minus"].var_tau)
         record["fft"] = {"symmetrized_var_tau_ps2": symmetrized}
-    if isinstance(state, StationaryState):
-        profile = state.model.profile
+    if kind == "stationary":
+        profile = source.profile
         record["windowed"] = {
             **_fields(profile.windowed),
             "background": profile.background,
-            "regime": state.model.regime,
+            "regime": source.regime,
         }
     if jitter_var > 0.0:
         record["jitter"] = {
@@ -523,10 +497,10 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             outputs["events"] = events
         record["sampling"] = sampling
 
-    if isinstance(state, StationaryState) and scenario["outputs"]["tau_profile_csv"]:
-        st.tau_density_to_csv(state.model.profile, out_dir / "tau_profile.csv")
+    if kind == "stationary" and scenario["outputs"]["tau_profile_csv"]:
+        st.tau_density_to_csv(source.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
-    if isinstance(state, BiphotonState) and scenario["outputs"]["density_binary"]:
+    if kind == "biphoton" and scenario["outputs"]["density_binary"]:
         bp.density_to_binary(density_before, out_dir / "density_before.bin")
         outputs["density_before"] = "density_before.bin"
 
@@ -565,17 +539,13 @@ def _plain(obj):
 
 def _resolve_numeric_path(scenario: dict, dotted: str):
     node = scenario
-    parts = dotted.split(".")
-    for key in parts[:-1]:
+    for key in dotted.split("."):
         if not isinstance(node, dict) or key not in node:
             raise ScenarioError(f"unknown parameter path {dotted!r}")
-        node = node[key]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ScenarioError(f"unknown parameter path {dotted!r}")
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+        parent, node = node, node[key]
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ScenarioError(f"parameter path {dotted!r} does not address a numeric field")
-    return node, leaf
+    return parent, key
 
 
 def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")) -> list[dict]:
@@ -604,7 +574,7 @@ def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")
     for value, variant in zip(values, variants):
         key = canonical_json(variant["state"])
         if key not in cov0_by_state:
-            cov0_by_state[key] = _build_state(variant["state"], base_dir, 0).cov0
+            _, cov0_by_state[key] = _build_state(variant["state"], base_dir, 0)
         cov_obs = apply_jitter(cov0_by_state[key], _jitter_var(variant))
         report = evaluate_witness(cov_obs, _kit_from(variant))
         rows.append({"value": float(value), **_fields(report)})
@@ -624,12 +594,15 @@ def write_scan_csv(rows: list[dict], path) -> None:
 # ---------------------------------------------------------------------------
 # Rendering: hand-rolled SVG so output is deterministic byte for byte.
 
-def _svg_header(width, height, title):
+def _svg_header(width, height, title, margin):
+    """The svg element, its title, a white background and the plot frame inset by margin."""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
         f'<title>{title}</title>\n'
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" height="{height - 2 * margin}" '
+        'fill="none" stroke="black" stroke-width="1"/>\n'
     )
 
 
@@ -651,11 +624,7 @@ def render_scatter(batch: sp.EventBatch, path) -> None:
         hi = float(max(batch.t1.max(), batch.t2.max()))
     lo, hi = _axis_bounds(lo, hi)
     scale = span / (hi - lo)
-    parts = [_svg_header(size, size, f"detection times: {batch.source}")]
-    parts.append(
-        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
-        'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
+    parts = [_svg_header(size, size, f"detection times: {batch.source}", margin)]
     for frac in (0.0, 0.5, 1.0):
         v = lo + frac * (hi - lo)
         x = margin + frac * span
@@ -694,11 +663,7 @@ def render_tau_hist(batch: sp.EventBatch, path, bins: int = 64) -> None:
     lo, hi = edges[0], edges[-1]
     if hi == lo:
         hi = lo + 1.0
-    parts = [_svg_header(width, height, f"tau histogram: {batch.source}")]
-    parts.append(
-        f'<rect x="{margin}" y="{margin}" width="{span_x}" height="{span_y}" '
-        'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
+    parts = [_svg_header(width, height, f"tau histogram: {batch.source}", margin)]
     for i, c in enumerate(counts):
         if c == 0:
             continue
@@ -787,7 +752,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_scan(args) -> int:
     scenario = load_scenario(args.scenario)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    values = []
+    for entry in filter(None, (v.strip() for v in args.values.split(","))):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ScenarioError(f"--values entry {entry!r} is not a finite number")
+        values.append(value)
     if not values:
         raise ScenarioError("scan needs at least one value")
     rows = scan_scenario(scenario, args.param, values, base_dir=Path(args.scenario).parent)

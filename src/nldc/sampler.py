@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from ._blocks import BLOCK_CELLS, _for_row_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
-from .spectral import _own_or_copy, _Owned, _readonly, _write_formatted_rows
+from .spectral import _own_or_copy, _Owned, _read_body, _readonly, _write_formatted_rows
 from .stationary import StationaryPairModel, TauDensity
 
 
@@ -546,15 +545,7 @@ def _events_comment(path, comment: str):
 def events_from_csv(path) -> EventBatch:
     with open(path, "r", encoding="utf-8") as fh:
         seed, window, source = _events_comment(path, fh.readline().rstrip("\n"))
-        header = fh.readline().strip()
-        if header != "t1_ps,t2_ps":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        with warnings.catch_warnings():
-            # An empty body is rejected below, by its shape, without a numpy warning on stderr.
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"{path}: events body must have 2 columns (t1_ps, t2_ps), found shape {data.shape}")
+        data = _read_body(fh, path, "t1_ps,t2_ps")
     return EventBatch(
         t1=_Owned(data[:, 0]), t2=_Owned(data[:, 1]), seed=seed, source=source, window=window
     )

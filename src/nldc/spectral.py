@@ -27,6 +27,7 @@ the bound is checked one-sidedly there).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -284,7 +285,21 @@ def _write_rows(path, grid, header, cols):
         _write_formatted_rows(fh, ",".join(["%.17g"] * len(cols)) + "\n", cols)
 
 
-def _read_rows(path, ncols):
+def _read_body(fh, path, header: str) -> np.ndarray:
+    """The rows of an open CSV whose first line the caller has read: header line, then its columns."""
+    line = fh.readline().strip()
+    if line != header:
+        raise ValueError(f"{path}: the second line must read {header!r}, got {line!r}")
+    with warnings.catch_warnings():
+        # An empty body is rejected below, by its shape, without a numpy warning on stderr.
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != header.count(",") + 1:
+        raise ValueError(f"{path}: the body must have the columns {header}, found shape {data.shape}")
+    return data
+
+
+def _read_rows(path, header):
     with open(path, "r", encoding="utf-8") as fh:
         comment = fh.readline().strip()
         try:
@@ -297,10 +312,9 @@ def _read_rows(path, ncols):
                 f"{path}: the first line must read '# n=<int> domega_rad_ps=<float>', got {comment!r}"
             ) from None
         grid = FrequencyGrid(n=n, domega=domega)
-        fh.readline()  # header
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape != (grid.n, ncols):
-        raise ValueError(f"{path}: expected {grid.n} rows x {ncols} cols, got {data.shape}")
+        data = _read_body(fh, path, header)
+    if len(data) != grid.n:
+        raise ValueError(f"{path}: expected {grid.n} rows, got {len(data)}")
     if not np.allclose(data[:, 0], grid.omegas, rtol=0.0, atol=1e-9 * grid.domega):
         raise ValueError(f"{path}: omega column does not match the declared grid")
     return grid, data
@@ -311,7 +325,7 @@ def spectrum_to_csv(s: SpectralModel, path) -> None:
 
 
 def spectrum_from_csv(path) -> SpectralModel:
-    grid, data = _read_rows(path, 2)
+    grid, data = _read_rows(path, "omega_rad_ps,value")
     return SpectralModel(grid, data[:, 1])
 
 
@@ -320,5 +334,5 @@ def cross_to_csv(x: CrossSpectrum, path) -> None:
 
 
 def cross_from_csv(path) -> CrossSpectrum:
-    grid, data = _read_rows(path, 3)
+    grid, data = _read_rows(path, "omega_rad_ps,re,im")
     return CrossSpectrum(grid, data[:, 1] + 1j * data[:, 2])

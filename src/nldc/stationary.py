@@ -45,7 +45,6 @@ from .spectral import (
     _write_rows,
     classical_admissible,
     intensity,
-    max_classical_cross,
     quantum_admissible,
     require_same_grid,
 )
@@ -87,8 +86,14 @@ class StationaryPairModel:
 
     @cached_property
     def profile(self) -> TauDensity:
-        """coincidence_profile(self), evaluated once per model."""
-        return coincidence_profile(self)
+        """B = I1*I2 and |g(tau)|^2 from the transform of the cross-spectrum, once per model."""
+        g = to_time_1d(self.cross.values, self.grid)
+        return TauDensity(
+            grid=self.grid,
+            signal=np.abs(g) ** 2,
+            background=intensity(self.s1) * intensity(self.s2),
+            window=self.window,
+        )
 
 
 def make_pair_model(
@@ -104,13 +109,6 @@ def make_pair_model(
         return StationaryPairModel(s1, s2, cross, window, "classical")
     except AdmissibilityError:
         return StationaryPairModel(s1, s2, cross, window, "quantum")
-
-
-def classical_extremal_model(
-    s1: SpectralModel, s2: SpectralModel, window: float
-) -> StationaryPairModel:
-    """The strongest classically allowed correlations for the given spectra."""
-    return StationaryPairModel(s1, s2, max_classical_cross(s1, s2), window, "classical")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,69 +142,53 @@ class TauDensity:
         return self.grid.dt
 
     @cached_property
+    def _signal_moments(self) -> tuple[float, float, float]:
+        """(mean, variance, integrated weight) of the signal profile.
+
+        Raises GridTooCoarseError when signal mass reaches the tau grid edge
+        (the profile would wrap) and WindowTooSmallError when the window does
+        not cover 6x the RMS width sqrt(E[tau^2]) of the profile.
+        """
+        total = float(self.signal.sum()) * self.dt
+        if total == 0.0:
+            return 0.0, 0.0, 0.0
+        weights = self.signal * self.dt / total
+        _require_unwrapped(weights, "signal profile")
+        tau = self.taus
+        mean = float((tau * weights).sum())
+        var = float((((tau - mean) ** 2) * weights).sum())
+        rms = math.sqrt(var + mean * mean)
+        if self.window < 6.0 * rms:
+            raise WindowTooSmallError(
+                f"window T = {self.window} ps must cover 6x the signal RMS width {rms} ps"
+            )
+        return mean, var, total
+
+    @cached_property
     def windowed(self) -> WindowedTauStats:
-        """windowed_tau_variance(self), evaluated once per profile."""
-        return windowed_tau_variance(self)
+        """Variance of tau over the windowed background/signal mixture.
+
+        Background events follow the triangular difference law (variance
+        T^2/6, mean 0); signal events follow the normalized profile.  The
+        mixture adds the usual cross-mean term, which vanishes for symmetric
+        profiles.
+        """
+        mean_s, var_s, total = self._signal_moments
+        T = self.window
+        w_background = self.background * T * T
+        w_signal = T * total
+        if w_background + w_signal == 0.0:
+            raise DegenerateStateError("model has neither background nor signal weight")
+        f_s = w_signal / (w_background + w_signal)
+        f_b = 1.0 - f_s
+        variance = f_b * (T * T / 6.0) + f_s * var_s + f_s * f_b * mean_s ** 2
+        return WindowedTauStats(variance=variance, signal_fraction=f_s)
 
 
 @dataclass(frozen=True)
 class WindowedTauStats:
     variance: float
     signal_fraction: float
-
-
-def coincidence_profile(m: StationaryPairModel) -> TauDensity:
-    """B = I1*I2 and |g(tau)|^2 from the transform of the cross-spectrum."""
-    g = to_time_1d(m.cross.values, m.grid)
-    return TauDensity(
-        grid=m.grid,
-        signal=np.abs(g) ** 2,
-        background=intensity(m.s1) * intensity(m.s2),
-        window=m.window,
-    )
-
-
-def _signal_moments(d: TauDensity) -> tuple[float, float, float]:
-    """(mean, variance, integrated weight) of the signal profile.
-
-    Raises GridTooCoarseError when signal mass reaches the tau grid edge
-    (the profile would wrap) and WindowTooSmallError when the window does
-    not cover 6x the RMS width sqrt(E[tau^2]) of the profile.
-    """
-    total = float(d.signal.sum()) * d.dt
-    if total == 0.0:
-        return 0.0, 0.0, 0.0
-    weights = d.signal * d.dt / total
-    _require_unwrapped(weights, "signal profile")
-    tau = d.taus
-    mean = float((tau * weights).sum())
-    var = float((((tau - mean) ** 2) * weights).sum())
-    rms = math.sqrt(var + mean * mean)
-    if d.window < 6.0 * rms:
-        raise WindowTooSmallError(
-            f"window T = {d.window} ps must cover 6x the signal RMS width {rms} ps"
-        )
-    return mean, var, total
-
-
-def windowed_tau_variance(d: TauDensity) -> WindowedTauStats:
-    """Variance of tau over the windowed background/signal mixture.
-
-    Background events follow the triangular difference law (variance
-    T^2/6, mean 0); signal events follow the normalized profile.  The
-    mixture adds the usual cross-mean term, which vanishes for symmetric
-    profiles.
-    """
-    mean_s, var_s, total = _signal_moments(d)
-    T = d.window
-    w_background = d.background * T * T
-    w_signal = T * total
-    if w_background + w_signal == 0.0:
-        raise DegenerateStateError("model has neither background nor signal weight")
-    f_s = w_signal / (w_background + w_signal)
-    f_b = 1.0 - f_s
-    variance = f_b * (T * T / 6.0) + f_s * var_s + f_s * f_b * mean_s ** 2
-    return WindowedTauStats(variance=variance, signal_fraction=f_s)
 
 
 def _spectral_moments(s: SpectralModel) -> tuple[float, float]:
@@ -230,7 +212,7 @@ def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
     stats = d.windowed
     f_s = stats.signal_fraction
     f_b = 1.0 - f_s
-    mean_s, _, _ = _signal_moments(d)
+    mean_s, _, _ = d._signal_moments
     m1, v1 = _spectral_moments(m.s1)
     m2, v2 = _spectral_moments(m.s2)
     mean_omega_b = m1 + m2

@@ -45,11 +45,10 @@ from nldc.spectral import (
     flat_spectrum,
     gaussian_cross,
     gaussian_spectrum,
+    max_classical_cross,
     quantum_admissible,
 )
 from nldc.stationary import (
-    classical_extremal_model,
-    coincidence_profile,
     make_pair_model,
     windowed_covariance,
 )
@@ -169,11 +168,12 @@ def test_criterion_4_classical_ceiling():
     for _ in range(100):
         s1 = gaussian_spectrum(grid, rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
         s2 = gaussian_spectrum(grid, rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
-        probe = coincidence_profile(classical_extremal_model(s1, s2, window=1.0))
+        cross = max_classical_cross(s1, s2)
+        probe = make_pair_model(s1, s2, cross, window=1.0).profile
         peak_ok = peak_ok and probe.signal.max() <= probe.background * (1.0 + 1e-9)
         weights = probe.signal / probe.signal.sum()
         rms = math.sqrt(float((probe.taus ** 2 * weights).sum()))
-        model = classical_extremal_model(s1, s2, window=10.0 * rms)
+        model = make_pair_model(s1, s2, cross, window=10.0 * rms)
         kit = DispersionKit(beta_L=rng.uniform(0.0, 10.0))
         margin_worst = max(
             margin_worst, evaluate_witness(windowed_covariance(model), kit).margin

@@ -10,6 +10,7 @@ success, 2 scenario/validation problems, 3 numerical precondition
 failures.
 """
 
+import ast
 import copy
 import dataclasses
 import json
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
+from oracles import tau_marginal
 
 
 def _write(tmp_path, name, obj):
@@ -155,6 +157,30 @@ def test_spectrum_csv_with_a_malformed_grid_line_exits_2(tmp_path, capsys, spec,
     assert "'# n=<int> domega_rad_ps=<float>'" in err["message"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("spec", ["s1", "cross"])
+@pytest.mark.parametrize("defect", ["empty_body", "wrong_header"])
+def test_spectrum_csv_with_a_bad_body_exits_2(tmp_path, capsys, spec, defect):
+    grid = "# n=256 domega_rad_ps=0.25\n"
+    header = {"s1": "omega_rad_ps,value", "cross": "omega_rad_ps,re,im"}[spec]
+    if defect == "empty_body":
+        text = f"{grid}{header}\n"
+    else:
+        ncols = header.count(",") + 1
+        rows = "".join(f"{(k - 128) * 0.25!r}{',0' * (ncols - 1)}\n" for k in range(256))
+        text = f"{grid}omega,{header.split(',', 1)[1]}\n{rows}"
+    (tmp_path / "bad.csv").write_text(text)
+    scenario = _stationary_scenario()
+    scenario["state"]["stationary"][spec] = {"csv": "bad.csv"}
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1  # the error line alone, no numpy warning
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError" and str(tmp_path / "bad.csv") in err["message"]
+    assert ("found shape (0, 1)" if defect == "empty_body" else repr(header)) in err["message"]
+
+
 def test_unresolvable_grid_exits_3(tmp_path, capsys):
     scenario = _biphoton_scenario()
     del scenario["sampler"]
@@ -175,7 +201,7 @@ def _edge_ratio(a, b, n, domega, beta_L):
     psi = biphoton.apply_dispersion_phase(
         biphoton.build_pdc_amplitude(grid, a, b), DispersionKit(beta_L=beta_L, delay_1=0.3)
     )
-    _, q = biphoton.tau_marginal(biphoton.to_time_domain(psi))
+    _, q = tau_marginal(biphoton.to_time_domain(psi))
     return (q[0] + q[1] + q[-2] + q[-1]) * grid.dt / 1e-6
 
 
@@ -769,10 +795,11 @@ def test_unsampled_biphoton_run_makes_no_2d_transform(tmp_path, monkeypatch):
 
 def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
     # The profile comes from one 1D transform, shared by the covariance,
-    # the windowed block, the tau-profile CSV and all three samplers.
+    # the windowed block, the tau-profile CSV and all three samplers.  Its
+    # signal moments are read once too: the wrap check counted here and the
+    # window check after it run in that one pass.
     transforms = _count_calls(monkeypatch, stationary, "to_time_1d")
-    profiles = _count_calls(monkeypatch, stationary, "coincidence_profile")
-    variances = _count_calls(monkeypatch, stationary, "windowed_tau_variance")
+    wrap_checks = _count_calls(monkeypatch, stationary, "_require_unwrapped")
     separability = _count_calls(monkeypatch, cli, "separability_check")
     scenario = _stationary_scenario()
     scenario["sampler"] = {"n_events": 500, "seed": 3}
@@ -781,8 +808,7 @@ def test_sampled_stationary_run_builds_one_profile(tmp_path, monkeypatch):
     assert (out_dir / "tau_profile.csv").exists()
     assert _record(out_dir)["sampling"]["estimates"]["minus"]["n"] == 500
     assert len(transforms) == 1
-    assert len(profiles) == 1
-    assert len(variances) == 1
+    assert len(wrap_checks) == 1
     assert len(separability) == 1
 
 
@@ -1052,6 +1078,22 @@ def test_scan_rejects_bad_parameter_paths(tmp_path, capsys):
     assert "numeric" in _stderr_error(capsys)["message"]
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "1e999", "abc"])
+def test_scan_rejects_values_that_are_not_finite_numbers(tmp_path, capsys, entry):
+    path = _write(tmp_path, "cov.json", _covariance_scenario())
+    out_dir = tmp_path / "scan"
+    rc = cli.main([
+        "scan", str(path), "--param", "jitter_sigma_ps", "--values", f"0.1, {entry}", "--out", str(out_dir),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "ScenarioError"
+    assert "--values" in err["message"] and repr(entry) in err["message"]
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # Rendering.
 
@@ -1083,13 +1125,16 @@ def _scatter_oracle(batch):
     else:
         lo = float(min(batch.t1.min(), batch.t2.min()))
         hi = float(max(batch.t1.max(), batch.t2.max()))
-    lo, hi = cli._axis_bounds(lo, hi)
+    assert lo != hi
+    pad = (hi - lo) * 0.05
+    lo, hi = lo - pad, hi + pad
     scale = span / (hi - lo)
-    parts = [cli._svg_header(size, size, f"detection times: {batch.source}")]
-    parts.append(
-        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
-        'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">\n',
+        f"<title>detection times: {batch.source}</title>\n",
+        '<rect x="0" y="0" width="640" height="640" fill="white"/>\n',
+        '<rect x="70" y="70" width="500" height="500" fill="none" stroke="black" stroke-width="1"/>\n',
+    ]
     for frac in (0.0, 0.5, 1.0):
         v = lo + frac * (hi - lo)
         x = margin + frac * span
@@ -1168,6 +1213,7 @@ def test_render_rejects_malformed_records(tmp_path, capsys, doctor):
         assert err["error"] == "ScenarioError" and "events" in err["message"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("columns, shape", [(0, "(0, 1)"), (1, "(100, 1)"), (3, "(100, 3)")])
 def test_render_rejects_an_events_body_without_two_columns(tmp_path, capsys, columns, shape):
     rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
@@ -1288,6 +1334,24 @@ def test_loading_a_scenario_does_not_import_jsonschema(tmp_path):
     proc = _checkout_subprocess([sys.executable, "-c", code, str(path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_export_list_is_every_name_the_package_binds():
+    # The names nldc/__init__.py binds by its imports and assignments (not
+    # the submodules that importing them loads), each exported once.
+    import nldc
+
+    bound = set()
+    for node in ast.parse(Path(nldc.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+    bound.discard("__all__")
+    assert sorted(nldc.__all__) == sorted(bound)
+    namespace: dict = {}
+    exec("from nldc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == bound
 
 
 def test_console_script_entry_point(tmp_path):

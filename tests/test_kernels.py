@@ -29,6 +29,7 @@ from nldc.biphoton import (
 from nldc.moments import DispersionKit
 from nldc.sampler import EventBatch
 from nldc.spectral import FrequencyGrid, _Owned
+from oracles import amplitude_from_values
 
 KIT = DispersionKit(beta_L=0.3, delay_1=0.8, delay_2=-0.5)
 PM_SIGMA = 3.0
@@ -169,7 +170,7 @@ def test_line_sums_match_on_single_block_grids(n):
     grid = FrequencyGrid(n=n, domega=1.0)
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    psi = BiphotonAmplitude.from_values(grid, values)
+    psi = amplitude_from_values(grid, values)
     got = _sum_frequency_lines(psi)
     expected = _lines_oracle(psi.values, grid)
     assert all(_same_bits(g, e) for g, e in zip(got, expected))

@@ -49,14 +49,12 @@ from nldc.spectral import (
     flat_spectrum,
     gaussian_cross,
     gaussian_spectrum,
+    max_classical_cross,
 )
 from nldc.stationary import (
     TauDensity,
-    classical_extremal_model,
-    coincidence_profile,
     make_pair_model,
     windowed_covariance,
-    windowed_tau_variance,
 )
 
 
@@ -142,7 +140,7 @@ def test_signal_only_mixture_hugs_the_ridge():
     assert batch.window == (0.0, 10.0)
     assert np.all(np.abs(batch.tau) <= 6.0 * 0.5)
     stats = estimate_tau_stats(batch, 0.0, seed=0)
-    expected = windowed_tau_variance(d).variance + grid.dt ** 2 / 12.0
+    expected = d.windowed.variance + grid.dt ** 2 / 12.0
     assert abs(stats.var_tau - expected) <= 3.0 * stats.stderr
 
 
@@ -179,8 +177,7 @@ def test_mixture_variance_tracks_the_windowed_formula():
     grid = FrequencyGrid(512, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
     m = make_pair_model(s, s, gaussian_cross(grid, 1.0, 1.0), window=14.0)
-    d = coincidence_profile(m)
-    stats_formula = windowed_tau_variance(d)
+    stats_formula = m.profile.windowed
     batch = sample_tau_density(m.profile, 30_000, seed=17)
     est = estimate_tau_stats(batch, 0.0, seed=0)
     expected = stats_formula.variance + stats_formula.signal_fraction * grid.dt ** 2 / 12.0
@@ -195,7 +192,7 @@ def test_sheared_events_realise_the_covariance_shear():
     kit = DispersionKit(beta_L=0.8, delay_1=0.3, delay_2=-0.2)
     cov0 = windowed_covariance(m)
     sheared = shear_covariance(cov0, kit)
-    f_s = windowed_tau_variance(coincidence_profile(m)).signal_fraction
+    f_s = m.profile.windowed.signal_fraction
     f_b = 1.0 - f_s
     batch = sample_stationary_sheared(m, kit, 40_000, seed=31)
     assert batch.window is None
@@ -617,7 +614,8 @@ def _mixture_model(kind):
     if kind == "quantum":
         return make_pair_model(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
     if kind == "classical-extremal":
-        return classical_extremal_model(s, gaussian_spectrum(grid, 0.5, 1.3), window=14.0)
+        s2 = gaussian_spectrum(grid, 0.5, 1.3)
+        return make_pair_model(s, s2, max_classical_cross(s, s2), window=14.0)
     if kind == "zero-cross":  # no signal events, and an all-zero |x|^2
         return make_pair_model(s, s, flat_cross(grid, 0.0), window=12.0)
     # zero background: a dark first beam, so every event is a signal event

@@ -40,12 +40,9 @@ from nldc.spectral import (
 from nldc.stationary import (
     StationaryPairModel,
     TauDensity,
-    classical_extremal_model,
-    coincidence_profile,
     make_pair_model,
     tau_density_to_csv,
     windowed_covariance,
-    windowed_tau_variance,
 )
 
 GRID = FrequencyGrid(512, 0.25)
@@ -60,10 +57,10 @@ def test_zero_cross_gives_pure_triangular_background():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
     m = make_pair_model(s1, s2, flat_cross(GRID, 0.0), window=12.0)
     assert m.regime == "classical"
-    d = coincidence_profile(m)
+    d = m.profile
     assert np.all(d.signal == 0.0)
     assert d.background == pytest.approx(2.0 / math.pi, rel=1e-12)
-    stats = windowed_tau_variance(d)
+    stats = d.windowed
     assert stats.signal_fraction == 0.0
     assert stats.variance == 12.0 ** 2 / 6.0
 
@@ -72,7 +69,7 @@ def test_gaussian_cross_profile_matches_closed_forms():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
     p, sx = 0.8, 1.0
     m = make_pair_model(s1, s2, gaussian_cross(GRID, p, sx), window=20.0)
-    d = coincidence_profile(m)
+    d = m.profile
     centre = GRID.n // 2
     assert d.taus[centre] == 0.0
     assert d.signal[centre] == pytest.approx(p * p * sx * sx / (2.0 * math.pi), rel=1e-9)
@@ -85,7 +82,7 @@ def test_profile_peak_agrees_with_trapezoid_quadrature():
     # Independent route to |g(0)|^2: quadrature of the cross-spectrum.
     s1, s2 = _unit_gauss_pair(GRID)
     x = gaussian_cross(GRID, 0.6, 0.9)
-    d = coincidence_profile(make_pair_model(s1, s2, x, window=20.0))
+    d = make_pair_model(s1, s2, x, window=20.0).profile
     g0 = np.trapezoid(x.values.real, GRID.omegas) / (2.0 * math.pi)
     assert d.signal[GRID.n // 2] == pytest.approx(g0 * g0, rel=1e-12)
 
@@ -93,12 +90,10 @@ def test_profile_peak_agrees_with_trapezoid_quadrature():
 def test_pure_signal_variance_matches_gaussian_width():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
     sx = 1.0
-    d = coincidence_profile(
-        make_pair_model(s1, s2, gaussian_cross(GRID, 0.8, sx), window=10.0)
-    )
+    d = make_pair_model(s1, s2, gaussian_cross(GRID, 0.8, sx), window=10.0).profile
     # Distil the ridge alone: a density with no accidental floor.
     pure = TauDensity(grid=GRID, signal=d.signal, background=0.0, window=10.0)
-    stats = windowed_tau_variance(pure)
+    stats = pure.windowed
     assert stats.signal_fraction == 1.0
     assert stats.variance == pytest.approx(1.0 / (2.0 * sx * sx), rel=1e-9)
 
@@ -106,9 +101,9 @@ def test_pure_signal_variance_matches_gaussian_width():
 def test_flat_extremal_signal_peak_equals_background():
     grid = FrequencyGrid(64, 0.25)
     s = flat_spectrum(grid, 1.0)
-    m = classical_extremal_model(s, s, window=8.0)
+    m = make_pair_model(s, s, max_classical_cross(s, s), window=8.0)
     assert m.regime == "classical"
-    d = coincidence_profile(m)
+    d = m.profile
     b = (grid.n * grid.domega / (2.0 * math.pi)) ** 2
     assert d.background == pytest.approx(b, rel=1e-12)
     centre = grid.n // 2
@@ -116,7 +111,7 @@ def test_flat_extremal_signal_peak_equals_background():
     off = np.delete(d.signal, centre)
     assert np.all(off < b * 1e-20)
     # Zero-width ridge: only the mixture weights matter.
-    stats = windowed_tau_variance(d)
+    stats = d.windowed
     f_s = grid.dt / (8.0 + grid.dt)
     assert stats.signal_fraction == pytest.approx(f_s, rel=1e-12)
     assert stats.variance == pytest.approx((1.0 - f_s) * 8.0 ** 2 / 6.0, rel=1e-12)
@@ -127,14 +122,14 @@ def test_flat_quantum_cross_doubles_the_peak():
     s = flat_spectrum(grid, 1.0)
     m = make_pair_model(s, s, flat_cross(grid, math.sqrt(2.0)), window=8.0)
     assert m.regime == "quantum"
-    d = coincidence_profile(m)
+    d = m.profile
     assert d.signal[grid.n // 2] == pytest.approx(2.0 * d.background, rel=1e-12)
 
 
 def test_no_weight_at_all_is_degenerate():
     d = TauDensity(grid=GRID, signal=np.zeros(GRID.n), background=0.0, window=5.0)
     with pytest.raises(DegenerateStateError):
-        windowed_tau_variance(d)
+        d.windowed
 
 
 def test_variance_grows_quadratically_with_window():
@@ -143,7 +138,7 @@ def test_variance_grows_quadratically_with_window():
     var = {}
     for T in (200.0, 400.0):
         m = StationaryPairModel(s1, s2, x, T, "classical")
-        var[T] = windowed_tau_variance(coincidence_profile(m)).variance
+        var[T] = m.profile.windowed.variance
     ratio = var[400.0] / var[200.0]
     # The fixed-width ridge dilutes away, leaving the T^2/6 law.
     assert abs(ratio / 4.0 - 1.0) < 0.01
@@ -160,9 +155,9 @@ def test_mixture_variance_against_triangular_quadrature():
     """
     s1, s2 = _unit_gauss_pair(GRID)
     T = 14.0
-    m = classical_extremal_model(s1, s2, window=T)
-    d = coincidence_profile(m)
-    stats = windowed_tau_variance(d)
+    m = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=T)
+    d = m.profile
+    stats = d.windowed
     taus = d.taus
     overlap = T - np.abs(taus)
     sig_w = float((overlap * d.signal).sum()) * d.dt
@@ -178,7 +173,7 @@ def test_window_must_cover_six_rms_widths():
     # sx = 0.2 puts the ridge RMS width at 1/(0.2*sqrt(2)) ~ 3.54 ps.
     m = make_pair_model(s1, s2, gaussian_cross(grid, 0.5, 0.2), window=10.0)
     with pytest.raises(WindowTooSmallError):
-        windowed_tau_variance(coincidence_profile(m))
+        m.profile.windowed
 
 
 def test_ridge_wrapping_off_the_tau_grid_is_rejected():
@@ -187,7 +182,7 @@ def test_ridge_wrapping_off_the_tau_grid_is_rejected():
     # sx = 0.05 makes the ridge wider than the whole conjugate grid.
     m = make_pair_model(s1, s2, gaussian_cross(grid, 0.5, 0.05), window=200.0)
     with pytest.raises(GridTooCoarseError) as err:
-        windowed_tau_variance(coincidence_profile(m))
+        m.profile.windowed
     assert err.value.ratio is not None and err.value.ratio >= 1.0
 
 
@@ -263,7 +258,7 @@ def test_windowed_covariance_composes_the_mixture_moments():
     m = make_pair_model(s1, s2, x, window=40.0)
     assert m.regime == "classical"
     cov = windowed_covariance(m)
-    stats = windowed_tau_variance(coincidence_profile(m))
+    stats = m.profile.windowed
     f_s = stats.signal_fraction
     f_b = 1.0 - f_s
 
@@ -301,14 +296,14 @@ def test_classical_extremal_peak_never_beats_the_floor(p1, p2, w1, w2, c1, c2):
     grid = FrequencyGrid(256, 0.25)
     s1 = gaussian_spectrum(grid, p1, w1, c1)
     s2 = gaussian_spectrum(grid, p2, w2, c2)
-    d = coincidence_profile(classical_extremal_model(s1, s2, window=50.0))
+    d = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=50.0).profile
     assert d.signal.max() <= d.background * (1.0 + 1e-9)
 
 
 def test_profile_csv_rows(tmp_path):
     grid = FrequencyGrid(32, 0.5)
     s = flat_spectrum(grid, 1.0)
-    d = coincidence_profile(classical_extremal_model(s, s, window=6.0))
+    d = make_pair_model(s, s, max_classical_cross(s, s), window=6.0).profile
     path = tmp_path / "profile.csv"
     tau_density_to_csv(d, path)
     lines = path.read_text().splitlines()
@@ -325,7 +320,7 @@ def test_profile_csv_rows(tmp_path):
 def test_profile_csv_matches_the_row_loop(tmp_path):
     grid = FrequencyGrid(256, 0.25)
     s1, s2 = _unit_gauss_pair(grid)
-    d = coincidence_profile(make_pair_model(s1, s2, gaussian_cross(grid, 0.4, 0.7), window=20.0))
+    d = make_pair_model(s1, s2, gaussian_cross(grid, 0.4, 0.7), window=20.0).profile
     lines = [f"# n={d.grid.n} domega_rad_ps={d.grid.domega:.17g}\n", "tau_ps,signal,background,window_ps\n"]
     for tau, s in zip(d.taus, d.signal):
         lines.append(f"{tau:.17g},{s:.17g},{d.background:.17g},{d.window:.17g}\n")
