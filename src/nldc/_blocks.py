@@ -1,4 +1,5 @@
-"""Fixed row blocks of the n x n kernels and the samplers, spread over a lazily started thread pool.
+"""Fixed row blocks of the n x n kernels and the samplers, spread over a lazily started thread pool;
+chunks of the large text tables, spread over forked processes.
 
 A kernel cuts its rows (or columns, or sum-frequency lines, or the events
 of a batch) into blocks of BLOCK_CELLS cells, and `_for_row_blocks` hands
@@ -8,15 +9,23 @@ combines any per-block sum in block order, so every output bit is the same
 on any machine.  numpy releases the interpreter lock inside its loops, FFTs
 and random fills, so the groups run in parallel.
 
-This is the only module that knows about threads.  Work handed to it must
-call no public nldc function: span tracers wrap those and assume that
-every call runs on one thread.
+Formatting text holds the interpreter lock, so threads cannot share it.
+`_write_in_groups` instead cuts a table's chunks into one contiguous group
+per worker: the calling process writes the first group into the file, and
+a forked child writes each later group into a temporary file, which the
+caller appends in group order.  The bytes are those of one process.
+
+This is the only module that knows about threads and processes.  Work
+handed to it must call no public nldc function: span tracers wrap those and
+assume that every call runs on one thread of one process.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import threading
+import warnings
 
 BLOCK_CELLS = 1 << 16  # so an n x n array with n <= 256 is one block, run inline
 
@@ -105,3 +114,69 @@ def _for_row_blocks(length: int, width: int, fn) -> None:
     """Call fn(r0, r1) on row ranges of whole blocks that tile 0 .. length, one range per worker."""
     rows = _block_rows(length, width)
     _POOL.run(-(-length // rows), lambda b0, b1: fn(b0 * rows, min(b1 * rows, length)))
+
+
+def _write_in_groups(fh, count: int, write) -> None:
+    """Call write(out, c0, c1) on contiguous groups of the chunks 0 .. count - 1, so that fh gets them in order.
+
+    fh is a text file opened with newline="\n"; write must stream its
+    chunks into the text file `out`, one chunk's text at a time.  The
+    calling process writes the first group straight into fh.  A forked
+    child writes each later group into an unlinked temporary file next to
+    fh, and leaves by os._exit without flushing anything of its parent's.
+    Every child is reaped, even when the caller's own group raises; then
+    the parts are appended to fh in 1 MiB reads.  A child that fails
+    raises an OSError naming fh's file.
+    """
+    groups = min(_POOL.workers, count)
+    if groups <= 1 or getattr(_pool_thread, "marked", False) or not hasattr(os, "fork"):
+        write(fh, 0, count)
+        return
+    # Imported on first use, so that importing nldc loads no module for the children.
+    import shutil
+    import tempfile
+
+    bounds = [count * g // groups for g in range(groups + 1)]
+    directory = os.path.dirname(os.path.abspath(fh.name))
+    parts, pids = [], []
+    try:
+        try:
+            for c0, c1 in zip(bounds[1:-1], bounds[2:]):
+                parts.append(tempfile.TemporaryFile(dir=directory))
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns on a fork beside live threads.  Outside
+                    # _POOL.run the pool's threads are idle and hold no lock, and a
+                    # child only formats text and writes its file.
+                    warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _write_part(parts[-1], fh.encoding, c0, c1, write)
+                pids.append(pid)
+            write(fh, bounds[0], bounds[1])
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        for status in statuses:
+            if status:
+                raise OSError(
+                    f"{fh.name}: a forked process formatting its rows failed "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+        fh.flush()
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part, fh.buffer, 1 << 20)
+    finally:
+        for part in parts:
+            part.close()
+
+
+def _write_part(part, encoding: str, c0: int, c1: int, write) -> None:
+    """In a forked child: write chunks c0 .. c1 into part, then exit, with status 0 only if all of it is written."""
+    code = 1
+    try:
+        out = io.TextIOWrapper(part, encoding=encoding, newline="\n")
+        write(out, c0, c1)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)

@@ -33,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._blocks import _write_in_groups
 from .errors import GridMismatchError, GridTooCoarseError
 
 SATURATION_RTOL = 1e-9
@@ -259,7 +260,7 @@ def max_classical_cross(s1: SpectralModel, s2: SpectralModel) -> CrossSpectrum:
 
 # Rows formatted per `%`.  Bounds what one `%` holds, the chunk's value
 # tuple and its text (about 0.6 MB of text for two 17-digit columns),
-# whatever the length of the table.
+# whatever the length of the table, in each process that formats a part.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -268,13 +269,18 @@ def _write_formatted_rows(fh, row_template, cols) -> None:
 
     Each chunk is one `%` of the template repeated per row on the chunk's
     values in row-major order, which formats every value exactly as a
-    per-row `%` would, so the bytes equal those of a row loop.
+    per-row `%` would, so the bytes equal those of a row loop.  Groups of
+    chunks are formatted in parallel processes (`_blocks._write_in_groups`).
     """
     n = len(cols[0])
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        block = np.column_stack([c[start:stop] for c in cols])
-        fh.write(row_template * (stop - start) % tuple(block.ravel().tolist()))
+
+    def write(out, c0, c1):
+        for start in range(c0 * _CHUNK_ROWS, min(c1 * _CHUNK_ROWS, n), _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            block = np.column_stack([c[start:stop] for c in cols])
+            out.write(row_template * (stop - start) % tuple(block.ravel().tolist()))
+
+    _write_in_groups(fh, -(-n // _CHUNK_ROWS), write)
 
 
 def _write_rows(path, grid, header, cols):

@@ -1,11 +1,14 @@
-"""The row-block pool behind the n x n kernels and the event samplers.
+"""The row-block pool behind the n x n kernels and the event samplers, and
+the forked children that format the large text tables.
 
 The pool must deliver errors whole and late, never start a thread it does
 not need, run nested and forked calls without deadlock, and leave every
 output byte and every public call where a single thread would: the CLI
-writes the same files on one worker as on two, and a span tracer that
-wraps the package's public functions sees every call on the calling
-thread.
+writes the same files on one, two and three workers, and a span tracer
+that wraps the package's public functions sees every call on the calling
+thread.  The table writer must reap every child it forks, report every
+child that fails, leave no part behind, and hold no more memory in the
+calling process than one worker does.
 """
 
 import json
@@ -14,13 +17,21 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import types
+import warnings
 
+import numpy as np
 import pytest
 
 from nldc import _blocks, cli
 from nldc.biphoton import amplitude_moments, build_pdc_amplitude, to_time_domain
-from nldc.spectral import FrequencyGrid
+from nldc.sampler import EventBatch, events_to_csv
+from nldc.spectral import _CHUNK_ROWS, FrequencyGrid, _write_formatted_rows
+
+# In process, pytest captures warnings instead of printing them; a warning
+# would be a stray stderr line from the command line, so it fails the test.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 class BlockError(Exception):
@@ -126,8 +137,9 @@ def test_a_forked_child_starts_its_own_pool_threads(workers):
 
 # ---------------------------------------------------------------------------
 # Through the command line: a biphoton state at n = 512 (4 blocks of grid
-# cells) and a stationary one sampled in batches of 200,000 events (4 blocks
-# of events).
+# cells) sampled in batches of 40,000 events (3 chunks of CSV and SVG rows),
+# and a stationary one sampled in batches of 200,000 events (4 blocks of
+# events).
 
 def _biphoton_scenario():
     return {
@@ -139,7 +151,7 @@ def _biphoton_scenario():
             }
         },
         "kit": {"beta_L_ps2": 1.0, "delay_1_ps": 0.3},
-        "sampler": {"n_events": 2000, "seed": 11},
+        "sampler": {"n_events": 40_000, "seed": 11},
     }
 
 
@@ -189,7 +201,7 @@ def _files(directory):
 
 def test_outputs_are_byte_identical_on_one_and_two_workers(tmp_path, workers):
     outputs = []
-    for count in (1, 2):
+    for count in (1, 2, 3):
         workers(count)
         _run_and_scan(tmp_path / f"workers{count}")
         outputs.append([_files(tmp_path / f"workers{count}" / d) for d in ("run", "scan", "stationary")])
@@ -198,7 +210,9 @@ def test_outputs_are_byte_identical_on_one_and_two_workers(tmp_path, workers):
     assert any(name.startswith("events_") for name in run) and "scan_kit_beta_L_ps2.csv" in scan
     assert {"events_before.csv", "events_plus.csv", "events_minus.csv"} <= stationary.keys()
     assert stationary["events_before.csv"].count(b"\n") == 2 + 200_000
-    assert outputs[0] == outputs[1]
+    assert run["events_before.csv"].count(b"\n") == 2 + 40_000
+    assert run["scatter.svg"].count(b"<circle") == 40_000
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_every_public_call_runs_on_the_calling_thread(tmp_path, monkeypatch, workers):
@@ -230,3 +244,180 @@ def test_every_public_call_runs_on_the_calling_thread(tmp_path, monkeypatch, wor
     assert {"build_pdc_amplitude", "apply_dispersion_phase", "to_time_domain", "to_time_2d", "amplitude_moments"} <= names
     assert {"sample_biphoton", "sample_stationary_sheared", "sample_tau_density"} <= names
     assert all(thread is threading.main_thread() for _, thread in calls)
+
+
+# ---------------------------------------------------------------------------
+# The table writer: groups of row chunks formatted in forked children.
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _events(rows=3 * _CHUNK_ROWS + 7):
+    rng = np.random.default_rng(rows)
+    return EventBatch(t1=rng.normal(0.0, 1e3, rows), t2=rng.normal(-5.0, 1e-3, rows), seed=5, source="t", window=None)
+
+
+def _counting_forks(monkeypatch):
+    """The pids os.fork returns in this process from now on."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _failing_children(monkeypatch, how):
+    """Make every forked child fail at its first chunk: raise, exit 3 or die by SIGKILL."""
+    real, parent = np.column_stack, os.getpid()
+
+    def column_stack(arrays):
+        if os.getpid() != parent:
+            if how == "raise":
+                raise BlockError("in the child")
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(arrays)
+
+    monkeypatch.setattr(np, "column_stack", column_stack)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7])
+def test_formatted_rows_match_the_serial_loop(tmp_path, monkeypatch, workers, count, rows):
+    workers(count)
+    forks = _counting_forks(monkeypatch)
+    rng = np.random.default_rng(rows)
+    cols = (rng.normal(0.0, 1e3, rows), rng.normal(-5.0, 1e-3, rows), np.arange(rows) * 0.1)
+    template = "%.17g,%.17g,%.2f\n"
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("head\n")  # still in the caller's buffer when the children fork
+        _write_formatted_rows(fh, template, cols)
+        fh.write("tail\n")
+    expected = "head\n" + "".join(template % row for row in zip(*cols)) + "tail\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    chunks = -(-rows // _CHUNK_ROWS)
+    assert len(forks) == max(min(count, chunks) - 1, 0)  # a table of one chunk or less forks nothing
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_short_groups_reach_the_file_in_order(tmp_path, workers, count):
+    # Text this short stays in the text layer's buffer until a flush.
+    workers(count)
+    path = tmp_path / "chunks.txt"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _blocks._write_in_groups(fh, 5, lambda out, c0, c1: [out.write(f"chunk {c}\n") for c in range(c0, c1)])
+        fh.write("end\n")
+    assert path.read_text() == "".join(f"chunk {c}\n" for c in range(5)) + "end\n"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("how", ["raise", "exit", "kill"])
+def test_a_failing_child_fails_the_write_and_is_reaped(tmp_path, monkeypatch, workers, how):
+    workers(3)
+    forks = _counting_forks(monkeypatch)
+    _failing_children(monkeypatch, how)
+    path = tmp_path / "events.csv"
+    with pytest.raises(OSError) as info:
+        events_to_csv(_events(), path)
+    assert str(path) in str(info.value)
+    assert len(forks) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    _no_child_left()
+
+
+def test_an_error_in_the_callers_own_group_reaps_every_child(tmp_path, monkeypatch, workers):
+    workers(3)
+    forks = _counting_forks(monkeypatch)
+    real, parent = np.column_stack, os.getpid()
+
+    def column_stack(arrays):
+        if os.getpid() == parent:
+            raise BlockError("in the caller")
+        time.sleep(0.2)  # still running when the caller fails
+        return real(arrays)
+
+    monkeypatch.setattr(np, "column_stack", column_stack)
+    with pytest.raises(BlockError):
+        events_to_csv(_events(), tmp_path / "events.csv")
+    assert len(forks) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_a_failing_child_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch, workers, command):
+    workers(2)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_biphoton_scenario()))
+    out = tmp_path / "run"
+    argv = ["run", str(path), "--out", str(out)]
+    if command == "render":
+        assert cli.main(argv) == 0
+        argv = ["render", str(out / "runrecord.json")]
+    capsys.readouterr()
+    _failing_children(monkeypatch, "raise")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"non-standard JSON constant {name}"))
+    assert err["error"] == "OSError"
+    assert str(out / ("events_before.csv" if command == "run" else "scatter.svg")) in err["message"]
+    assert {p.name for p in out.iterdir()} <= {"events_before.csv", "runrecord.json", "events_plus.csv", "events_minus.csv", "scatter.svg"}
+    _no_child_left()
+
+
+def test_no_fork_warning_escapes_the_writer(tmp_path, monkeypatch, workers):
+    # Python >= 3.12 warns in os.fork while other threads live, as the pool's do here.
+    workers(2).run(2, lambda b0, b1: None)
+    real = os.fork
+
+    def fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    batch = _events()
+    events_to_csv(batch, tmp_path / "events.csv")  # the module's "error" filter fails on an escaped warning
+    assert (tmp_path / "events.csv").read_text().count("\n") == 2 + len(batch.t1)
+    _no_child_left()
+
+
+def test_the_caller_holds_no_more_memory_on_two_workers(tmp_path, monkeypatch, workers):
+    # Only the caller's peak counts, so a child stops tracing, which it would slow.
+    real = _blocks._write_part
+    monkeypatch.setattr(_blocks, "_write_part", lambda *args: (tracemalloc.stop(), real(*args)))
+    batch = _events(1_000_000)
+    peaks, sizes = [], []
+    for count in (1, 2):
+        workers(count)
+        path = tmp_path / f"events{count}.csv"
+        tracemalloc.start()
+        try:
+            events_to_csv(batch, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(path.stat().st_size)
+    assert sizes[0] == sizes[1] > 30e6
+    # About 2 MiB on either count: one chunk's values, tuple and text.  The
+    # caller's part of the table is 19 MB of text, and so is the child's.
+    # The allowance covers the writer's own bookkeeping (measured 5 KiB).
+    assert peaks[0] < 4 * (1 << 20)
+    assert peaks[1] <= peaks[0] + (64 << 10)
+    _no_child_left()

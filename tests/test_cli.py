@@ -32,6 +32,11 @@ from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
 from oracles import tau_marginal
 
+# pytest captures Python warnings instead of printing them, so a check for
+# "one JSON line on stderr" or "nothing on stderr" in process would miss a
+# warning that the command line prints.  Every warning fails the test instead.
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def _write(tmp_path, name, obj):
     path = tmp_path / name
@@ -157,7 +162,6 @@ def test_spectrum_csv_with_a_malformed_grid_line_exits_2(tmp_path, capsys, spec,
     assert "'# n=<int> domega_rad_ps=<float>'" in err["message"]
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("spec", ["s1", "cross"])
 @pytest.mark.parametrize("defect", ["empty_body", "wrong_header"])
 def test_spectrum_csv_with_a_bad_body_exits_2(tmp_path, capsys, spec, defect):
@@ -1213,7 +1217,6 @@ def test_render_rejects_malformed_records(tmp_path, capsys, doctor):
         assert err["error"] == "ScenarioError" and "events" in err["message"]
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("columns, shape", [(0, "(0, 1)"), (1, "(100, 1)"), (3, "(100, 3)")])
 def test_render_rejects_an_events_body_without_two_columns(tmp_path, capsys, columns, shape):
     rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
