@@ -124,9 +124,10 @@ def _write_in_groups(fh, count: int, write) -> None:
     calling process writes the first group straight into fh.  A forked
     child writes each later group into an unlinked temporary file next to
     fh, and leaves by os._exit without flushing anything of its parent's.
-    Every child is reaped, even when the caller's own group raises; then
-    the parts are appended to fh in 1 MiB reads.  A child that fails
-    raises an OSError naming fh's file.
+    Every child is reaped; then the parts are appended to fh in 1 MiB
+    reads.  A child that fails raises an OSError naming fh's file.  When
+    the caller's own group raises, the children are killed first, and the
+    caller's error is the one raised.
     """
     groups = min(_POOL.workers, count)
     if groups <= 1 or getattr(_pool_thread, "marked", False) or not hasattr(os, "fork"):
@@ -134,6 +135,7 @@ def _write_in_groups(fh, count: int, write) -> None:
         return
     # Imported on first use, so that importing nldc loads no module for the children.
     import shutil
+    import signal
     import tempfile
 
     bounds = [count * g // groups for g in range(groups + 1)]
@@ -153,6 +155,10 @@ def _write_in_groups(fh, count: int, write) -> None:
                     _write_part(parts[-1], fh.encoding, c0, c1, write)
                 pids.append(pid)
             write(fh, bounds[0], bounds[1])
+        except BaseException:
+            for pid in pids:  # their groups are of no use now
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
             statuses = [os.waitpid(pid, 0)[1] for pid in pids]
         for status in statuses:

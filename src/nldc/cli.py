@@ -594,16 +594,9 @@ def write_scan_csv(rows: list[dict], path) -> None:
 # ---------------------------------------------------------------------------
 # Rendering: hand-rolled SVG so output is deterministic byte for byte.
 
-def _svg_header(width, height, title, margin):
-    """The svg element, its title, a white background and the plot frame inset by margin."""
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<title>{title}</title>\n'
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
-        f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" height="{height - 2 * margin}" '
-        'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
+_WIDTH, _MARGIN = 640, 70  # px: the width of either plot, and the inset of its frame
+_CELLS = 128  # heat-map cells along each axis of the t1/t2 plot
+_TAU_BINS = 64
 
 
 def _axis_bounds(lo, hi):
@@ -614,81 +607,81 @@ def _axis_bounds(lo, hi):
     return lo - pad, hi + pad
 
 
+def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts) -> None:
+    """Write a plot _WIDTH px wide: its frame, one `rect % values` per non-empty bin of counts, then its labels.
+
+    The rects come in bin order.  Each of the columns broadcasts to counts'
+    shape and gives one value of every rect; one % of the repeated template
+    formats each value as a per-bin % would.  Three ticks label the x axis
+    from lo to hi, and the texts follow them.
+    """
+    full = counts > 0
+    values = np.column_stack([np.broadcast_to(column, counts.shape)[full] for column in columns])
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" viewBox="0 0 {_WIDTH} {height}">\n'
+        f"<title>{title}</title>\n"
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="white"/>\n'
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" height="{height - 2 * _MARGIN}" '
+        'fill="none" stroke="black" stroke-width="1"/>\n',
+        rect * len(values) % tuple(values.ravel().tolist()),
+    ]
+    for frac in (0.0, 0.5, 1.0):
+        parts.append(
+            f'<text x="{_MARGIN + frac * (_WIDTH - 2 * _MARGIN):.1f}" y="{height - _MARGIN + 24}" font-size="13" '
+            f'text-anchor="middle">{lo + frac * (hi - lo):.6g}</text>\n'
+        )
+    parts += texts
+    parts.append("</svg>\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(parts))
+
+
 def render_scatter(batch: sp.EventBatch, path) -> None:
-    size, margin = 640, 70
-    span = size - 2 * margin
+    """The (t1, t2) pairs as a _CELLS x _CELLS heat map, each non-empty cell shaded by its count over the peak's."""
+    span = _WIDTH - 2 * _MARGIN
     if batch.window is not None:
         lo, hi = batch.window
     else:
         lo = float(min(batch.t1.min(), batch.t2.min()))
         hi = float(max(batch.t1.max(), batch.t2.max()))
     lo, hi = _axis_bounds(lo, hi)
-    scale = span / (hi - lo)
-    parts = [_svg_header(size, size, f"detection times: {batch.source}", margin)]
-    for frac in (0.0, 0.5, 1.0):
-        v = lo + frac * (hi - lo)
-        x = margin + frac * span
-        parts.append(
-            f'<text x="{x:.1f}" y="{size - margin + 24}" font-size="13" '
-            f'text-anchor="middle">{v:.6g}</text>\n'
-        )
-        parts.append(
-            f'<text x="{margin - 8}" y="{size - margin - frac * span:.1f}" font-size="13" '
-            f'text-anchor="end">{v:.6g}</text>\n'
-        )
-    parts.append(
-        f'<text x="{size / 2:.1f}" y="{size - 18}" font-size="15" text-anchor="middle">t1 (ps)</text>\n'
-    )
-    parts.append(
-        f'<text x="20" y="{size / 2:.1f}" font-size="15" text-anchor="middle" '
-        f'transform="rotate(-90 20 {size / 2:.1f})">t2 (ps)</text>\n'
-    )
-    x = margin + (batch.t1 - lo) * scale
-    y = size - margin - (batch.t2 - lo) * scale
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
-        spc._write_formatted_rows(
-            fh, '<circle cx="%.2f" cy="%.2f" r="1.2" fill="#1f77b4" fill-opacity="0.5"/>\n', (x, y)
-        )
-        fh.write("</svg>\n")
-
-
-def render_tau_hist(batch: sp.EventBatch, path, bins: int = 64) -> None:
-    width, height, margin = 640, 420, 70
-    tau = batch.tau
-    counts, edges = np.histogram(tau, bins=bins)
+    edges = np.linspace(lo, hi, _CELLS + 1)
+    counts = np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0]
     peak = max(int(counts.max()), 1)
-    span_x = width - 2 * margin
-    span_y = height - 2 * margin
-    lo, hi = edges[0], edges[-1]
-    if hi == lo:
-        hi = lo + 1.0
-    parts = [_svg_header(width, height, f"tau histogram: {batch.source}", margin)]
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        x0 = margin + (edges[i] - lo) / (hi - lo) * span_x
-        x1 = margin + (edges[i + 1] - lo) / (hi - lo) * span_x
-        h = c / peak * span_y
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{height - margin - h:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{h:.2f}" fill="#ff7f0e"/>\n'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        v = lo + frac * (hi - lo)
-        x = margin + frac * span_x
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - margin + 24}" font-size="13" '
-            f'text-anchor="middle">{v:.6g}</text>\n'
-        )
-    parts.append(
-        f'<text x="{width / 2:.1f}" y="{height - 18}" font-size="15" '
-        'text-anchor="middle">tau = t1 - t2 (ps)</text>\n'
-    )
-    parts.append(f'<text x="{margin}" y="{margin - 10}" font-size="13">peak bin: {peak} events</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    cell = span / _CELLS
+    # The left edge of column i; measured up from the bottom, the same offset places row j.
+    left = _MARGIN + (edges[:-1] - lo) * (span / (hi - lo))
+    texts = [
+        f'<text x="{_WIDTH / 2:.1f}" y="{_WIDTH - 18}" font-size="15" text-anchor="middle">t1 (ps)</text>\n',
+        f'<text x="20" y="{_WIDTH / 2:.1f}" font-size="15" text-anchor="middle" '
+        f'transform="rotate(-90 20 {_WIDTH / 2:.1f})">t2 (ps)</text>\n',
+        *(
+            f'<text x="{_MARGIN - 8}" y="{_WIDTH - _MARGIN - frac * span:.1f}" font-size="13" '
+            f'text-anchor="end">{lo + frac * (hi - lo):.6g}</text>\n'
+            for frac in (0.0, 0.5, 1.0)
+        ),
+        f'<text x="{_MARGIN}" y="{_MARGIN - 10}" font-size="13">peak cell: {peak} events</text>\n',
+    ]
+    rect = f'<rect x="%.2f" y="%.2f" width="{cell:.2f}" height="{cell:.2f}" fill="#1f77b4" fill-opacity="%.3g"/>\n'
+    columns = (left[:, None], (_WIDTH - cell - left)[None, :], counts / peak)
+    _write_binned_svg(path, _WIDTH, f"detection times: {batch.source}", lo, hi, counts, rect, columns, texts)
+
+
+def render_tau_hist(batch: sp.EventBatch, path) -> None:
+    """The tau = t1 - t2 of the pairs as a histogram of _TAU_BINS bars, each as tall as its count over the peak's."""
+    height = 420
+    counts, edges = np.histogram(batch.tau, bins=_TAU_BINS)
+    peak = max(int(counts.max()), 1)
+    lo, hi = edges[0], edges[-1]  # hi > lo: numpy pads a one-point range, and raises on bins of no width
+    x = _MARGIN + (edges - lo) / (hi - lo) * (_WIDTH - 2 * _MARGIN)
+    bar = counts / peak * (height - 2 * _MARGIN)
+    texts = [
+        f'<text x="{_WIDTH / 2:.1f}" y="{height - 18}" font-size="15" text-anchor="middle">tau = t1 - t2 (ps)</text>\n',
+        f'<text x="{_MARGIN}" y="{_MARGIN - 10}" font-size="13">peak bin: {peak} events</text>\n',
+    ]
+    rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#ff7f0e"/>\n'
+    columns = (x[:-1], height - _MARGIN - bar, x[1:] - x[:-1], bar)
+    _write_binned_svg(path, height, f"tau histogram: {batch.source}", lo, hi, counts, rect, columns, texts)
 
 
 def render_record(record_path, out_dir=None) -> list[Path]:

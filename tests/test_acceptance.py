@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from nldc import cli
 from nldc.biphoton import (
@@ -52,6 +53,10 @@ from nldc.stationary import (
     make_pair_model,
     windowed_covariance,
 )
+
+# Criterion 8 drives run and render in process, where pytest would capture a
+# warning that the command line prints on stderr; every warning fails instead.
+pytestmark = pytest.mark.filterwarnings("error")
 
 ACCEPT_SEED = 411
 

@@ -7,8 +7,9 @@ output byte and every public call where a single thread would: the CLI
 writes the same files on one, two and three workers, and a span tracer
 that wraps the package's public functions sees every call on the calling
 thread.  The table writer must reap every child it forks, report every
-child that fails, leave no part behind, and hold no more memory in the
-calling process than one worker does.
+child that fails, kill its children when its own group fails, leave no
+part behind, and hold no more memory in the calling process than one
+worker does; `render` writes no such table and forks nothing.
 """
 
 import json
@@ -26,7 +27,7 @@ import pytest
 
 from nldc import _blocks, cli
 from nldc.biphoton import amplitude_moments, build_pdc_amplitude, to_time_domain
-from nldc.sampler import EventBatch, events_to_csv
+from nldc.sampler import EventBatch, events_from_csv, events_to_csv
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid, _write_formatted_rows
 
 # In process, pytest captures warnings instead of printing them; a warning
@@ -211,7 +212,10 @@ def test_outputs_are_byte_identical_on_one_and_two_workers(tmp_path, workers):
     assert {"events_before.csv", "events_plus.csv", "events_minus.csv"} <= stationary.keys()
     assert stationary["events_before.csv"].count(b"\n") == 2 + 200_000
     assert run["events_before.csv"].count(b"\n") == 2 + 40_000
-    assert run["scatter.svg"].count(b"<circle") == 40_000
+    batch = events_from_csv(tmp_path / "workers1" / "run" / "events_before.csv")
+    edges = np.linspace(*cli._axis_bounds(*batch.window), cli._CELLS + 1)
+    cells = np.count_nonzero(np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0])
+    assert 0 < run["scatter.svg"].count(b"fill-opacity") == cells  # one rect per non-empty heat-map cell
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -339,43 +343,56 @@ def test_an_error_in_the_callers_own_group_reaps_every_child(tmp_path, monkeypat
     workers(3)
     forks = _counting_forks(monkeypatch)
     real, parent = np.column_stack, os.getpid()
+    markers, out = tmp_path / "markers", tmp_path / "out"
+    markers.mkdir()
+    out.mkdir()
 
     def column_stack(arrays):
         if os.getpid() == parent:
             raise BlockError("in the caller")
-        time.sleep(0.2)  # still running when the caller fails
+        time.sleep(10.0)  # still asleep when the caller fails; a child left alone writes its marker
+        (markers / str(os.getpid())).touch()
         return real(arrays)
 
     monkeypatch.setattr(np, "column_stack", column_stack)
     with pytest.raises(BlockError):
-        events_to_csv(_events(), tmp_path / "events.csv")
+        events_to_csv(_events(), out / "events.csv")
     assert len(forks) == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+    assert list(markers.iterdir()) == []  # both children were killed in their first chunk
+    assert [p.name for p in out.iterdir()] == ["events.csv"]
     _no_child_left()
 
 
-@pytest.mark.parametrize("command", ["run", "render"])
+@pytest.mark.parametrize("command", ["run"])  # render forks nothing (test_render_forks_no_process)
 def test_a_failing_child_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch, workers, command):
     workers(2)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_biphoton_scenario()))
     out = tmp_path / "run"
-    argv = ["run", str(path), "--out", str(out)]
-    if command == "render":
-        assert cli.main(argv) == 0
-        argv = ["render", str(out / "runrecord.json")]
-    capsys.readouterr()
     _failing_children(monkeypatch, "raise")
-    assert cli.main(argv) == 2
+    assert cli.main([command, str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0], parse_constant=lambda name: pytest.fail(f"non-standard JSON constant {name}"))
     assert err["error"] == "OSError"
-    assert str(out / ("events_before.csv" if command == "run" else "scatter.svg")) in err["message"]
-    assert {p.name for p in out.iterdir()} <= {"events_before.csv", "runrecord.json", "events_plus.csv", "events_minus.csv", "scatter.svg"}
+    assert str(out / "events_before.csv") in err["message"]
+    assert {p.name for p in out.iterdir()} <= {"events_before.csv", "runrecord.json", "events_plus.csv", "events_minus.csv"}
     _no_child_left()
+
+
+def test_render_forks_no_process(tmp_path, monkeypatch, workers):
+    # 40,000 events are three chunks of _CHUNK_ROWS, which a per-event table would format in children.
+    workers(3)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_biphoton_scenario()))
+    out = tmp_path / "run"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    forks = _counting_forks(monkeypatch)
+    assert cli.main(["render", str(out / "runrecord.json")]) == 0
+    assert forks == []
+    assert {"scatter.svg", "tau_hist.svg"} <= {p.name for p in out.iterdir()}
 
 
 def test_no_fork_warning_escapes_the_writer(tmp_path, monkeypatch, workers):

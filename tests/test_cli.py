@@ -1120,62 +1120,142 @@ def test_render_produces_deterministic_svgs(tmp_path):
     assert (again / "tau_hist.svg").read_text() == hist
 
 
-def _scatter_oracle(batch):
-    """The bytes of render_scatter's former per-circle loop."""
-    size, margin = 640, 70
+_HEADER = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="{height}" viewBox="0 0 640 {height}">\n'
+    "<title>{title}</title>\n"
+    '<rect x="0" y="0" width="640" height="{height}" fill="white"/>\n'
+    '<rect x="70" y="70" width="500" height="{inner}" fill="none" stroke="black" stroke-width="1"/>\n'
+)
+
+
+def _heat_map_oracle(batch):
+    """The heat map's bytes, written cell by cell from np.histogram2d on its edges, and those counts."""
+    size, margin, cells = 640, 70, 128
     span = size - 2 * margin
     if batch.window is not None:
         lo, hi = batch.window
     else:
         lo = float(min(batch.t1.min(), batch.t2.min()))
         hi = float(max(batch.t1.max(), batch.t2.max()))
-    assert lo != hi
-    pad = (hi - lo) * 0.05
+    pad = (0.5 if lo == 0.0 else abs(lo) * 0.1) if lo == hi else (hi - lo) * 0.05
     lo, hi = lo - pad, hi + pad
-    scale = span / (hi - lo)
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="0 0 640 640">\n',
-        f"<title>detection times: {batch.source}</title>\n",
-        '<rect x="0" y="0" width="640" height="640" fill="white"/>\n',
-        '<rect x="70" y="70" width="500" height="500" fill="none" stroke="black" stroke-width="1"/>\n',
+    edges = np.linspace(lo, hi, cells + 1)
+    counts = np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0]
+    peak = int(counts.max())
+    cell = span / cells
+    parts = [_HEADER.format(height=size, inner=span, title=f"detection times: {batch.source}")]
+    for i in range(cells):
+        for j in range(cells):
+            if counts[i, j]:
+                x = margin + (edges[i] - lo) * (span / (hi - lo))
+                y = size - cell - (margin + (edges[j] - lo) * (span / (hi - lo)))
+                parts.append(
+                    f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" height="{cell:.2f}" '
+                    f'fill="#1f77b4" fill-opacity="{counts[i, j] / peak:.3g}"/>\n'
+                )
+    ticks = [(frac, lo + frac * (hi - lo)) for frac in (0.0, 0.5, 1.0)]
+    parts += [
+        f'<text x="{margin + frac * span:.1f}" y="{size - margin + 24}" font-size="13" '
+        f'text-anchor="middle">{v:.6g}</text>\n'
+        for frac, v in ticks
     ]
-    for frac in (0.0, 0.5, 1.0):
-        v = lo + frac * (hi - lo)
-        x = margin + frac * span
-        parts.append(
-            f'<text x="{x:.1f}" y="{size - margin + 24}" font-size="13" '
-            f'text-anchor="middle">{v:.6g}</text>\n'
-        )
-        parts.append(
-            f'<text x="{margin - 8}" y="{size - margin - frac * span:.1f}" font-size="13" '
-            f'text-anchor="end">{v:.6g}</text>\n'
-        )
-    parts.append(
-        f'<text x="{size / 2:.1f}" y="{size - 18}" font-size="15" text-anchor="middle">t1 (ps)</text>\n'
-    )
+    parts.append(f'<text x="{size / 2:.1f}" y="{size - 18}" font-size="15" text-anchor="middle">t1 (ps)</text>\n')
     parts.append(
         f'<text x="20" y="{size / 2:.1f}" font-size="15" text-anchor="middle" '
         f'transform="rotate(-90 20 {size / 2:.1f})">t2 (ps)</text>\n'
     )
-    for a, b in zip(batch.t1, batch.t2):
-        x = margin + (a - lo) * scale
-        y = size - margin - (b - lo) * scale
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="#1f77b4" fill-opacity="0.5"/>\n')
+    parts += [
+        f'<text x="{margin - 8}" y="{size - margin - frac * span:.1f}" font-size="13" '
+        f'text-anchor="end">{v:.6g}</text>\n'
+        for frac, v in ticks
+    ]
+    parts.append(f'<text x="{margin}" y="{margin - 10}" font-size="13">peak cell: {peak} events</text>\n')
     parts.append("</svg>\n")
-    return "".join(parts).encode("utf-8")
+    return "".join(parts).encode("utf-8"), counts
 
 
-@pytest.mark.parametrize("rows, window", [(3, (-4.0, 9.0)), (_CHUNK_ROWS + 1, (-4.0, 9.0)), (500, None)])
-def test_render_scatter_matches_the_circle_loop(tmp_path, rows, window):
+def _plot_batch(rows, window, equal=False):
     rng = np.random.default_rng(rows)
     t1 = rng.uniform(-4.0, 9.0, rows)
     t2 = rng.uniform(-4.0, 9.0, rows)
     if window is None:
         t1 = t1 * 37.5 - 1e3  # an unwindowed batch sets its axes from the data
-    batch = sampler.EventBatch(t1=t1, t2=t2, seed=1, source="oracle", window=window)
+    if equal:
+        t1 = t2 = np.full(rows, 2.5)  # so the data range is one point, and the axes are padded around it
+    return sampler.EventBatch(t1=t1, t2=t2, seed=1, source="oracle", window=window)
+
+
+@pytest.mark.parametrize(
+    "rows, window, equal",
+    [
+        pytest.param(1, (-4.0, 9.0), False, id="1-row"),
+        pytest.param(3, (-4.0, 9.0), False, id="3-rows"),
+        pytest.param(_CHUNK_ROWS + 1, (-4.0, 9.0), False, id="chunk-plus-1-rows"),
+        pytest.param(500, None, False, id="unwindowed"),
+        pytest.param(50, None, True, id="equal-times"),
+    ],
+)
+def test_render_scatter_counts_match_histogram2d(tmp_path, rows, window, equal):
+    batch = _plot_batch(rows, window, equal)
     path = tmp_path / "scatter.svg"
     cli.render_scatter(batch, path)
-    assert path.read_bytes() == _scatter_oracle(batch)
+    expected, counts = _heat_map_oracle(batch)
+    assert path.read_bytes() == expected
+    assert counts.sum() == rows  # the axes hold every event
+    assert path.read_text().count("fill-opacity") == np.count_nonzero(counts) <= 128 * 128
+
+
+def _tau_hist_oracle(batch):
+    """The bytes of render_tau_hist's former per-bar loop."""
+    width, height, margin = 640, 420, 70
+    tau = batch.tau
+    counts, edges = np.histogram(tau, bins=64)
+    peak = max(int(counts.max()), 1)
+    span_x = width - 2 * margin
+    span_y = height - 2 * margin
+    lo, hi = edges[0], edges[-1]
+    if hi == lo:
+        hi = lo + 1.0
+    parts = [_HEADER.format(height=height, inner=span_y, title=f"tau histogram: {batch.source}")]
+    for i, c in enumerate(counts):
+        if c == 0:
+            continue
+        x0 = margin + (edges[i] - lo) / (hi - lo) * span_x
+        x1 = margin + (edges[i + 1] - lo) / (hi - lo) * span_x
+        h = c / peak * span_y
+        parts.append(
+            f'<rect x="{x0:.2f}" y="{height - margin - h:.2f}" width="{x1 - x0:.2f}" '
+            f'height="{h:.2f}" fill="#ff7f0e"/>\n'
+        )
+    for frac in (0.0, 0.5, 1.0):
+        v = lo + frac * (hi - lo)
+        x = margin + frac * span_x
+        parts.append(
+            f'<text x="{x:.1f}" y="{height - margin + 24}" font-size="13" '
+            f'text-anchor="middle">{v:.6g}</text>\n'
+        )
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="{height - 18}" font-size="15" '
+        'text-anchor="middle">tau = t1 - t2 (ps)</text>\n'
+    )
+    parts.append(f'<text x="{margin}" y="{margin - 10}" font-size="13">peak bin: {peak} events</text>\n')
+    parts.append("</svg>\n")
+    return "".join(parts).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "rows, window, equal",
+    [
+        pytest.param(_CHUNK_ROWS + 1, (-4.0, 9.0), False, id="windowed"),
+        pytest.param(500, None, False, id="unwindowed"),
+        pytest.param(50, None, True, id="equal-tau"),
+    ],
+)
+def test_render_tau_hist_matches_the_bar_loop(tmp_path, rows, window, equal):
+    batch = _plot_batch(rows, window, equal)
+    path = tmp_path / "tau_hist.svg"
+    cli.render_tau_hist(batch, path)
+    assert path.read_bytes() == _tau_hist_oracle(batch)
 
 
 def test_render_requires_sampled_events(tmp_path, capsys):
