@@ -17,7 +17,7 @@ input size, which the line route of `biphoton` owns and reuses.
 
 import numpy as np
 
-from ._blocks import _block_rows, _for_row_blocks
+from ._blocks import _for_blocks
 
 
 def _to_time_rows(values, grid, work, out):
@@ -45,27 +45,22 @@ def _fftshift_2d_in_place(field):
     """np.fft.fftshift of a 2D array with even sides, in place.
 
     The shift swaps diagonally opposite quadrants.  It goes a block of rows
-    of the top half at a time, through one buffer of that block's size per
+    of the top half at a time, through one buffer of a block's size per
     worker; the top and bottom blocks never overlap, so numpy copies each
     part once.
     """
     n0, n1 = field.shape
     h0, h1 = n0 // 2, n1 // 2
-    rows = _block_rows(h0, n1)
 
-    def swap(r0, r1):
-        buffer = np.empty((rows, n1), dtype=field.dtype)
-        for a in range(r0, r1, rows):
-            top = field[a : min(a + rows, r1)]
-            bottom = field[h0 + a : h0 + a + len(top)]
-            held = buffer[: len(top)]
-            np.copyto(held, top)
-            top[:, :h1] = bottom[:, h1:]
-            top[:, h1:] = bottom[:, :h1]
-            bottom[:, :h1] = held[:, h1:]
-            bottom[:, h1:] = held[:, :h1]
+    def swap(r0, r1, buffer):
+        top, bottom, held = field[r0:r1], field[h0 + r0 : h0 + r1], buffer[: r1 - r0]
+        np.copyto(held, top)
+        top[:, :h1] = bottom[:, h1:]
+        top[:, h1:] = bottom[:, :h1]
+        bottom[:, :h1] = held[:, h1:]
+        bottom[:, h1:] = held[:, :h1]
 
-    _for_row_blocks(h0, n1, swap)
+    _for_blocks(h0, n1, swap, lambda rows: np.empty((rows, n1), dtype=field.dtype))
     return field
 
 
@@ -82,7 +77,7 @@ def to_time_2d(values, grid):
     field = np.empty((n, n), dtype=np.complex128)
     scale = (grid.domega / (2.0 * np.pi)) ** 2
 
-    def rows(r0, r1):
+    def rows(r0, r1, _):
         # Output row r takes input row (r + h) % n: the top rows from below h, the rest from above.
         for a, b, source in ((r0, min(r1, h), h), (max(r0, h), r1, -h)):
             if a < b:
@@ -91,11 +86,11 @@ def to_time_2d(values, grid):
                 field[a:b, h:] = held[:, :h]
         np.fft.fft(field[r0:r1], out=field[r0:r1])
 
-    def columns(c0, c1):
+    def columns(c0, c1, _):
         block = field[:, c0:c1]
         np.fft.fft(block, axis=0, out=block)
         block *= scale
 
-    _for_row_blocks(n, n, rows)
-    _for_row_blocks(n, n, columns)
+    _for_blocks(n, n, rows)
+    _for_blocks(n, n, columns)
     return _fftshift_2d_in_place(field)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._blocks import _block_rows, _for_row_blocks
+from ._blocks import _for_blocks
 from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance
@@ -105,18 +105,14 @@ class JointTemporalDensity:
         arr = _own_or_copy(self.values, np.float64)
         if arr.shape != (n, n):
             raise ValueError(f"density must have shape ({n}, {n}), got {arr.shape}")
-        rows = _block_rows(n, n)
-        negative = np.zeros(n // rows, dtype=bool)
 
-        def check(r0, r1):
-            for r in range(r0, r1, rows):
-                block = arr[r : r + rows]
-                if not np.isfinite(block).all():
-                    raise ValueError("density must be finite")
-                negative[r // rows] = (block < 0.0).any()
+        def negative(r0, r1, _):
+            block = arr[r0:r1]
+            if not np.isfinite(block).all():
+                raise ValueError("density must be finite")
+            return (block < 0.0).any()
 
-        _for_row_blocks(n, n, check)
-        if negative.any():
+        if any(_for_blocks(n, n, negative)):
             raise ValueError("density must be >= 0")
         mass = float(arr.sum()) * self.dt ** 2
         if abs(mass - 1.0) > NORM_RTOL:
@@ -136,20 +132,15 @@ def _finite_sum_of_squares(values: np.ndarray) -> float:
     sums are added in one fixed order, so the value is the same on any
     machine.
     """
-    n = len(values)
-    rows = _block_rows(n, n)
-    parts = np.zeros(n // rows)
     cells = values.view(np.float64)  # each row's real and imaginary parts, interleaved
 
-    def blocks(r0, r1):
-        for r in range(r0, r1, rows):
-            block = cells[r : r + rows]
-            if not np.isfinite(block).all():
-                raise ValueError("amplitude must be finite")
-            parts[r // rows] = np.einsum("ij,ij->", block, block)
+    def block_sum(r0, r1, _):
+        block = cells[r0:r1]
+        if not np.isfinite(block).all():
+            raise ValueError("amplitude must be finite")
+        return np.einsum("ij,ij->", block, block)
 
-    _for_row_blocks(n, n, blocks)
-    return float(parts.sum())
+    return float(np.sum(_for_blocks(len(values), len(values), block_sum)))
 
 
 def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float) -> BiphotonAmplitude:
@@ -196,7 +187,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     scratch = out.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
     raw = np.empty((n, n))
 
-    def exponent(r0, r1):
+    def exponent(r0, r1, _):
         e, s = raw[r0:r1], scratch[r0:r1]
         np.add.outer(w[r0:r1], w, out=e)
         np.square(e, out=e)
@@ -209,16 +200,16 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
         np.exp(e, out=e)
         np.multiply(e, e, out=s)
 
-    _for_row_blocks(n, n, exponent)
+    _for_blocks(n, n, exponent)
     norm = math.sqrt(float(scratch.sum()) * grid.domega ** 2)
 
     # A complex divided by a real is a multiply by its reciprocal in numpy,
     # so this is the division of the plain expression, bit for bit.
-    def scale(r0, r1):
+    def scale(r0, r1, _):
         np.multiply(raw[r0:r1], 1.0 / norm, out=out.real[r0:r1])
         out.imag[r0:r1] = 0.0
 
-    _for_row_blocks(n, n, scale)
+    _for_blocks(n, n, scale)
     return BiphotonAmplitude(grid, _Owned(out))
 
 
@@ -243,7 +234,7 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
     bw2 = kit.beta_L * w ** 2
     factor = np.empty((n, n), dtype=np.complex128)
 
-    def rows(r0, r1):
+    def rows(r0, r1, _):
         block = factor[r0:r1]
         block.real = 0.0
         phase = block.imag
@@ -253,7 +244,7 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
         np.exp(block, out=block)
         np.multiply(psi.values[r0:r1], block, out=block)
 
-    _for_row_blocks(n, n, rows)
+    _for_blocks(n, n, rows)
     return BiphotonAmplitude(psi.grid, _Owned(factor))
 
 
@@ -268,12 +259,12 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     field = to_time_2d(psi.values, psi.grid)
     p = np.empty((n, n))
 
-    def square(r0, r1):
+    def square(r0, r1, _):
         block = p[r0:r1]
         np.abs(field[r0:r1], out=block)
         block **= 2
 
-    _for_row_blocks(n, n, square)
+    _for_blocks(n, n, square)
     del field
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
@@ -283,11 +274,11 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
             f"Parseval identity violated: time mass {mass}, expected {expected}"
         )
 
-    def normalize(r0, r1):
+    def normalize(r0, r1, _):
         block = p[r0:r1]
         block /= mass
 
-    _for_row_blocks(n, n, normalize)
+    _for_blocks(n, n, normalize)
     return JointTemporalDensity(psi.grid, _Owned(p))
 
 
@@ -343,63 +334,59 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     i = np.arange(n)
     tau = grid.times
     flat = psi.values.ravel()
-    rows = _block_rows(n, n)  # a power of two, like n
-    upper = np.triu(np.ones((rows, rows), dtype=bool))
     weight = np.zeros(n)
     first = np.zeros(n)
-    # Per block: its marginal, its sum |psi|^2 and its second-branch sum.
-    marginals = np.zeros((n // rows, n))
-    norms = np.zeros(n // rows)
-    seconds = np.zeros(n // rows)
 
-    def line_blocks(k_start, k_stop):
+    def block_buffers(rows):
         lines = np.empty((rows, n), dtype=np.complex128)
         # cells and spare are dead while a block is transformed, so their
         # storage doubles as the transform's work array.
         work = np.empty((rows, n), dtype=np.complex128)
         cells, spare = work.reshape(-1).view(np.float64).reshape(2, rows, n)
         off_branch = np.empty((rows, n), dtype=bool)
-        for k0 in range(k_start, k_stop, rows):
-            block = k0 // rows
-            centred = np.arange(k0, k0 + rows) - half
-            s = centred % n
-            unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
-            _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
-            if unwrapped < rows:
-                _gather_lines(flat, n, 0, lines[unwrapped:], upper)
-            np.multiply(lines.real, lines.real, out=cells)
-            np.multiply(lines.imag, lines.imag, out=spare)
-            cells += spare
-            # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
-            # The first branch is the one equal to the centred index, and line
-            # -n/2 is all second branch.
-            np.less_equal(i, s[:, None], out=off_branch)
-            np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
-            off_branch[centred == -half] = True
-            seconds[block] = cells.sum(where=off_branch)
-            line_norm = cells.sum(axis=1)
-            norms[block] = line_norm.sum()
-            live = np.flatnonzero(line_norm)
-            m = live.size
-            if m == 0:
-                continue
-            g = _to_time_rows(lines if m == rows else lines[live], grid, work[:m], lines[:m])
-            p = cells[:m]
-            np.multiply(g.real, g.real, out=p)
-            np.multiply(g.imag, g.imag, out=spare[:m])
-            p += spare[:m]
-            marginals[block] = p.sum(axis=0)
-            weight[k0 + live] = p.sum(axis=1)
-            np.multiply(p, tau, out=spare[:m])
-            first[k0 + live] = spare[:m].sum(axis=1)
+        return lines, work, cells, spare, off_branch, np.triu(np.ones((rows, rows), dtype=bool))
 
-    _for_row_blocks(n, n, line_blocks)
+    def line_block(k0, k1, buffers):
+        """The block's marginal, sum |psi|^2 and second-branch sum (every block is full: n is a power of two)."""
+        lines, work, cells, spare, off_branch, upper = buffers
+        rows = k1 - k0
+        centred = np.arange(k0, k1) - half
+        s = centred % n
+        unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
+        _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
+        if unwrapped < rows:
+            _gather_lines(flat, n, 0, lines[unwrapped:], upper)
+        np.multiply(lines.real, lines.real, out=cells)
+        np.multiply(lines.imag, lines.imag, out=spare)
+        cells += spare
+        # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
+        # The first branch is the one equal to the centred index, and line
+        # -n/2 is all second branch.
+        np.less_equal(i, s[:, None], out=off_branch)
+        np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
+        off_branch[centred == -half] = True
+        second = cells.sum(where=off_branch)
+        line_norm = cells.sum(axis=1)
+        live = np.flatnonzero(line_norm)
+        m = live.size
+        if m == 0:
+            return 0.0, line_norm.sum(), second
+        g = _to_time_rows(lines if m == rows else lines[live], grid, work[:m], lines[:m])
+        p = cells[:m]
+        np.multiply(g.real, g.real, out=p)
+        np.multiply(g.imag, g.imag, out=spare[:m])
+        p += spare[:m]
+        weight[k0 + live] = p.sum(axis=1)
+        np.multiply(p, tau, out=spare[:m])
+        first[k0 + live] = spare[:m].sum(axis=1)
+        return p.sum(axis=0), line_norm.sum(), second
+
     marginal = np.zeros(n)
     norm = second = 0.0
-    for block in range(n // rows):  # in block order, as one thread would
-        marginal += marginals[block]
-        norm += float(norms[block])
-        second += float(seconds[block])
+    for block_marginal, block_norm, block_second in _for_blocks(n, n, line_block, block_buffers):
+        marginal += block_marginal  # in block order, as one thread would
+        norm += float(block_norm)
+        second += float(block_second)
     expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
     total = float(marginal.sum())
     if abs(total / expected - 1.0) > NORM_RTOL:

@@ -587,8 +587,8 @@ _SCAN_COLUMNS = ("value", "lhs_ps2", "rhs_ps2", "margin_ps2", "product")
 def write_scan_csv(rows: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_SCAN_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[key]:.17g}" for key in _SCAN_COLUMNS) + "\n")
+        columns = [np.array([row[key] for row in rows], dtype=np.float64) for key in _SCAN_COLUMNS]
+        spc._write_formatted_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +599,35 @@ _CELLS = 128  # heat-map cells along each axis of the t1/t2 plot
 _TAU_BINS = 64
 
 
-def _axis_bounds(lo, hi):
-    if lo == hi:
-        pad = 0.5 if lo == 0.0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+def _bin_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:
+    """np.linspace(lo, hi, bins + 1), or ValueError unless its bins have a finite, normal width and increase.
+
+    Every plot's span is checked here, on Python floats, whose arithmetic never warns.
+    """
+    width = (hi - lo) / bins
+    if math.isfinite(width) and width >= sys.float_info.min:
+        edges = np.linspace(lo, hi, bins + 1)
+        if (edges[1:] > edges[:-1]).all():
+            return edges
+    raise ValueError(f"{what} from {lo!r} to {hi!r} cannot be cut into {bins} bins of equal width")
+
+
+def _scatter_edges(batch: sp.EventBatch) -> np.ndarray:
+    """The cell edges of either axis of the t1/t2 plot: the batch window, or the data range, padded by 5%."""
+    if batch.window is not None:
+        lo, hi = batch.window
+    else:
+        lo = float(min(batch.t1.min(), batch.t2.min()))
+        hi = float(max(batch.t1.max(), batch.t2.max()))
+    pad = (hi - lo) * 0.05 if lo != hi else (0.5 if lo == 0.0 else abs(lo) * 0.1)
+    return _bin_edges(lo - pad, hi + pad, _CELLS, "the t1/t2 axes")
+
+
+def _tau_edges(tau: np.ndarray) -> np.ndarray:
+    """The bar edges of the tau histogram: np.histogram's, over the range of tau (padded by 0.5 if it is one point)."""
+    lo, hi = float(tau.min()), float(tau.max())
+    pad = 0.5 if lo == hi else 0.0
+    return _bin_edges(lo - pad, hi + pad, _TAU_BINS, "tau")
 
 
 def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts) -> None:
@@ -639,13 +662,8 @@ def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts)
 def render_scatter(batch: sp.EventBatch, path) -> None:
     """The (t1, t2) pairs as a _CELLS x _CELLS heat map, each non-empty cell shaded by its count over the peak's."""
     span = _WIDTH - 2 * _MARGIN
-    if batch.window is not None:
-        lo, hi = batch.window
-    else:
-        lo = float(min(batch.t1.min(), batch.t2.min()))
-        hi = float(max(batch.t1.max(), batch.t2.max()))
-    lo, hi = _axis_bounds(lo, hi)
-    edges = np.linspace(lo, hi, _CELLS + 1)
+    edges = _scatter_edges(batch)
+    lo, hi = float(edges[0]), float(edges[-1])
     counts = np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0]
     peak = max(int(counts.max()), 1)
     cell = span / _CELLS
@@ -670,9 +688,11 @@ def render_scatter(batch: sp.EventBatch, path) -> None:
 def render_tau_hist(batch: sp.EventBatch, path) -> None:
     """The tau = t1 - t2 of the pairs as a histogram of _TAU_BINS bars, each as tall as its count over the peak's."""
     height = 420
-    counts, edges = np.histogram(batch.tau, bins=_TAU_BINS)
+    tau = batch.tau
+    edges = _tau_edges(tau)
+    lo, hi = edges[0], edges[-1]
+    counts = np.histogram(tau, bins=_TAU_BINS, range=(lo, hi))[0]  # on these same edges
     peak = max(int(counts.max()), 1)
-    lo, hi = edges[0], edges[-1]  # hi > lo: numpy pads a one-point range, and raises on bins of no width
     x = _MARGIN + (edges - lo) / (hi - lo) * (_WIDTH - 2 * _MARGIN)
     bar = counts / peak * (height - 2 * _MARGIN)
     texts = [
@@ -697,6 +717,11 @@ def render_record(record_path, out_dir=None) -> list[Path]:
     if not events_path.exists():
         raise ScenarioError(f"events file {events_path} is missing")
     batch = sp.events_from_csv(events_path)
+    try:  # both plots' spans, before any file is written
+        _scatter_edges(batch)
+        _tau_edges(batch.tau)
+    except ValueError as err:
+        raise ValueError(f"{events_path}: {err}") from None
     out_dir = Path(out_dir) if out_dir is not None else record_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     scatter = out_dir / "scatter.svg"

@@ -12,9 +12,9 @@ samples continuous but adds the cell variance to tau: dt^2/6 for joint
 comparing against density moments must include that term.
 
 Every uniform a sampler uses has a fixed position in its stream, and
-`_uniforms` reads it there.  A batch is filled in fixed blocks of
-BLOCK_CELLS events on the row-block pool, each block reading its share of
-every kind of draw, so its bytes do not depend on the number of workers.
+`_uniforms` reads it there.  A batch is filled in the fixed blocks of
+events of `_blocks._for_blocks`, each block reading its share of every
+kind of draw, so its bytes do not depend on the number of workers.
 The layouts, for count events of which n_sig are signal and n_bg
 background events, each kind in event order:
 
@@ -35,10 +35,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._blocks import BLOCK_CELLS, _for_row_blocks
+from ._blocks import _for_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit
@@ -203,37 +204,16 @@ class _InverseCdf:
         return out
 
 
-class _Scratch:
-    """One worker's buffers for blocks of at most `size` events, reused block after block.
-
-    dtypes maps the name of each buffer the sampler uses to its dtype.
-    """
-
-    def __init__(self, size: int, dtypes: dict):
-        for name, dtype in dtypes.items():
-            setattr(self, name, np.empty(size, dtype=dtype))
+def _scratch(**dtypes):
+    """A sampler's block scratch: per worker, one buffer of each named dtype, for blocks of at most `size` events."""
+    return lambda size: SimpleNamespace(**{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
 
 
 # The buffers of _draw_cells and _InverseCdf.draw.
 _CELL_BUFFERS = {"u": np.float64, "idx": np.intp, "bucket": np.int64}
 
 
-def _for_event_blocks(count: int, fn, dtypes: dict) -> None:
-    """Call fn(start, stop, scratch) on every block of BLOCK_CELLS events of a batch, in parallel.
-
-    The partition depends on count alone.  Each worker takes one contiguous
-    group of blocks and its own _Scratch of the buffers dtypes names.
-    """
-
-    def group(e0, e1):
-        scratch = _Scratch(min(e1 - e0, BLOCK_CELLS), dtypes)
-        for start in range(e0, e1, BLOCK_CELLS):
-            fn(start, min(start + BLOCK_CELLS, e1), scratch)
-
-    _for_row_blocks(count, 1, group)
-
-
-def _draw_cells(key, start, total, cdf, centers, width, out, s: _Scratch):
+def _draw_cells(key, start, total, cdf, centers, width, out, s):
     """centers[i] + (jitter - 0.5) * width for len(out) events, into out.
 
     The cell uniforms are read from position start, their jitters from
@@ -294,7 +274,7 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
         t1[start:stop] -= half
         t2[start:stop] += half
 
-    _for_event_blocks(count, block, _CELL_BUFFERS)
+    _for_blocks(count, 1, block, _scratch(**_CELL_BUFFERS))
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
@@ -319,16 +299,18 @@ def _draw_mean_times(tau, u, T, t1, t2):
 
 
 def _signal_mask(key, f_s, count):
-    """The signal mask u < f_s (stream positions 0 .. count) and the signal events before each block."""
+    """The mask u < f_s (stream positions 0 .. count), the signal events before each block start, and their total."""
     signal = np.empty(count, dtype=bool)
-    before = np.zeros(-(-count // BLOCK_CELLS) + 1, dtype=np.intp)
 
     def block(start, stop, s):
         mask = np.less(_uniforms(key, start, s.u[: stop - start]), f_s, out=signal[start:stop])
-        before[start // BLOCK_CELLS + 1] = np.count_nonzero(mask)
+        return start, int(np.count_nonzero(mask))
 
-    _for_event_blocks(count, block, {"u": np.float64})
-    return signal, np.cumsum(before)
+    before, total = {}, 0
+    for start, found in _for_blocks(count, 1, block, _scratch(u=np.float64)):
+        before[start] = total  # counted in block order
+        total += found
+    return signal, before, total
 
 
 def _sample_mixture(key, d: TauDensity, count, sheared=None):
@@ -340,8 +322,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
     the count of that kind in the blocks before it.
     """
     T = d.window
-    signal, sig_before = _signal_mask(key, d.windowed.signal_fraction, count)
-    n_sig = int(sig_before[-1])
+    signal, sig_before, n_sig = _signal_mask(key, d.windowed.signal_fraction, count)
     n_bg = count - n_sig
     # stream positions of the first draw of each kind
     bg_at = (count, count + n_bg)  # t1, t2
@@ -362,14 +343,12 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
     t2 = np.empty(count)
 
     def block(start, stop, s):
-        b = start // BLOCK_CELLS
-        k = int(sig_before[b])  # signal events before this block
-        ns = int(sig_before[b + 1]) - k
+        k = sig_before[start]  # signal events before this block
         j = start - k  # background events before it
-        nb = stop - start - ns
         mask = signal[start:stop]
         bg = np.flatnonzero(~mask)
         sg = np.flatnonzero(mask)
+        nb, ns = bg.size, sg.size
         times = (t1[start:stop], t2[start:stop])
         if nb:
             for t, at in zip(times, bg_at):
@@ -401,7 +380,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
             w *= two_beta
             shifts[arm](t, w, out=t)
 
-    _for_event_blocks(count, block, dict(_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
+    _for_blocks(count, 1, block, _scratch(**_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
     return t1, t2
 
 

@@ -206,9 +206,8 @@ def gaussian_cross(
 
 
 def flat_cross(grid: FrequencyGrid, value: float) -> CrossSpectrum:
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"value must be finite and >= 0, got {value!r}")
-    return CrossSpectrum(grid, np.full(grid.n, value, dtype=np.complex128))
+    """A flat real cross-spectrum (no spectral phase)."""
+    return CrossSpectrum(grid, flat_spectrum(grid, value).values.astype(np.complex128))
 
 
 def intensity(s: SpectralModel) -> float:

@@ -77,8 +77,8 @@ def test_one_worker_starts_no_thread(workers):
     workers(1)
     before = threading.active_count()
     calls = []
-    _blocks._for_row_blocks(1024, 1024, lambda r0, r1: calls.append((r0, r1, threading.current_thread())))
-    assert calls == [(0, 1024, threading.current_thread())]
+    _blocks._for_blocks(1024, 1024, lambda r0, r1, s: calls.append((r0, r1, threading.current_thread())))
+    assert calls == [(r0, r0 + 64, threading.current_thread()) for r0 in range(0, 1024, 64)]
     psi = build_pdc_amplitude(FrequencyGrid(n=512, domega=0.0625), 0.5, 3.0)
     amplitude_moments(psi)
     to_time_domain(psi)
@@ -87,11 +87,56 @@ def test_one_worker_starts_no_thread(workers):
 
 def test_four_blocks_over_three_workers(workers):
     workers(3)
-    calls = []
+    groups, threads = [], {}
+
+    def scratch(rows):  # one per group, so it names the group
+        groups.append([])
+        return groups[-1]
+
+    def fn(r0, r1, group):
+        group.append((r0, r1))
+        threads[r0] = threading.current_thread()
+
     # 16 rows of a quarter block each: 4 blocks of 4 rows.
-    _blocks._for_row_blocks(16, _blocks.BLOCK_CELLS // 4, lambda r0, r1: calls.append((r0, r1, threading.current_thread())))
-    assert sorted(c[:2] for c in calls) == [(0, 4), (4, 8), (8, 16)]
-    assert [c[2] for c in calls if c[0] == 0] == [threading.current_thread()]
+    _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, fn, scratch)
+    assert sorted(groups) == [[(0, 4)], [(4, 8)], [(8, 12), (12, 16)]]
+    assert threads[0] is threading.current_thread()
+
+
+def test_results_come_back_in_block_order(workers):
+    workers(3)
+    last_group_done = threading.Event()
+    finished = []
+
+    def fn(r0, r1, s):
+        if r0 == 0:  # block 0, on the caller, waits until the group [2, 3] is done
+            assert last_group_done.wait(timeout=30)
+        finished.append(r0)
+        if r0 == 12:
+            last_group_done.set()
+        return r0, r1
+
+    results = _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, fn)
+    assert finished.index(12) < finished.index(0)
+    assert results == [(0, 4), (4, 8), (8, 12), (12, 16)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_scratch_is_made_once_per_group(workers, count):
+    workers(count)
+    made = []
+
+    def scratch(rows):
+        made.append(rows)
+        return object()
+
+    got = _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s, scratch)
+    assert made == [4] * count  # for blocks of 4 rows
+    assert len(set(map(id, got))) == count
+    made.clear()  # 6 rows: blocks of 4 and 2 rows; a group of the short block alone gets scratch for 2
+    _blocks._for_blocks(6, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s, scratch)
+    assert sorted(made) == {1: [4], 3: [2, 4]}[count]
+    assert _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s) == [None] * 4
 
 
 def test_a_call_from_a_pool_thread_runs_inline(workers):
@@ -213,7 +258,7 @@ def test_outputs_are_byte_identical_on_one_and_two_workers(tmp_path, workers):
     assert stationary["events_before.csv"].count(b"\n") == 2 + 200_000
     assert run["events_before.csv"].count(b"\n") == 2 + 40_000
     batch = events_from_csv(tmp_path / "workers1" / "run" / "events_before.csv")
-    edges = np.linspace(*cli._axis_bounds(*batch.window), cli._CELLS + 1)
+    edges = cli._scatter_edges(batch)
     cells = np.count_nonzero(np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0])
     assert 0 < run["scatter.svg"].count(b"fill-opacity") == cells  # one rect per non-empty heat-map cell
     assert outputs[0] == outputs[1] == outputs[2]

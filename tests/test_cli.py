@@ -1008,6 +1008,18 @@ def test_scan_rows_equal_run_witness_bit_for_bit(tmp_path, param, values):
         assert row[1:] == [witness["lhs_ps2"], witness["rhs_ps2"], witness["margin_ps2"], witness["product"]]
 
 
+def test_scan_csv_bytes_match_the_row_loop(tmp_path):
+    # '%.17g' % x == f'{x:.17g}' for every float, the signed zero, the
+    # smallest subnormal and the largest magnitudes included.
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0 ** 60, 1.5]
+    rows = [dict(zip(cli._SCAN_COLUMNS, values[k:] + values[:k])) for k in range(len(values))]
+    path = tmp_path / "scan.csv"
+    cli.write_scan_csv(rows, path)
+    loop = "".join(",".join(f"{row[key]:.17g}" for key in cli._SCAN_COLUMNS) + "\n" for row in rows)
+    assert path.read_bytes() == (",".join(cli._SCAN_COLUMNS) + "\n" + loop).encode()
+    assert b"\n-0,4.9406564584124654e-324," in path.read_bytes()
+
+
 def test_scan_validates_every_value_before_building(tmp_path, capsys, monkeypatch):
     amplitudes = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
     rc, _ = _scan(tmp_path, _resolved_biphoton(), "jitter_sigma_ps", "0,-1,2")
@@ -1315,6 +1327,25 @@ def test_render_rejects_an_events_body_without_two_columns(tmp_path, capsys, col
     assert err["error"] == "ValueError"
     assert str(events) in err["message"] and f"found shape {shape}" in err["message"]
     assert not (out_dir / "scatter.svg").exists()
+
+
+@pytest.mark.parametrize("body", [["0,0", "5e-324,0"], ["-1e308,0", "1e308,0"]], ids=["subnormal", "overflow"])
+def test_render_rejects_times_whose_span_has_no_room_for_the_bins(tmp_path, capsys, body):
+    # The first span is too narrow for bins of normal width, the second
+    # overflows; the plots' bins are checked before either file is written.
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
+    assert rc == 0
+    events = out_dir / "events_before.csv"
+    events.write_text("# seed=2 window=none source=doctored\nt1_ps,t2_ps\n" + "".join(f"{row}\n" for row in body))
+    capsys.readouterr()
+    rc = cli.main(["render", str(out_dir / "runrecord.json"), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1  # the error line alone, no numpy warning
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError" and str(events) in err["message"]
+    assert "bins of equal width" in err["message"]
+    assert not (tmp_path / "plots").exists()
 
 
 def test_render_fails_when_events_file_vanished(tmp_path, capsys):
