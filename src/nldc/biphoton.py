@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import as_strided
 from ._blocks import _for_blocks
 from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
-from .moments import DispersionKit, TemporalCovariance
+from .moments import DispersionKit, TemporalCovariance, _require_finite
 from .spectral import FrequencyGrid, _own_or_copy, _Owned, _readonly, _require_unwrapped
 
 NORM_RTOL = 1e-9
@@ -79,9 +79,7 @@ class BiphotonAmplitude:
 
     def __post_init__(self):
         n = self.grid.n
-        arr = _own_or_copy(self.values, np.complex128)
-        if arr.shape != (n, n):
-            raise ValueError(f"amplitude must have shape ({n}, {n}), got {arr.shape}")
+        arr = _own_or_copy(self.values, np.complex128, (n, n), "amplitude")
         norm = _finite_sum_of_squares(arr) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
             raise ValueError(f"amplitude norm is {norm}, must be 1 within {NORM_RTOL}")
@@ -102,9 +100,7 @@ class JointTemporalDensity:
 
     def __post_init__(self):
         n = self.grid.n
-        arr = _own_or_copy(self.values, np.float64)
-        if arr.shape != (n, n):
-            raise ValueError(f"density must have shape ({n}, {n}), got {arr.shape}")
+        arr = _own_or_copy(self.values, np.float64, (n, n), "density")
 
         def negative(r0, r1, _):
             block = arr[r0:r1]
@@ -153,10 +149,8 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     GridTooNarrowError is raised.  Errors carry ratio = measured / limit and
     the limit.
     """
-    a, b = pump_sigma, pm_sigma
-    for name, width in (("pump_sigma", a), ("pm_sigma", b)):
-        if not math.isfinite(width) or width <= 0.0:
-            raise ValueError(f"{name} must be finite and > 0, got {width!r}")
+    a = _require_finite("pump_sigma", pump_sigma, above=0)
+    b = _require_finite("pm_sigma", pm_sigma, above=0)
     half_span = grid.n * grid.domega / 2.0
     widest = max(a, b)
     if 3.0 * widest >= half_span:

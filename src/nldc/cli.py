@@ -659,10 +659,9 @@ def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts)
         fh.write("".join(parts))
 
 
-def render_scatter(batch: sp.EventBatch, path) -> None:
-    """The (t1, t2) pairs as a _CELLS x _CELLS heat map, each non-empty cell shaded by its count over the peak's."""
+def render_scatter(batch: sp.EventBatch, path, edges: np.ndarray) -> None:
+    """The (t1, t2) pairs as a heat map, edges on both axes, each non-empty cell shaded by its count over the peak's."""
     span = _WIDTH - 2 * _MARGIN
-    edges = _scatter_edges(batch)
     lo, hi = float(edges[0]), float(edges[-1])
     counts = np.histogram2d(batch.t1, batch.t2, bins=(edges, edges))[0]
     peak = max(int(counts.max()), 1)
@@ -685,13 +684,11 @@ def render_scatter(batch: sp.EventBatch, path) -> None:
     _write_binned_svg(path, _WIDTH, f"detection times: {batch.source}", lo, hi, counts, rect, columns, texts)
 
 
-def render_tau_hist(batch: sp.EventBatch, path) -> None:
-    """The tau = t1 - t2 of the pairs as a histogram of _TAU_BINS bars, each as tall as its count over the peak's."""
+def render_tau_hist(batch: sp.EventBatch, path, edges: np.ndarray) -> None:
+    """The tau = t1 - t2 of the pairs as a histogram on the bar edges, each bar as tall as its count over the peak's."""
     height = 420
-    tau = batch.tau
-    edges = _tau_edges(tau)
     lo, hi = edges[0], edges[-1]
-    counts = np.histogram(tau, bins=_TAU_BINS, range=(lo, hi))[0]  # on these same edges
+    counts = np.histogram(batch.tau, bins=_TAU_BINS, range=(lo, hi))[0]  # on these same edges
     peak = max(int(counts.max()), 1)
     x = _MARGIN + (edges - lo) / (hi - lo) * (_WIDTH - 2 * _MARGIN)
     bar = counts / peak * (height - 2 * _MARGIN)
@@ -718,16 +715,16 @@ def render_record(record_path, out_dir=None) -> list[Path]:
         raise ScenarioError(f"events file {events_path} is missing")
     batch = sp.events_from_csv(events_path)
     try:  # both plots' spans, before any file is written
-        _scatter_edges(batch)
-        _tau_edges(batch.tau)
+        scatter_edges = _scatter_edges(batch)
+        tau_edges = _tau_edges(batch.tau)
     except ValueError as err:
         raise ValueError(f"{events_path}: {err}") from None
     out_dir = Path(out_dir) if out_dir is not None else record_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     scatter = out_dir / "scatter.svg"
     hist = out_dir / "tau_hist.svg"
-    render_scatter(batch, scatter)
-    render_tau_hist(batch, hist)
+    render_scatter(batch, scatter, scatter_edges)
+    render_tau_hist(batch, hist, tau_edges)
     return [scatter, hist]
 
 

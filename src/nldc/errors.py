@@ -5,19 +5,10 @@ class PreconditionError(ValueError):
     """A numerical precondition failed (grid too coarse, window too small, ...).
 
     The CLI maps these to exit code 3.  Plain ValueError means malformed or
-    out-of-range input data and maps to exit code 2.
-    """
-
-
-class GridMismatchError(PreconditionError):
-    """Two objects that must share a frequency grid do not."""
-
-
-class _LimitError(PreconditionError):
-    """A measured quantity reached its limit.
-
-    ratio is measured / limit (>= 1 when raised) and limit is the bound the
-    measured quantity must stay below; the CLI reports both.
+    out-of-range input data and maps to exit code 2.  An error that measured
+    a quantity against a limit carries ratio = measured / limit (>= 1 when
+    raised) and the limit the measured quantity must stay below; the CLI
+    reports both.  Otherwise both are None.
     """
 
     def __init__(self, message, ratio=None, limit=None):
@@ -26,20 +17,24 @@ class _LimitError(PreconditionError):
         self.limit = limit
 
 
-class GridTooCoarseError(_LimitError):
+class GridMismatchError(PreconditionError):
+    """Two objects that must share a frequency grid do not."""
+
+
+class GridTooCoarseError(PreconditionError):
     """The grid spacing cannot resolve a requested spectral or temporal width."""
 
 
-class GridTooNarrowError(_LimitError):
+class GridTooNarrowError(PreconditionError):
     """The grid span does not cover a requested spectral width."""
 
 
-class MemoryBudgetError(_LimitError):
+class MemoryBudgetError(PreconditionError):
     """A run's estimated peak memory exceeds the budget (limit in bytes)."""
 
 
 class WindowTooSmallError(PreconditionError):
-    """The shutter window is too short relative to the correlation width."""
+    """The shutter window is too short relative to the correlation width (ratio 6*rms/T, limit T in ps)."""
 
 
 class BatchTooSmallError(PreconditionError):
@@ -51,7 +46,7 @@ class DegenerateStateError(PreconditionError):
 
 
 class AdmissibilityError(PreconditionError):
-    """A cross-spectrum violates the admissibility bound of its declared regime."""
+    """A cross-spectrum violates its regime's bound (ratio: worst |x|^2/bound over limit 1 + SATURATION_RTOL)."""
 
 
 class ParsevalError(PreconditionError):

@@ -47,10 +47,15 @@ _CS_SLACK = 1.0 + 1e-12
 _MARGIN_ROUNDING = 8 * 2.0 ** -52
 
 
-def _require_finite(**fields):
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _require_finite(name, value, above=None, at_least=None):
+    """value, or ValueError "<name> must be finite[ and > above | and >= at_least], got <value>".
+
+    The one check of every scalar precondition in the package.
+    """
+    if math.isfinite(value) and (above is None or value > above) and (at_least is None or value >= at_least):
+        return value
+    bound = f" and > {above}" if above is not None else "" if at_least is None else f" and >= {at_least}"
+    raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,16 @@ class TemporalCovariance:
     mean_omega: float = 0.0
 
     def __post_init__(self):
-        _require_finite(
-            var_tau=self.var_tau,
-            var_omega=self.var_omega,
-            cov_tau_omega=self.cov_tau_omega,
-            mean_tau=self.mean_tau,
-            mean_omega=self.mean_omega,
-        )
-        if self.var_tau < 0.0:
-            raise ValueError(f"var_tau must be >= 0, got {self.var_tau}")
-        if self.var_omega < 0.0:
-            raise ValueError(f"var_omega must be >= 0, got {self.var_omega}")
+        _require_finite("var_tau", self.var_tau, at_least=0)
+        _require_finite("var_omega", self.var_omega, at_least=0)
+        for name in ("cov_tau_omega", "mean_tau", "mean_omega"):
+            _require_finite(name, getattr(self, name))
         # Products, not **, so that an overflow is an inf that the check names
         # instead of an OverflowError.
         cov_sq = self.cov_tau_omega * self.cov_tau_omega
         var_product = self.var_tau * self.var_omega
-        _require_finite(**{"cov_tau_omega^2": cov_sq, "var_tau*var_omega": var_product})
+        _require_finite("cov_tau_omega^2", cov_sq)
+        _require_finite("var_tau*var_omega", var_product)
         if cov_sq > var_product * _CS_SLACK:
             raise ValueError(
                 "cov_tau_omega violates Cauchy-Schwarz: "
@@ -103,7 +102,8 @@ class DispersionKit:
     delay_2: float = 0.0
 
     def __post_init__(self):
-        _require_finite(beta_L=self.beta_L, delay_1=self.delay_1, delay_2=self.delay_2)
+        for name in ("beta_L", "delay_1", "delay_2"):
+            _require_finite(name, getattr(self, name))
         two_bl = 2.0 * self.beta_L
         if not math.isfinite(two_bl * two_bl):
             raise ValueError(f"beta_L = {self.beta_L!r} ps^2 is too large: (2*beta_L)^2 overflows")
@@ -228,9 +228,7 @@ def evaluate_witness(cov_before: TemporalCovariance, kit: DispersionKit) -> Witn
 
 def apply_jitter(cov: TemporalCovariance, jitter_var: float) -> TemporalCovariance:
     """Add detector timing jitter: var_tau grows by jitter_var (ps^2), nothing else moves."""
-    if not math.isfinite(jitter_var) or jitter_var < 0.0:
-        raise ValueError(f"jitter_var must be finite and >= 0, got {jitter_var!r}")
-    return replace(cov, var_tau=cov.var_tau + jitter_var)
+    return replace(cov, var_tau=cov.var_tau + _require_finite("jitter_var", jitter_var, at_least=0))
 
 
 def jitter_feasibility(
@@ -241,8 +239,7 @@ def jitter_feasibility(
     cov is the intrinsic (jitter-free) state; jitter_var > 0 is the added
     tau variance in ps^2.
     """
-    if not math.isfinite(jitter_var) or jitter_var <= 0.0:
-        raise ValueError(f"jitter_var must be finite and > 0, got {jitter_var!r}")
+    _require_finite("jitter_var", jitter_var, above=0)
     linewidth_product = cov.var_omega * jitter_var
     dispersion_ratio = 2.0 * kit.beta_L / (cov.var_tau + jitter_var)
     return JitterFeasibility(

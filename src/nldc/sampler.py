@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -42,7 +43,7 @@ import numpy as np
 from ._blocks import _for_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
-from .moments import DispersionKit
+from .moments import DispersionKit, _require_finite
 from .spectral import _own_or_copy, _Owned, _read_body, _readonly, _write_formatted_rows
 from .stationary import StationaryPairModel, TauDensity
 
@@ -146,8 +147,10 @@ def _uniforms(key: int, start: int, out: np.ndarray) -> np.ndarray:
     Each double takes one 64-bit output, and one counter step of Philox
     yields four of them (Salmon et al., SC11), so the stream is entered at
     any position by advancing the counter start // 4 steps and dropping
-    start % 4 outputs.
+    start % 4 outputs.  start may be a numpy integer, which Philox.advance
+    itself rejects.
     """
+    start = operator.index(start)
     bits = np.random.Philox(key=key).advance(start // 4)
     bits.random_raw(start % 4)
     np.random.Generator(bits).random(out=out)
@@ -304,7 +307,7 @@ def _signal_mask(key, f_s, count):
 
     def block(start, stop, s):
         mask = np.less(_uniforms(key, start, s.u[: stop - start]), f_s, out=signal[start:stop])
-        return start, int(np.count_nonzero(mask))
+        return start, np.count_nonzero(mask)
 
     before, total = {}, 0
     for start, found in _for_blocks(count, 1, block, _scratch(u=np.float64)):
@@ -428,8 +431,7 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     """
     if batch.n < 2:
         raise BatchTooSmallError(f"need at least 2 events, got {batch.n}")
-    if not math.isfinite(jitter_sigma) or jitter_sigma < 0.0:
-        raise ValueError(f"jitter_sigma must be finite and >= 0, got {jitter_sigma!r}")
+    _require_finite("jitter_sigma", jitter_sigma, at_least=0)
     t1 = batch.t1
     t2 = batch.t2
     if jitter_sigma > 0.0:

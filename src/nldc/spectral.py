@@ -35,6 +35,7 @@ import numpy as np
 
 from ._blocks import _write_in_groups
 from .errors import GridMismatchError, GridTooCoarseError
+from .moments import _require_finite
 
 SATURATION_RTOL = 1e-9
 EDGE_MASS_LIMIT = 1e-6
@@ -60,10 +61,13 @@ class _Owned:
         self.array = array
 
 
-def _own_or_copy(values, dtype) -> np.ndarray:
-    if isinstance(values, _Owned):
-        return np.asarray(values.array, dtype=dtype)
-    return np.array(values, dtype=dtype, copy=True)
+def _own_or_copy(values, dtype, shape=None, what=None) -> np.ndarray:
+    """values as a dtype array, kept if `_Owned` and copied if not; ValueError unless it has shape (if given)."""
+    owned = isinstance(values, _Owned)
+    arr = np.array(values.array if owned else values, dtype=dtype, copy=None if owned else True)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class FrequencyGrid:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 8 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
-        if not math.isfinite(self.domega) or self.domega <= 0.0:
-            raise ValueError(f"domega must be finite and > 0, got {self.domega!r}")
+        _require_finite("domega", self.domega, above=0)
 
     @cached_property
     def omegas(self) -> np.ndarray:
@@ -113,15 +116,6 @@ def _require_unwrapped(mass: np.ndarray, what: str) -> None:
         )
 
 
-def _coerce_values(values, n, dtype, what):
-    arr = np.array(values, dtype=dtype, copy=True)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64) if dtype == np.complex128 else arr)):
-        raise ValueError(f"{what} must be finite")
-    return _readonly(arr)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
     """A non-negative flux spectral density sampled on a FrequencyGrid."""
@@ -130,10 +124,12 @@ class SpectralModel:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _coerce_values(self.values, self.grid.n, np.float64, "spectrum values")
+        arr = _own_or_copy(self.values, np.float64, (self.grid.n,), "spectrum values")
+        if not np.isfinite(arr).all():
+            raise ValueError("spectrum values must be finite")
         if np.any(arr < 0.0):
             raise ValueError("spectrum values must be >= 0")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +140,10 @@ class CrossSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _coerce_values(self.values, self.grid.n, np.complex128, "cross-spectrum values")
-        object.__setattr__(self, "values", arr)
+        arr = _own_or_copy(self.values, np.complex128, (self.grid.n,), "cross-spectrum values")
+        if not np.isfinite(arr.view(np.float64)).all():
+            raise ValueError("cross-spectrum values must be finite")
+        object.__setattr__(self, "values", _readonly(arr))
 
 
 @dataclass(frozen=True)
@@ -181,20 +179,15 @@ def gaussian_spectrum(
     grid: FrequencyGrid, peak: float, sigma: float, center: float = 0.0
 ) -> SpectralModel:
     """peak * exp(-(omega - center)^2 / (2*sigma^2)) on the grid."""
-    if not math.isfinite(peak) or peak < 0.0:
-        raise ValueError(f"peak must be finite and >= 0, got {peak!r}")
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
-    if not math.isfinite(center):
-        raise ValueError(f"center must be finite, got {center!r}")
+    _require_finite("peak", peak, at_least=0)
+    _require_finite("sigma", sigma, above=0)
+    _require_finite("center", center)
     w = grid.omegas
     return SpectralModel(grid, peak * np.exp(-((w - center) ** 2) / (2.0 * sigma ** 2)))
 
 
 def flat_spectrum(grid: FrequencyGrid, value: float) -> SpectralModel:
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"value must be finite and >= 0, got {value!r}")
-    return SpectralModel(grid, np.full(grid.n, value))
+    return SpectralModel(grid, np.full(grid.n, _require_finite("value", value, at_least=0)))
 
 
 def gaussian_cross(

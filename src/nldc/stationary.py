@@ -35,11 +35,14 @@ import numpy as np
 
 from ._fft import to_time_1d
 from .errors import AdmissibilityError, DegenerateStateError, WindowTooSmallError
-from .moments import TemporalCovariance
+from .moments import TemporalCovariance, _require_finite
 from .spectral import (
+    SATURATION_RTOL,
     CrossSpectrum,
     FrequencyGrid,
     SpectralModel,
+    _own_or_copy,
+    _Owned,
     _readonly,
     _require_unwrapped,
     _write_rows,
@@ -68,8 +71,7 @@ class StationaryPairModel:
 
     def __post_init__(self):
         require_same_grid(self.s1, self.s2, self.cross)
-        if not math.isfinite(self.window) or self.window <= 0.0:
-            raise ValueError(f"window must be finite and > 0, got {self.window!r}")
+        _require_finite("window", self.window, above=0)
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         check = classical_admissible if self.regime == "classical" else quantum_admissible
@@ -77,7 +79,9 @@ class StationaryPairModel:
         if not report.ok:
             raise AdmissibilityError(
                 f"cross-spectrum violates the {self.regime} bound: worst ratio "
-                f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps"
+                f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps",
+                ratio=report.worst_ratio / (1.0 + SATURATION_RTOL),
+                limit=1.0 + SATURATION_RTOL,
             )
 
     @property
@@ -90,7 +94,7 @@ class StationaryPairModel:
         g = to_time_1d(self.cross.values, self.grid)
         return TauDensity(
             grid=self.grid,
-            signal=np.abs(g) ** 2,
+            signal=_Owned(np.abs(g) ** 2),
             background=intensity(self.s1) * intensity(self.s2),
             window=self.window,
         )
@@ -114,7 +118,8 @@ def make_pair_model(
 @dataclass(frozen=True, eq=False)
 class TauDensity:
     """Coincidence profile: signal |g(tau)|^2 on the conjugate time grid,
-    a flat background level B = I1*I2 (photons^2/ps^2) and the window T (ps)."""
+    a flat background level B = I1*I2 (photons^2/ps^2) and the window T (ps).
+    signal is copied unless package code hands it over as `_Owned(array)`."""
 
     grid: FrequencyGrid
     signal: np.ndarray
@@ -122,15 +127,13 @@ class TauDensity:
     window: float
 
     def __post_init__(self):
-        arr = np.array(self.signal, dtype=np.float64, copy=True)
-        if arr.shape != (self.grid.n,):
-            raise ValueError(f"signal must have shape ({self.grid.n},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ValueError("signal must be finite and >= 0")
-        if not math.isfinite(self.background) or self.background < 0.0:
-            raise ValueError(f"background must be finite and >= 0, got {self.background!r}")
-        if not math.isfinite(self.window) or self.window <= 0.0:
-            raise ValueError(f"window must be finite and > 0, got {self.window!r}")
+        arr = _own_or_copy(self.signal, np.float64, (self.grid.n,), "signal")
+        if not np.isfinite(arr).all():
+            raise ValueError("signal must be finite")
+        if np.any(arr < 0.0):
+            raise ValueError("signal must be >= 0")
+        _require_finite("background", self.background, at_least=0)
+        _require_finite("window", self.window, above=0)
         object.__setattr__(self, "signal", _readonly(arr))
 
     @property
@@ -160,7 +163,9 @@ class TauDensity:
         rms = math.sqrt(var + mean * mean)
         if self.window < 6.0 * rms:
             raise WindowTooSmallError(
-                f"window T = {self.window} ps must cover 6x the signal RMS width {rms} ps"
+                f"window T = {self.window} ps must cover 6x the signal RMS width {rms} ps",
+                ratio=6.0 * rms / self.window,
+                limit=self.window,
             )
         return mean, var, total
 

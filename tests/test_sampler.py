@@ -678,3 +678,13 @@ def test_uniforms_are_addressed_by_stream_position(length):
     for start in starts:
         got = _uniforms(key, start, np.empty(length))
         assert np.array_equal(got.view(np.uint64), stream[start : start + length].view(np.uint64)), start
+
+
+def test_uniforms_take_a_numpy_integer_start():
+    # Philox.advance rejects numpy integers, and a stream position counted
+    # by numpy (np.count_nonzero) is one.
+    key = _stream_key(42, "stationary")
+    for start in (0, 3, 4, 250_001):
+        for kind in (np.int64, np.intp, np.uint64, np.int32):
+            got = _uniforms(key, kind(start), np.empty(5))
+            assert np.array_equal(got.view(np.uint64), _uniforms(key, start, np.empty(5)).view(np.uint64))
