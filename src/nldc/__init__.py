@@ -19,7 +19,6 @@ from .biphoton import (
     amplitude_moments,
     apply_dispersion_phase,
     build_pdc_amplitude,
-    density_from_binary,
     density_to_binary,
     to_time_domain,
 )
@@ -96,7 +95,7 @@ __all__ = [
     # biphoton
     "BiphotonAmplitude", "JointTemporalDensity", "build_pdc_amplitude",
     "apply_dispersion_phase", "to_time_domain", "amplitude_moments",
-    "density_to_binary", "density_from_binary",
+    "density_to_binary",
     # stationary
     "StationaryPairModel", "TauDensity", "WindowedTauStats", "make_pair_model",
     "windowed_covariance", "tau_density_to_csv",

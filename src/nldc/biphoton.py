@@ -263,10 +263,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
     expected = psi._norm / (2.0 * math.pi) ** 2
-    if abs(mass / expected - 1.0) > NORM_RTOL:
-        raise ParsevalError(
-            f"Parseval identity violated: time mass {mass}, expected {expected}"
-        )
+    _require_parseval("time mass", mass, expected)
 
     def normalize(r0, r1, _):
         block = p[r0:r1]
@@ -274,6 +271,22 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
 
     _for_blocks(n, n, normalize)
     return JointTemporalDensity(psi.grid, _Owned(p))
+
+
+def _require_parseval(what: str, mass: float, expected: float) -> None:
+    """ParsevalError (limit NORM_RTOL) unless mass / expected is 1 within NORM_RTOL; a NaN mass fails."""
+    miss = abs(mass / expected - 1.0)
+    if not miss <= NORM_RTOL:
+        raise ParsevalError(
+            f"Parseval identity violated: {what} {mass}, expected {expected}",
+            ratio=miss / NORM_RTOL,
+            limit=NORM_RTOL,
+        )
+
+
+def _exchanged(state):
+    """The amplitude or density with omega1, t1 and omega2, t2 exchanged: a fresh transpose, fully checked."""
+    return type(state)(state.grid, _Owned(np.ascontiguousarray(state.values.T)))
 
 
 def _gather_lines(flat: np.ndarray, n: int, s0: int, out: np.ndarray, upper: np.ndarray) -> None:
@@ -383,10 +396,7 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         second += float(block_second)
     expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
     total = float(marginal.sum())
-    if abs(total / expected - 1.0) > NORM_RTOL:
-        raise ParsevalError(
-            f"Parseval identity violated: line transform mass {total}, expected {expected}"
-        )
+    _require_parseval("line transform mass", total, expected)
     return marginal, weight, first, second / norm
 
 
@@ -442,27 +452,10 @@ def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
 # Interchange format: the joint time density as a binary dump.
 
 def density_to_binary(density: JointTemporalDensity, path) -> None:
-    """8-float64 header then row-major little-endian float64 densities.
-
-    The header is (DENSITY_MAGIC, n, domega, dt, 0, 0, 0, 0).
-    """
+    """Header (DENSITY_MAGIC, n, domega, dt, 0, 0, 0, 0), then the densities row-major; all little-endian float64."""
     grid = density.grid
-    header = np.array(
-        [DENSITY_MAGIC, float(grid.n), grid.domega, grid.dt, 0.0, 0.0, 0.0, 0.0], dtype="<f8"
-    )
+    header = np.array([DENSITY_MAGIC, float(grid.n), grid.domega, grid.dt, 0.0, 0.0, 0.0, 0.0], dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(density.values, dtype="<f8").tobytes())
 
-
-def density_from_binary(path) -> JointTemporalDensity:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = np.frombuffer(raw[:64], dtype="<f8")
-    if len(header) != 8 or header[0] != DENSITY_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a recognised binary dump")
-    grid = FrequencyGrid(n=int(header[1]), domega=float(header[2]))
-    if abs(header[3] - grid.dt) > 1e-9 * grid.dt:
-        raise ValueError(f"{path}: header dt inconsistent with n and domega")
-    data = np.frombuffer(raw[64:], dtype="<f8")
-    return JointTemporalDensity(grid, data.reshape(grid.n, grid.n))

@@ -206,28 +206,32 @@ class ScenarioError(ValueError):
     """Scenario content failed validation (maps to exit code 2)."""
 
 
-def _filled(node, schema: dict):
-    """A copy of the valid node with the schema's defaults filled in and integer fields as ints.
+def _filled(node, schema: dict, path: str = "scenario"):
+    """A copy of the valid node with the schema's defaults filled in, integer fields as ints and numbers as floats.
 
     An object under a oneOf (the cross spectrum) follows the branch of
-    type object.
+    type object.  A number past the float range is a ScenarioError.
     """
     if isinstance(node, dict):
         schema = next((s for s in schema.get("oneOf", ()) if s.get("type") == "object"), schema)
         properties = schema["properties"]
-        out = {key: _filled(value, properties[key]) for key, value in node.items()}
+        out = {key: _filled(value, properties[key], f"{path}.{key}") for key, value in node.items()}
         for key, sub in properties.items():
             if key not in out and "default" in sub:
                 out[key] = _filled(sub["default"], sub)
         return out
-    return int(node) if schema.get("type") == "integer" else node
+    kind = schema.get("type")
+    try:
+        return int(node) if kind == "integer" else float(node) if kind == "number" else node
+    except OverflowError:
+        raise ScenarioError(f"{path} is past the float range") from None
 
 
 def normalize_scenario(raw: dict) -> dict:
     """Validate against the schema and fill its defaults; returns a new dict.
 
-    Integer fields come out as ints even when the input wrote them as
-    integral floats, so later stages and scan's state cache see one value.
+    Integer fields come out as ints and number fields as floats, however
+    the input wrote them, so later stages and scan's state cache see one value.
     """
     error = best_error(raw, SCENARIO_SCHEMA)
     if error is not None:
@@ -377,15 +381,16 @@ def _witness(evaluate, *args) -> dict:
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
     """Execute one normalized scenario, writing outputs into out_dir.
 
-    A biphoton state is dispersed on the grid and each arm's moments come
-    from the sum-frequency line route; the 2D time transform runs only for
-    what needs the joint density, once per arm for the sampler and once for
-    density_before.bin.  The other kinds are sheared in closed form.
+    A biphoton state is dispersed once, with the kit, and the minus arm is
+    the plus arm exchanged.  Moments come from the sum-frequency line route;
+    the 2D time transform runs for density_before (the "before" draw and
+    density_before.bin) and the plus density.  Other kinds shear in closed form.
 
-    Each sampled batch is estimated as soon as it is drawn, and a biphoton
-    arm's amplitude and density are released once its batch is drawn, so
-    at most one arm's n x n arrays are alive beside the source amplitude.
-    A batch is kept to the end only when its events CSV is written.
+    n x n arrays alive, in turn: the source (with density_before while it is
+    made); the source and the plus amplitude; the plus amplitude with its
+    exchange (the minus moments), then with the plus density; the plus and
+    minus densities.  density_before is kept only to be dumped, and a batch
+    only when its events CSV is written.
     """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
@@ -399,10 +404,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     batches: dict = {}  # only the batches whose events CSV is written
 
     def sample(label: str, density=None) -> None:
-        """Draw the batch of one arm ("before", "plus" or "minus") and estimate it.
-
-        A biphoton arm draws from its density; a stationary one from the model.
-        """
+        """Draw and estimate the batch of one arm ("before", "plus" or "minus"), from its density or the model."""
         count, seed = sampler["n_events"], sampler["seed"]
         sub_seed = sp.derive_seed(seed, label)
         if density is not None:
@@ -429,15 +431,18 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
                 sample("before", density_before)
             if not dump:
                 density_before = None
-        arms = {}
-        for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
-            psi = bp.apply_dispersion_phase(source, arm_kit)
-            arms[label] = bp.amplitude_moments(psi)
-            density = bp.to_time_domain(psi) if sampler is not None else None
-            del psi  # released before the draw and before the next arm
-            if density is not None:
-                sample(label, density)
-                del density
+        psi = bp.apply_dispersion_phase(source, kit)
+        del source  # cov0 and density_before are taken
+        # build_pdc_amplitude gives psi == psi.T bit for bit, so the swapped kit would disperse
+        # it into the plus amplitude exchanged: the minus arm is the plus arm with t1 <-> t2.
+        arms = {"plus": bp.amplitude_moments(psi), "minus": bp.amplitude_moments(bp._exchanged(psi))}
+        if sampler is not None:
+            density = bp.to_time_domain(psi)
+            del psi  # released before the draws
+            sample("plus", density)
+            density = bp._exchanged(density)
+            sample("minus", density)
+            del density
     else:
         arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
         if sampler is not None:

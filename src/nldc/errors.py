@@ -38,7 +38,7 @@ class WindowTooSmallError(PreconditionError):
 
 
 class BatchTooSmallError(PreconditionError):
-    """Too few events for the requested estimator."""
+    """Too few events for the requested estimator (ratio 2/count, inf for none; limit 2, the least count)."""
 
 
 class DegenerateStateError(PreconditionError):
@@ -50,4 +50,4 @@ class AdmissibilityError(PreconditionError):
 
 
 class ParsevalError(PreconditionError):
-    """A time transform did not preserve the norm: the Fourier kernel is broken."""
+    """A time transform did not keep the norm, so its kernel is broken (ratio |mass/expected - 1| / NORM_RTOL)."""

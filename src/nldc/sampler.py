@@ -430,7 +430,8 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.
     """
     if batch.n < 2:
-        raise BatchTooSmallError(f"need at least 2 events, got {batch.n}")
+        ratio = 2 / batch.n if batch.n else math.inf
+        raise BatchTooSmallError(f"need at least 2 events, got {batch.n}", ratio=ratio, limit=2)
     _require_finite("jitter_sigma", jitter_sigma, at_least=0)
     t1 = batch.t1
     t2 = batch.t2

@@ -20,14 +20,13 @@ from nldc.biphoton import (
     amplitude_moments,
     apply_dispersion_phase,
     build_pdc_amplitude,
-    density_from_binary,
     density_to_binary,
     to_time_domain,
 )
 from nldc.errors import GridTooCoarseError, GridTooNarrowError
 from nldc.moments import DispersionKit, TemporalCovariance, shear_covariance
 from nldc.spectral import FrequencyGrid
-from oracles import amplitude_from_values, tau_marginal
+from oracles import amplitude_from_values, density_from_binary, tau_marginal
 
 # Acceptance-regime grid: resolves b = 10 rad/ps, carries a = 1e-4 rad/ps
 # as an exact sub-cell ridge.
@@ -75,6 +74,23 @@ def test_build_accepts_subcell_pump_as_delta_ridge():
     assert cov.var_omega == 0.0
     assert cov.cov_tau_omega == 0.0
     assert cov.var_tau == pytest.approx(0.01, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "n, domega, pm_widths",
+    [(64, 0.5, (2.0, 3.0, 5.0)), (256, 0.125, (0.5, 2.0, 5.0)), (1024, 0.0625, (0.5, 2.5, 10.0))],
+)
+@pytest.mark.parametrize("pump", ["resolved", "delta_ridge"])
+def test_pair_amplitude_is_its_own_transpose_bit_for_bit(n, domega, pm_widths, pump):
+    # The minus arm of a run is the plus arm exchanged, which holds because
+    # the pair amplitude is symmetric under omega1 <-> omega2 exactly:
+    # omega1 + omega2 commutes, and omega1 - omega2 only changes sign before
+    # it is squared.
+    grid = FrequencyGrid(n=n, domega=domega)
+    a = 4.0 * domega if pump == "resolved" else domega / 20.0
+    for b in pm_widths:
+        values = build_pdc_amplitude(grid, a, b).values
+        assert np.array_equal(values, values.T), b
 
 
 def test_monochromatic_pump_rejects_midband_width():

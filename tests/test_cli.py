@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tomllib
+import types
 from pathlib import Path
 
 import jsonschema
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
-from oracles import tau_marginal
+from oracles import density_from_binary, tau_marginal
 
 
 def _write(tmp_path, name, obj):
@@ -71,7 +72,8 @@ def _biphoton_scenario(n_events=2000, seed=7):
     }
 
 
-def _stationary_scenario():
+def _stationary_scenario(**stationary):
+    """A stationary scenario, its state's fields overridden by stationary."""
     return {
         "state": {
             "stationary": {
@@ -80,6 +82,7 @@ def _stationary_scenario():
                 "s2": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}},
                 "cross": "classical-extremal",
                 "window_T_ps": 14.0,
+                **stationary,
             }
         },
         "kit": {"beta_L_ps2": 0.8},
@@ -483,11 +486,14 @@ def test_integer_fields_accept_integral_floats_only(tmp_path, capsys):
             },
             "cov_tau_omega",
         ),
+        # JSON integers past the float range, read as the first check reads them
+        (_covariance_scenario(kit={"beta_L_ps2": 10**400}), "kit.beta_L_ps2"),
+        (_stationary_scenario(window_T_ps=10**400), "state.stationary.window_T_ps"),
     ],
 )
 def test_overflowing_inputs_exit_2_naming_the_field(tmp_path, capsys, scenario, field):
-    # Each of these squares past the float range; that used to escape as an
-    # OverflowError traceback (exit 1).
+    # Each of these squares, or converts, past the float range; that used to
+    # escape as an OverflowError traceback (exit 1).
     for argv in (["run"], ["scan", "--param", "kit.delay_1_ps", "--values", "0,1"]):
         path = _write(tmp_path, "big.json", scenario)
         rc = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")])
@@ -497,6 +503,14 @@ def test_overflowing_inputs_exit_2_naming_the_field(tmp_path, capsys, scenario, 
         err = _strict_json(lines[0])
         assert err["error"] in ("ScenarioError", "ValueError")
         assert field in err["message"]
+
+
+def test_number_fields_written_as_integers_come_out_as_floats():
+    scenario = _biphoton_scenario()
+    scenario["kit"] = {"beta_L_ps2": 32, "delay_1_ps": -1}
+    kit = cli.normalize_scenario(scenario)["kit"]
+    assert kit == {"beta_L_ps2": 32.0, "delay_1_ps": -1.0, "delay_2_ps": 0.0}
+    assert all(type(value) is float for value in kit.values())
 
 
 def test_overflowing_dispersion_phase_exits_2_quietly(tmp_path):
@@ -558,21 +572,48 @@ def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
 def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
     # A broken kernel exits 3 in either transform: the 1D one behind the
     # moments of every biphoton run, and the 2D one behind the density dump.
-    for kernel, outputs in (("_to_time_rows", {}), ("to_time_2d", {"density_binary": True})):
+    # One that scales every mass by 1.01^2 misses it by 0.0201; one that
+    # gives NaN misses it by NaN, written as null.
+    cases = [(factor, kernel, outputs) for factor in (1.01, math.nan)
+             for kernel, outputs in (("_to_time_rows", {}), ("to_time_2d", {"density_binary": True}))]
+    for factor, kernel, outputs in cases:
         with monkeypatch.context() as patch:
             real = getattr(biphoton, kernel)
-            patch.setattr(biphoton, kernel, lambda *args, real=real: real(*args) * 1.01)
+            patch.setattr(biphoton, kernel, lambda *args, real=real: real(*args) * factor)
             scenario = _biphoton_scenario()
             del scenario["sampler"]
             scenario["outputs"] = outputs
-            rc, _ = _run(tmp_path, scenario, out=kernel)
+            rc, _ = _run(tmp_path, scenario, out=f"{kernel}-{factor}")
         assert rc == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        err = json.loads(lines[0])
+        err = _strict_json(lines[0])
         assert err["error"] == "ParsevalError"
         assert "Parseval" in err["message"]
-        assert "ratio" not in err and "limit" not in err
+        if math.isnan(factor):
+            assert err["ratio"] is None and err["ratio_reason"] == "not finite: nan"
+        else:
+            assert err["ratio"] == pytest.approx((factor**2 - 1.0) / biphoton.NORM_RTOL, rel=1e-6)
+        assert err["limit"] == biphoton.NORM_RTOL
+
+
+@pytest.mark.parametrize("count, ratio", [(1, 2.0), (0, None)])
+def test_batch_too_small_exits_3_with_its_numbers(tmp_path, capsys, monkeypatch, count, ratio):
+    # The schema asks for n_events >= 2, so only a broken sampler reaches
+    # the estimator's check; a batch of no events gives an infinite ratio.
+    short = sampler.EventBatch(t1=np.zeros(1), t2=np.zeros(1), seed=0, source="one event")
+    batch = short if count else types.SimpleNamespace(n=0)
+    monkeypatch.setattr(sampler, "sample_biphoton", lambda *args: batch)
+    rc, _ = _run(tmp_path, _biphoton_scenario(n_events=100))
+    assert rc == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "BatchTooSmallError"
+    assert err["ratio"] == ratio
+    if ratio is None:
+        assert err["ratio_reason"] == "not finite: inf"
+    assert err["limit"] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +832,71 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_sampling_run_transforms_each_arm_once(tmp_path, monkeypatch):
-    # Delta-ridge pump: amplitude_moments needs no +-eps probes, so the
-    # three densities (before, plus, minus) are the only transforms, each
-    # shared by the moments and the sampler.
+def test_sampling_run_transforms_twice_and_disperses_once(tmp_path, monkeypatch):
+    # The source is dispersed once, with the kit.  The two densities
+    # (before and plus) are the only transforms; the minus arm is the plus
+    # arm exchanged, amplitude and density alike.
     transforms = _count_calls(monkeypatch, biphoton, "to_time_domain")
+    dispersions = _count_calls(monkeypatch, biphoton, "apply_dispersion_phase")
     scenario = _biphoton_scenario(n_events=100, seed=4)
     scenario["outputs"] = {"density_binary": True}
     rc, _ = _run(tmp_path, scenario)
     assert rc == 0
-    assert len(transforms) == 3
+    assert len(transforms) == 2 and len(dispersions) == 1
+
+
+def _random_kits(n):
+    """Three seeded (a, b, domega, kit) cases with delays on an n-point grid: one delta-ridge pump, two resolved."""
+    rng = np.random.default_rng(n)
+    domega = 64.0 / n
+    cases = []
+    for a, beta_range in ((1e-4, 8.0), (4 * domega, 0.4), (6 * domega, 0.2)):
+        kit = DispersionKit(
+            beta_L=float(rng.uniform(-beta_range, beta_range)),
+            delay_1=float(rng.uniform(-2.0, 2.0)),
+            delay_2=float(rng.uniform(-2.0, 2.0)),
+        )
+        cases.append((a, float(rng.uniform(3.0, 6.0)), domega, kit))
+    return cases
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_exchanged_minus_arm_matches_the_direct_route(tmp_path, n):
+    # The run takes the minus arm from the plus arm exchanged; the direct
+    # route disperses the source with the swapped kit.  With delays the two
+    # phases add their terms in another order, so the records agree to
+    # rounding, and the minus events are identical on these seeds.
+    for case, (a, b, domega, kit) in enumerate(_random_kits(n)):
+        scenario = _resolved_biphoton(a=a, b=b, n=n, domega=domega, beta_L=kit.beta_L)
+        scenario["kit"].update(delay_1_ps=kit.delay_1, delay_2_ps=kit.delay_2)
+        scenario["sampler"] = {"n_events": 5000, "seed": 100 + case}
+        rc, out_dir = _run(tmp_path, scenario, out=f"case{case}")
+        assert rc == 0
+        got = _record(out_dir)["covariance_after_minus"]
+
+        source = biphoton.build_pdc_amplitude(FrequencyGrid(n=n, domega=domega), a, b)
+        direct = biphoton.apply_dispersion_phase(source, kit.swapped())
+        want = cli._fields(biphoton.amplitude_moments(direct))
+        for key in ("var_tau_ps2", "var_omega_rad2_ps2", "cov_tau_omega"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+        for key, var in (("mean_tau_ps", "var_tau_ps2"), ("mean_omega_rad_ps", "var_omega_rad2_ps2")):
+            assert abs(got[key] - want[key]) <= 1e-12 * math.sqrt(want[var]), key
+
+        batch = sampler.sample_biphoton(
+            biphoton.to_time_domain(direct), 5000, sampler.derive_seed(100 + case, "minus")
+        )
+        sampler.events_to_csv(batch, tmp_path / "direct.csv")
+        assert (out_dir / "events_minus.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_minus_amplitude_is_the_plus_amplitude_exchanged_without_delays():
+    # With no delays the swapped phase is the plus phase negated, which is
+    # exact, so the shortcut's minus amplitude is the direct one bit for bit.
+    source = biphoton.build_pdc_amplitude(FrequencyGrid(n=256, domega=0.25), 1.0, 4.0)
+    kit = DispersionKit(beta_L=0.37)
+    plus = biphoton.apply_dispersion_phase(source, kit)
+    direct = biphoton.apply_dispersion_phase(source, kit.swapped())
+    assert np.array_equal(biphoton._exchanged(plus).values, direct.values)
 
 
 def test_unsampled_biphoton_run_makes_no_2d_transform(tmp_path, monkeypatch):
@@ -884,8 +980,6 @@ def test_density_binary_output_round_trips(tmp_path):
     assert rc == 0
     rec = _record(out_dir)
     assert rec["outputs"]["density_before"] == "density_before.bin"
-    from nldc.biphoton import density_from_binary
-
     density = density_from_binary(out_dir / "density_before.bin")
     assert density.grid.n == 256
 
