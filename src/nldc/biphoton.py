@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._blocks import _for_blocks
+from ._blocks import BLOCK_CELLS, _for_blocks
 from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance, _require_finite
@@ -71,7 +71,9 @@ class BiphotonAmplitude:
     Axis 0 is omega1, axis 1 is omega2, both running over grid.omegas.
     values is copied, unless package code hands over a fresh array as
     `_Owned(array)`; either way it is checked and stored read-only, and
-    its norm is kept as `_norm`.
+    its norm is kept as `_norm`.  A kernel handed the amplitude as
+    `_Owned(psi)` takes its values (`_take`): reading them after that
+    raises AttributeError.
     """
 
     grid: FrequencyGrid
@@ -101,16 +103,17 @@ class JointTemporalDensity:
     def __post_init__(self):
         n = self.grid.n
         arr = _own_or_copy(self.values, np.float64, (n, n), "density")
+        cells = arr.ravel(order="K").reshape(n, n)  # its storage, also for a transposed view
 
         def negative(r0, r1, _):
-            block = arr[r0:r1]
+            block = cells[r0:r1]
             if not np.isfinite(block).all():
                 raise ValueError("density must be finite")
             return (block < 0.0).any()
 
         if any(_for_blocks(n, n, negative)):
             raise ValueError("density must be >= 0")
-        mass = float(arr.sum()) * self.dt ** 2
+        mass = float(cells.sum()) * self.dt ** 2
         if abs(mass - 1.0) > NORM_RTOL:
             raise ValueError(f"density mass is {mass}, must be 1 within {NORM_RTOL}")
         object.__setattr__(self, "values", _readonly(arr))
@@ -123,12 +126,13 @@ class JointTemporalDensity:
 def _finite_sum_of_squares(values: np.ndarray) -> float:
     """sum |values|^2 of an n x n complex array, or ValueError if a value is not finite.
 
-    Each block of rows sums its own squares with no BLAS call (a threaded
-    BLAS keeps spinning on the cores the row blocks need), and the block
-    sums are added in one fixed order, so the value is the same on any
-    machine.
+    Each block of rows of its storage sums its own squares with no BLAS
+    call (a threaded BLAS keeps spinning on the cores the row blocks need),
+    and the block sums are added in one fixed order, so the value is the
+    same on any machine, and the same for an array and its transpose.
     """
-    cells = values.view(np.float64)  # each row's real and imaginary parts, interleaved
+    # each row's real and imaginary parts, interleaved; a transposed view's storage goes by its columns
+    cells = values.ravel(order="K").view(np.float64).reshape(len(values), -1)
 
     def block_sum(r0, r1, _):
         block = cells[r0:r1]
@@ -212,8 +216,11 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
 
     Group delay bookkeeping: t1 gains delay_1 + 2*beta_L*omega1, t2 gains
     delay_2 - 2*beta_L*omega2.  The modulus is untouched, so frequency
-    marginals and the norm are preserved.
+    marginals and the norm are preserved.  Handed over as `_Owned(psi)`,
+    psi is dispersed in its own storage and consumed; otherwise the result
+    is a fresh array, with the same bits.
     """
+    psi, values = _take(psi)
     w = psi.grid.omegas
     w_max = float(np.abs(w).max())
     peak = abs(kit.beta_L) * w_max * w_max + (abs(kit.delay_1) + abs(kit.delay_2)) * w_max
@@ -222,24 +229,38 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
             f"dispersion phase overflows on |omega| <= {w_max} rad/ps: beta_L = {kit.beta_L!r} ps^2, "
             f"delay_1 = {kit.delay_1!r} ps, delay_2 = {kit.delay_2!r} ps"
         )
-    # The phase is formed in the imaginary part of the factor's own storage,
-    # over a real part of zero, so the result is the only n x n buffer.
+    # Each row block's phase is formed in the imaginary part of the block it
+    # goes into, over a real part of zero: in the fresh result when psi is
+    # copied, and in a block of scratch when it is dispersed in place.
     n = w.size
     bw2 = kit.beta_L * w ** 2
-    factor = np.empty((n, n), dtype=np.complex128)
+    source, out = (psi.values, np.empty((n, n), dtype=np.complex128)) if values is None else (values, values)
 
-    def rows(r0, r1, _):
-        block = factor[r0:r1]
+    def rows(r0, r1, factor):
+        block = out[r0:r1] if factor is None else factor[: r1 - r0]
         block.real = 0.0
         phase = block.imag
         np.subtract(bw2[r0:r1, None], bw2[None, :], out=phase)
         phase += kit.delay_1 * w[r0:r1, None]
         phase += kit.delay_2 * w[None, :]
         np.exp(block, out=block)
-        np.multiply(psi.values[r0:r1], block, out=block)
+        np.multiply(source[r0:r1], block, out=out[r0:r1])
 
-    _for_blocks(n, n, rows)
-    return BiphotonAmplitude(psi.grid, _Owned(factor))
+    if values is None:
+        _for_blocks(n, n, rows)
+    else:  # by blocks of an eighth of the usual cells, so that the scratch stays small
+        _for_blocks(n, 8 * n, rows, lambda rows: np.empty((rows, n), dtype=np.complex128))
+    return BiphotonAmplitude(psi.grid, _Owned(out))
+
+
+def _take(psi) -> tuple[BiphotonAmplitude, np.ndarray | None]:
+    """(psi, None), or for `_Owned(psi)` (psi, its storage made writable), psi being consumed."""
+    if not isinstance(psi, _Owned):
+        return psi, None
+    psi, values = psi.held, psi.held.values
+    values.setflags(write=True)
+    object.__delattr__(psi, "values")
+    return psi, values
 
 
 def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
@@ -248,9 +269,14 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     The discrete transform is unitary up to the 1/(2pi)^2 bookkeeping, so
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
     1e-9 means the kernel itself is broken and raises ParsevalError.
+    Handed over as `_Owned(psi)`, psi is transformed in its own storage and
+    consumed, so the density is the only array this adds; otherwise the
+    transform goes into a copy, with the same bits.
     """
+    psi, values = _take(psi)
     n = psi.grid.n
-    field = to_time_2d(psi.values, psi.grid)
+    field = to_time_2d(psi.values if values is None else values, psi.grid, values)
+    del values
     p = np.empty((n, n))
 
     def square(r0, r1, _):
@@ -285,35 +311,35 @@ def _require_parseval(what: str, mass: float, expected: float) -> None:
 
 
 def _exchanged(state):
-    """The amplitude or density with omega1, t1 and omega2, t2 exchanged: a fresh transpose, fully checked."""
-    return type(state)(state.grid, _Owned(np.ascontiguousarray(state.values.T)))
+    """The amplitude or density with omega1, t1 and omega2, t2 exchanged: a transposed view, checked like any state of its type."""
+    return type(state)(state.grid, _Owned(state.values.T))
 
 
-def _gather_lines(flat: np.ndarray, n: int, s0: int, out: np.ndarray, upper: np.ndarray) -> None:
+def _gather_lines(flat: np.ndarray, s0: int, out: np.ndarray, steps: tuple, band: tuple, held: np.ndarray) -> None:
     """Copy the cyclic lines s0 .. s0 + m - 1 (m = len(out), s0 + m <= n) into out.
 
-    out[r, i] = psi[i, (s0 + r - i) % n], read from the row-major flat psi
-    through strided views, with no index array.  Along i a line steps by
-    n - 1 cells: it is flat[s + i*(n - 1)] up to i = s and flat[s + n +
-    i*(n - 1)] past its wrap.  Columns i <= s0 are before the wrap in every
-    line of the block and columns i >= s0 + m past it; in the band between,
-    line r wraps after i = s0 + r, which upper (True on and above the
-    diagonal) selects.  Every view stays inside flat.
+    out[r, i] = psi[i, (s0 + r - i) % n], read from flat, the storage of
+    psi.  With steps (row, line, wrap), line s holds flat[s*row + i*line] up
+    to i = s and flat[s*row + wrap + i*line] past its wrap: (1, n - 1, n)
+    when flat is psi row-major, (n, 1 - n, n^2) when it is psi's transpose.
+    Columns i <= s0 are before the wrap in every line of the block, and
+    columns i >= s0 + m past it; each is one strided view, inside flat.  In
+    the band between, line r wraps after i = s0 + r; a view across it would
+    leave flat in the transposed layout, so it is taken into held by index:
+    band = (lo, offsets) holds the cells of lines 0 .. m - 1, less lo.
     """
-    m = len(out)
+    m, n = out.shape
+    row, line, wrap = steps
+    lo, offsets = band
     step = flat.strides[0]
 
-    def cells(base, rows, i0, i1):
-        return as_strided(
-            flat[base + i0 * (n - 1):], shape=(rows, i1 - i0), strides=(step, (n - 1) * step)
-        )
+    def cells(base, i0, i1):
+        return as_strided(flat[base + i0 * line :], shape=(m, i1 - i0), strides=(row * step, line * step))
 
-    out[:, : s0 + 1] = cells(s0, m, 0, s0 + 1)
-    out[:, s0 + m :] = cells(s0 + n, m, s0 + m, n)
-    band = out[:, s0 + 1 : s0 + m]
-    band[...] = cells(s0, m, s0 + 1, s0 + m)
-    # The last line of the block wraps after the band, so it never reads past it.
-    np.copyto(band[: m - 1], cells(s0 + n, m - 1, s0 + 1, s0 + m), where=upper[: m - 1, : m - 1])
+    out[:, : s0 + 1] = cells(s0 * row, 0, s0 + 1)
+    out[:, s0 + m :] = cells(s0 * row + wrap, s0 + m, n)
+    taken = held.reshape(-1)[: offsets.size].reshape(offsets.shape)
+    out[:, s0 + 1 : s0 + m] = np.take(flat[s0 * (row + line) + lo :], offsets, out=taken, mode="clip")
 
 
 def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -322,8 +348,9 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
     is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
     fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into
-    buffers that each worker reuses for its blocks) and each block is
-    transformed along i by one batched to_time_1d; an all-zero line
+    buffers that each worker reuses for its blocks) from the storage of psi,
+    or of its base for an exchanged psi (a transposed view), and each
+    block is transformed along i by one batched to_time_1d; an all-zero line
     transforms to zeros and is skipped.  Per-block sums are added in block
     order, so the result is that of one thread, bit for bit.  With
     p = |transform|^2 on the tau grid grid.times, returns
@@ -340,7 +367,19 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     half = n // 2
     i = np.arange(n)
     tau = grid.times
-    flat = psi.values.ravel()
+    if psi.values.flags.c_contiguous:
+        flat, steps = psi.values.ravel(), (1, n - 1, n)
+    else:  # psi[i, j] is flat[j*n + i]
+        flat, steps = psi.values.T.ravel(), (n, 1 - n, n * n)
+    # Every gather takes the same number of lines: a block of lines never
+    # runs past line n - 1, except on a one-block grid, which it then takes
+    # in two halves.  The band of lines s0 .. (i = s0 + 1 + c on line s0 + r)
+    # is that of lines 0 .. moved by s0*(row + line) cells.
+    per_gather = min(half, max(1, BLOCK_CELLS // n))
+    r, c = np.arange(per_gather)[:, None], np.arange(per_gather - 1)[None, :]
+    cells_at = r * steps[0] + (1 + c) * steps[1] + steps[2] * (c >= r)
+    lo = int(cells_at.min(initial=0))
+    band = lo, cells_at - lo
     weight = np.zeros(n)
     first = np.zeros(n)
 
@@ -351,18 +390,19 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         work = np.empty((rows, n), dtype=np.complex128)
         cells, spare = work.reshape(-1).view(np.float64).reshape(2, rows, n)
         off_branch = np.empty((rows, n), dtype=bool)
-        return lines, work, cells, spare, off_branch, np.triu(np.ones((rows, rows), dtype=bool))
+        return lines, work, cells, spare, off_branch
 
     def line_block(k0, k1, buffers):
         """The block's marginal, sum |psi|^2 and second-branch sum (every block is full: n is a power of two)."""
-        lines, work, cells, spare, off_branch, upper = buffers
+        lines, work, cells, spare, off_branch = buffers
         rows = k1 - k0
         centred = np.arange(k0, k1) - half
         s = centred % n
         unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
-        _gather_lines(flat, n, int(s[0]), lines[:unwrapped], upper)
+        # work is dead while lines are gathered, so it holds the band they take.
+        _gather_lines(flat, int(s[0]), lines[:unwrapped], steps, band, work)
         if unwrapped < rows:
-            _gather_lines(flat, n, 0, lines[unwrapped:], upper)
+            _gather_lines(flat, 0, lines[unwrapped:], steps, band, work)
         np.multiply(lines.real, lines.real, out=cells)
         np.multiply(lines.imag, lines.imag, out=spare)
         cells += spare

@@ -349,8 +349,8 @@ def _jitter_var(scenario) -> float:
     return sigma ** 2
 
 
-# The record key of each report field that carries a unit; every other
-# field keeps its name.
+# The record (or error line) key of each report (or error) field that
+# carries a unit; every other field keeps its name.
 _UNIT_KEYS = {
     "var_tau": "var_tau_ps2",
     "var_omega": "var_omega_rad2_ps2",
@@ -362,6 +362,7 @@ _UNIT_KEYS = {
     "margin_stderr": "margin_stderr_ps2",
     "stderr": "stderr_ps2",
     "variance": "variance_ps2",
+    "worst_omega": "worst_omega_rad_ps",
 }
 
 
@@ -382,14 +383,16 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     """Execute one normalized scenario, writing outputs into out_dir.
 
     A biphoton state is dispersed once, with the kit, and the minus arm is
-    the plus arm exchanged.  Moments come from the sum-frequency line route;
-    the 2D time transform runs for density_before (the "before" draw and
-    density_before.bin) and the plus density.  Other kinds shear in closed form.
+    the plus arm exchanged, read through transposed views.  Moments come
+    from the sum-frequency line route; the 2D time transform runs for
+    density_before (the "before" draw and density_before.bin) and the plus
+    density.  Other kinds shear in closed form.
 
-    n x n arrays alive, in turn: the source (with density_before while it is
-    made); the source and the plus amplitude; the plus amplitude with its
-    exchange (the minus moments), then with the plus density; the plus and
-    minus densities.  density_before is kept only to be dumped, and a batch
+    Each biphoton kernel works in the storage of the amplitude handed to it
+    as `_Owned`: the source becomes density_before, a second (identical)
+    build of it the plus amplitude and then the plus density, so one n x n
+    complex array is alive at a time, next to at most a density and the
+    sampler's CDF.  density_before is kept only to be dumped, and a batch
     only when its events CSV is written.
     """
     kit = _kit_from(scenario)
@@ -426,22 +429,21 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     if kind == "biphoton":
         dump = scenario["outputs"]["density_binary"]
         if sampler is not None or dump:
-            density_before = bp.to_time_domain(source)
+            density_before = bp.to_time_domain(spc._Owned(source))
             if sampler is not None:
                 sample("before", density_before)
             if not dump:
                 density_before = None
-        psi = bp.apply_dispersion_phase(source, kit)
-        del source  # cov0 and density_before are taken
+            cfg = scenario["state"]["biphoton"]
+            source = bp.build_pdc_amplitude(source.grid, cfg["pump_sigma_rad_ps"], cfg["pm_sigma_rad_ps"])
+        psi = bp.apply_dispersion_phase(spc._Owned(source), kit)
         # build_pdc_amplitude gives psi == psi.T bit for bit, so the swapped kit would disperse
         # it into the plus amplitude exchanged: the minus arm is the plus arm with t1 <-> t2.
         arms = {"plus": bp.amplitude_moments(psi), "minus": bp.amplitude_moments(bp._exchanged(psi))}
         if sampler is not None:
-            density = bp.to_time_domain(psi)
-            del psi  # released before the draws
+            density = bp.to_time_domain(spc._Owned(psi))
             sample("plus", density)
-            density = bp._exchanged(density)
-            sample("minus", density)
+            sample("minus", bp._exchanged(density))
             del density
     else:
         arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
@@ -744,12 +746,12 @@ def _out_dir(args, scenario: dict) -> Path:
 
 
 def _emit_error(kind: str, err: Exception) -> None:
-    """One JSON line on stderr, with the ratio and limit an error carries."""
+    """One JSON line on stderr, with the ratio, limit and worst omega an error carries."""
     payload = {"error": kind, "message": str(err)}
-    for key in ("ratio", "limit"):
+    for key in ("ratio", "limit", "worst_omega"):
         value = getattr(err, key, None)
         if value is not None:
-            payload[key] = float(value)
+            payload[_UNIT_KEYS.get(key, key)] = float(value)
     sys.stderr.write(json.dumps(_plain(payload), allow_nan=False) + "\n")
 
 

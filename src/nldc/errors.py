@@ -46,7 +46,11 @@ class DegenerateStateError(PreconditionError):
 
 
 class AdmissibilityError(PreconditionError):
-    """A cross-spectrum violates its regime's bound (ratio: worst |x|^2/bound over limit 1 + SATURATION_RTOL)."""
+    """A cross-spectrum violates its regime's bound (ratio: worst |x|^2/bound over limit 1 + SATURATION_RTOL, at worst_omega in rad/ps)."""
+
+    def __init__(self, message, ratio=None, limit=None, worst_omega=None):
+        super().__init__(message, ratio, limit)
+        self.worst_omega = worst_omega
 
 
 class ParsevalError(PreconditionError):

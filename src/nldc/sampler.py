@@ -176,7 +176,8 @@ class _InverseCdf:
     """
 
     def __init__(self, weights: np.ndarray, count: int):
-        cdf = np.cumsum(weights)
+        cdf = np.array(weights, order="C").reshape(-1)  # flat, in row-major order, whatever the layout of weights
+        np.cumsum(cdf, out=cdf)
         if cdf[-1] <= 0.0:
             raise DegenerateStateError("cannot sample from an all-zero density")
         cdf /= cdf[-1]
@@ -252,9 +253,11 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
     # first, they do not split the hole it leaves, where the next n x n
     # array of a run fits (peak RSS over biphoton run + render cycles at
     # n = 1024: 101.6 MB, against 109.5 MB with the CDF allocated first).
+    # The CDF is summed in a row-major copy of the density, which is its one
+    # n^2-cell buffer, also for an exchanged density (a transposed view).
     t1 = np.empty(count)
     t2 = np.empty(count)
-    cdf = _InverseCdf(density.values.ravel(), count)
+    cdf = _InverseCdf(density.values, count)
     times = density.grid.times
     period = n * dt
 

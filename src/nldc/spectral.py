@@ -47,24 +47,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class _Owned:
-    """An array handed to a constructor, which keeps it instead of copying it.
+    """An array handed to a constructor, or a state handed to a kernel, which takes it instead of copying it.
 
     Package code wraps only an array it has just allocated and holds no
     other reference to.  The constructor still runs every check on it and
-    makes it read-only.  Anything passed unwrapped is copied, so a caller's
-    array never aliases the state of an object.
+    makes it read-only.  A kernel handed a state works in the state's own
+    storage, and the state's values can no longer be read.  Anything passed
+    unwrapped is copied, so a caller's array or state never aliases
+    another object.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("held",)
 
-    def __init__(self, array: np.ndarray):
-        self.array = array
+    def __init__(self, held):
+        self.held = held
 
 
 def _own_or_copy(values, dtype, shape=None, what=None) -> np.ndarray:
     """values as a dtype array, kept if `_Owned` and copied if not; ValueError unless it has shape (if given)."""
     owned = isinstance(values, _Owned)
-    arr = np.array(values.array if owned else values, dtype=dtype, copy=None if owned else True)
+    arr = np.array(values.held if owned else values, dtype=dtype, copy=None if owned else True)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr

@@ -82,6 +82,7 @@ class StationaryPairModel:
                 f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps",
                 ratio=report.worst_ratio / (1.0 + SATURATION_RTOL),
                 limit=1.0 + SATURATION_RTOL,
+                worst_omega=report.worst_omega,
             )
 
     @property

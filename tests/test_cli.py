@@ -248,6 +248,7 @@ def test_precondition_error_json_carries_ratio_and_limit(
     [
         # The profile's RMS width is 1/sqrt(2) ps, so T = 2 ps covers 6x it 2.12 times too short.
         ({"window_T_ps": 2.0}, "WindowTooSmallError", 6.0 * math.sqrt(0.5) / 2.0, 2.0),
+        # |x|^2 / ((1 + S1) S2) = 4 e^(-w^2/2) / (1 + e^(-w^2/2)) is worst at w = 0, where
         # |x(0)|^2 = 4 is twice the quantum bound (1 + S1(0)) * S2(0) = 2.
         (
             {"cross": {"gaussian": {"peak": 2.0, "sigma_rad_ps": 1.0}}},
@@ -269,6 +270,8 @@ def test_stationary_precondition_errors_carry_ratio_and_limit(tmp_path, capsys, 
     assert err["ratio"] >= 1.0
     assert err["ratio"] == pytest.approx(ratio, rel=1e-9)
     assert err["limit"] == pytest.approx(limit, rel=1e-15)
+    # Only an admissibility error says where it is worst.
+    assert err.get("worst_omega_rad_ps") == (0.0 if error == "AdmissibilityError" else None)
 
 
 def _never_built(*args):
@@ -835,14 +838,23 @@ def _count_calls(monkeypatch, module, name):
 def test_sampling_run_transforms_twice_and_disperses_once(tmp_path, monkeypatch):
     # The source is dispersed once, with the kit.  The two densities
     # (before and plus) are the only transforms; the minus arm is the plus
-    # arm exchanged, amplitude and density alike.
+    # arm exchanged, amplitude and density alike.  The before transform
+    # takes the source's storage, so the source is built again to be
+    # dispersed.  The minus draw reads the plus density, transposed.
     transforms = _count_calls(monkeypatch, biphoton, "to_time_domain")
     dispersions = _count_calls(monkeypatch, biphoton, "apply_dispersion_phase")
+    builds = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
+    densities = []
+    draw = sampler.sample_biphoton
+    monkeypatch.setattr(sampler, "sample_biphoton", lambda density, *args: draw(densities.append(density) or density, *args))
     scenario = _biphoton_scenario(n_events=100, seed=4)
     scenario["outputs"] = {"density_binary": True}
     rc, _ = _run(tmp_path, scenario)
     assert rc == 0
     assert len(transforms) == 2 and len(dispersions) == 1
+    assert len(builds) == 2
+    before, plus, minus = densities
+    assert np.shares_memory(minus.values, plus.values) and not np.shares_memory(plus.values, before.values)
 
 
 def _random_kits(n):
@@ -904,16 +916,17 @@ def test_unsampled_biphoton_run_makes_no_2d_transform(tmp_path, monkeypatch):
     # sampler) need the joint time density.
     transforms = _count_calls(monkeypatch, biphoton, "to_time_2d")
     densities = _count_calls(monkeypatch, biphoton, "to_time_domain")
+    builds = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
     scenario = _biphoton_scenario()
     del scenario["sampler"]
     rc, out_dir = _run(tmp_path, scenario)
     assert rc == 0
-    assert transforms == [] and densities == []
+    assert transforms == [] and densities == [] and len(builds) == 1
     assert _record(out_dir)["fft"]["symmetrized_var_tau_ps2"] == pytest.approx(0.01, rel=1e-6)
     scenario["outputs"] = {"density_binary": True}
     rc, out_dir = _run(tmp_path, scenario, out="dump")
     assert rc == 0
-    assert len(transforms) == 1 and len(densities) == 1
+    assert len(transforms) == 1 and len(densities) == 1 and len(builds) == 3
     assert (out_dir / "density_before.bin").exists()
 
 

@@ -3,10 +3,14 @@
 Each kernel writes into storage it owns and hands its result to the
 constructor without a copy.  The plain numpy expressions it replaced are
 kept here as oracles, and every rewritten kernel must match its oracle bit
-for bit (compared as uint64 views), on any number of workers.  The owning
-constructor path must still run every check, and the public constructors
-must still copy.  The tracemalloc budgets count the arrays a kernel holds
-at its peak, so a copy that comes back fails them.
+for bit (compared as uint64 views), on any number of workers, whether it
+copies its input or works in the storage of a state handed over as
+`_Owned(psi)`.  The owning constructor path must still run every check,
+and the public constructors must still copy.  The minus arm reads the plus
+arm through transposed views, which must give the bits of a contiguous
+transpose and read nothing outside the amplitude.  The tracemalloc budgets
+count the arrays a kernel, or a whole run, holds at its peak, so a copy
+that comes back fails them.
 """
 
 import math
@@ -15,11 +19,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nldc import _blocks
+from nldc import _blocks, cli
 from nldc._fft import to_time_1d, to_time_2d
 from nldc.biphoton import (
     BiphotonAmplitude,
     JointTemporalDensity,
+    _exchanged,
     _sum_frequency_lines,
     amplitude_moments,
     apply_dispersion_phase,
@@ -27,7 +32,7 @@ from nldc.biphoton import (
     to_time_domain,
 )
 from nldc.moments import DispersionKit
-from nldc.sampler import EventBatch
+from nldc.sampler import EventBatch, sample_biphoton
 from nldc.spectral import FrequencyGrid, _Owned
 from oracles import amplitude_from_values
 
@@ -164,6 +169,18 @@ def test_line_sums_match_their_oracle(case):
         assert all(_same_bits(g, e) for g, e in zip(got, expected))
 
 
+def test_owned_kernels_give_the_copying_bits(case):
+    # Handed over as _Owned, each kernel works in the state's storage and
+    # must give the bits of the oracle all the same.
+    grid, _, psi, dispersed = case
+    plus = apply_dispersion_phase(_Owned(BiphotonAmplitude(grid, psi.values)), KIT)
+    assert _same_bits(plus.values, dispersed.values)
+    held = np.array(plus.values)
+    assert to_time_2d(held, grid, held) is held
+    assert _same_bits(held, _to_time_2d_oracle(dispersed.values, grid))
+    assert _same_bits(to_time_domain(_Owned(plus)).values, _density_oracle(dispersed.values, grid))
+
+
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_line_sums_match_on_single_block_grids(n):
     # One block holds every line, so the block's sum indices wrap past n - 1.
@@ -227,6 +244,26 @@ def test_owning_path_runs_every_check():
         EventBatch(t1=_Owned(np.array([np.nan])), t2=_Owned(np.zeros(1)), seed=0, source="bad")
 
 
+def test_a_state_handed_over_is_consumed_and_a_plain_one_is_kept():
+    grid = _grid(256)
+    psi = build_pdc_amplitude(grid, PUMPS["resolved"], PM_SIGMA)
+    kept = psi.values.copy()
+    dispersed = apply_dispersion_phase(psi, KIT)
+    density = to_time_domain(psi)
+    assert _same_bits(psi.values, kept) and not psi.values.flags.writeable
+    assert not np.shares_memory(dispersed.values, psi.values)
+    assert not np.shares_memory(density.values, psi.values)
+    for kernel, args in ((apply_dispersion_phase, (KIT,)), (to_time_domain, ())):
+        owned = BiphotonAmplitude(grid, kept)
+        storage = owned.values
+        result = kernel(_Owned(owned), *args)
+        with pytest.raises(AttributeError, match="values"):
+            owned.values
+        assert owned.grid == grid  # only the values are taken
+        if kernel is apply_dispersion_phase:
+            assert result.values is storage  # dispersed in place
+
+
 def test_public_constructors_copy():
     grid = _grid(256)
     values = np.zeros((256, 256), dtype=np.complex128)
@@ -245,6 +282,53 @@ def test_public_constructors_copy():
     batch = EventBatch(t1=t1, t2=np.zeros(2), seed=0, source="caller")
     t1[0] = 5.0
     assert batch.t1[0] == 1.0 and t1.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Transposed reads: the minus arm is the plus arm exchanged, read through
+# transposed views of the plus amplitude and density.
+
+def _nan_padded(values):
+    """values in the middle of a NaN-padded buffer, so that a read outside them is not finite."""
+    n = len(values)
+    pad = min(n * n, 2 * _blocks.BLOCK_CELLS)
+    buffer = np.full(n * n + 2 * pad, np.nan, dtype=values.dtype)
+    inner = buffer[pad : pad + n * n].reshape(n, n)
+    inner[...] = values
+    return inner
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+def test_exchanged_lines_match_the_contiguous_transpose(n):
+    # A random amplitude is not symmetric, so a gather that mixes up the
+    # two layouts cannot pass; the lines of the exchanged amplitude are read
+    # in place, and must give the bits of those of a contiguous transpose.
+    grid = FrequencyGrid(n=n, domega=1.0)
+    rng = np.random.default_rng(n + 1)
+    psi = amplitude_from_values(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    held = BiphotonAmplitude(grid, _Owned(_nan_padded(psi.values)))
+    exchanged = _exchanged(held)
+    assert np.shares_memory(exchanged.values, held.values)
+    transposed = BiphotonAmplitude(grid, np.ascontiguousarray(psi.values.T))
+    for got, want in ((_sum_frequency_lines(held), _sum_frequency_lines(psi)),
+                      (_sum_frequency_lines(exchanged), _sum_frequency_lines(transposed))):
+        assert all(np.isfinite(g).all() for g in got)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_exchanged_density_draws_the_events_of_its_transpose(n):
+    grid = _grid(n)
+    rng = np.random.default_rng(n)
+    values = rng.random((n, n))
+    density = JointTemporalDensity(grid, values / (values.sum() * grid.dt ** 2))
+    exchanged = _exchanged(density)
+    assert np.shares_memory(exchanged.values, density.values)
+    transposed = JointTemporalDensity(grid, np.ascontiguousarray(density.values.T))
+    got, want = sample_biphoton(exchanged, 5000, 3), sample_biphoton(transposed, 5000, 3)
+    assert _same_bits(got.t1, want.t1) and _same_bits(got.t2, want.t2)
+    # the draw leaves the plus density as it was
+    assert _same_bits(density.values, values / (values.sum() * grid.dt ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +357,47 @@ def test_kernels_stay_within_their_memory_budgets():
     assert _traced_peak(apply_dispersion_phase, psi, KIT) <= 1.2 * unit
     # the transformed field (1) and the density (0.5)
     assert _traced_peak(to_time_domain, dispersed) <= 1.55 * unit
+
+
+def test_owned_kernels_stay_within_their_memory_budgets(workers):
+    # On two workers.  Dispersion takes a block of phase scratch per worker
+    # (0.125 each at n = 256), and numpy buffers the broadcast phase sums of
+    # as many cells; the transform adds the density (0.5) alone; the minus
+    # draw flattens the exchanged density into its CDF (0.5).  A copy of
+    # the amplitude (1) or of a density (0.5) breaks each budget.
+    workers(2)
+    grid = _grid(256)
+    unit = 16 * grid.n ** 2
+
+    def fresh():
+        return build_pdc_amplitude(grid, PUMPS["resolved"], PM_SIGMA)
+
+    density = to_time_domain(_Owned(apply_dispersion_phase(_Owned(fresh()), KIT)))
+    sample_biphoton(_exchanged(density), 1000, 1)  # numpy.random loads here
+    assert _traced_peak(apply_dispersion_phase, _Owned(fresh()), KIT) <= 0.6 * unit
+    assert _traced_peak(to_time_domain, _Owned(apply_dispersion_phase(fresh(), KIT))) <= 0.6 * unit
+    assert _traced_peak(sample_biphoton, _exchanged(density), 1000, 1) <= 0.6 * unit
+
+
+@pytest.mark.parametrize("dump, budget", [(False, 1.6), (True, 2.1)])
+def test_sampled_run_stays_within_its_memory_budget(tmp_path, workers, dump, budget):
+    # At n = 1024, on two workers.  One n x n complex array (1) is alive
+    # at a time, transformed in place next to its density (0.5), and the
+    # density dump keeps density_before (0.5).  The line route's blocks
+    # (1/16 each at this n) and 1000 events stay within the rest.  A copy
+    # of the exchanged amplitude or a transform into a fresh field (1 more)
+    # breaks the budget.  At n <= 256 one block of lines is a whole grid,
+    # so that the line route, not the live set, would set the peak.
+    workers(2)
+    scenario = cli.normalize_scenario({
+        "state": {"biphoton": {"pump_sigma_rad_ps": 1e-4, "pm_sigma_rad_ps": 10.0,
+                               "grid": {"n": 1024, "domega_rad_ps": 0.0625}}},
+        "kit": {"beta_L_ps2": 32.0},
+        "sampler": {"n_events": 1000, "seed": 5},
+        "outputs": {"events_csv": False, "density_binary": dump},
+    })
+    cli.run_scenario(scenario, tmp_path / "warm")  # numpy.fft, numpy.random and the pool load here
+    assert _traced_peak(cli.run_scenario, scenario, tmp_path / "traced") <= budget * 16 * 1024 ** 2
 
 
 def test_line_route_stays_within_its_memory_budget(workers):
