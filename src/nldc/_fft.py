@@ -9,11 +9,12 @@ discretised on the centred grids of FrequencyGrid.  For even n the centred
 index shuffle is exact, so the fftshift recipe below reproduces the kernel
 with no residual phase factors.  The transform runs in place on the
 shifted copy (numpy >= 2.0 `out=`) and is scaled before the output shift
-(the same products, in other positions).  The 2D transform works in one
-n x n array, which may be its input: it shifts it in place, transforms its
-rows and then its columns by fixed blocks (`_blocks`), and shifts it back,
-so it allocates no array of its size.  The 1D one works in two arrays of
-its input size, which the line route of `biphoton` owns and reuses.
+(the same products, in other positions).  The 2D transform works in its
+input, a writable n x n array: it shifts it in place, transforms its rows
+and then its columns by fixed blocks (`_blocks`), and shifts it back, so
+it allocates no array of its size.  The 1D one works in two arrays of its
+input size, which the line route of `biphoton` owns and reuses.  Each
+public function takes its array first, as `values`.
 """
 
 import numpy as np
@@ -65,30 +66,26 @@ def _fftshift_2d_in_place(field):
     return field
 
 
-def to_time_2d(values, grid, out=None):
-    """The 2D transform of an n x n array (n even), as np.fft.fft2 between the shifts, into out.
+def to_time_2d(values, grid):
+    """The 2D transform of an n x n array (n even), as np.fft.fft2 between the shifts, in place.
 
-    out is a C-contiguous complex n x n array, and may be values itself;
-    without it, the transform goes into a fresh array.  out is shifted in
-    place; then row blocks transform its rows, and column blocks transform
-    and scale its columns.  Each row and column is one 1D transform either
-    way, so the bits are those of fft2.
+    values is a writable complex n x n array; it is shifted in place, then
+    row blocks transform its rows, and column blocks transform and scale
+    its columns, and it is returned.  Each row and column is one 1D
+    transform either way, so the bits are those of fft2.
     """
-    field = np.empty(np.shape(values), dtype=np.complex128) if out is None else out
-    if field is not values:
-        np.copyto(field, values)
-    n = len(field)
+    n = len(values)
     scale = (grid.domega / (2.0 * np.pi)) ** 2
 
     def rows(r0, r1, _):
-        np.fft.fft(field[r0:r1], out=field[r0:r1])
+        np.fft.fft(values[r0:r1], out=values[r0:r1])
 
     def columns(c0, c1, _):
-        block = field[:, c0:c1]
+        block = values[:, c0:c1]
         np.fft.fft(block, axis=0, out=block)
         block *= scale
 
-    _fftshift_2d_in_place(field)  # the ifftshift, as n is even
+    _fftshift_2d_in_place(values)  # the ifftshift, as n is even
     _for_blocks(n, n, rows)
     _for_blocks(n, n, columns)
-    return _fftshift_2d_in_place(field)
+    return _fftshift_2d_in_place(values)

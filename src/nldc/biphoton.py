@@ -48,7 +48,7 @@ n*domega/2, must stay empty, or the moments are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -73,11 +73,11 @@ class BiphotonAmplitude:
     `_Owned(array)`; either way it is checked and stored read-only, and
     its norm is kept as `_norm`.  A kernel handed the amplitude as
     `_Owned(psi)` takes its values (`_take`): reading them after that
-    raises AttributeError.
+    raises AttributeError, and its repr names its grid alone.
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = self.grid.n
@@ -216,9 +216,9 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
 
     Group delay bookkeeping: t1 gains delay_1 + 2*beta_L*omega1, t2 gains
     delay_2 - 2*beta_L*omega2.  The modulus is untouched, so frequency
-    marginals and the norm are preserved.  Handed over as `_Owned(psi)`,
-    psi is dispersed in its own storage and consumed; otherwise the result
-    is a fresh array, with the same bits.
+    marginals and the norm are preserved.  psi is dispersed in its own
+    storage if handed over as `_Owned(psi)`, and consumed; otherwise in
+    one copy of it (`_take`), with the same bits.
     """
     psi, values = _take(psi)
     w = psi.grid.omegas
@@ -229,34 +229,35 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
             f"dispersion phase overflows on |omega| <= {w_max} rad/ps: beta_L = {kit.beta_L!r} ps^2, "
             f"delay_1 = {kit.delay_1!r} ps, delay_2 = {kit.delay_2!r} ps"
         )
-    # Each row block's phase is formed in the imaginary part of the block it
-    # goes into, over a real part of zero: in the fresh result when psi is
-    # copied, and in a block of scratch when it is dispersed in place.
+    # Each row's phase is formed in the imaginary part of a one-row scratch
+    # per worker, over a real part of zero, by 1-D ufuncs: broadcast ones
+    # would buffer a block of cells of their own.
     n = w.size
     bw2 = kit.beta_L * w ** 2
-    source, out = (psi.values, np.empty((n, n), dtype=np.complex128)) if values is None else (values, values)
+    dw2 = kit.delay_2 * w
 
     def rows(r0, r1, factor):
-        block = out[r0:r1] if factor is None else factor[: r1 - r0]
-        block.real = 0.0
-        phase = block.imag
-        np.subtract(bw2[r0:r1, None], bw2[None, :], out=phase)
-        phase += kit.delay_1 * w[r0:r1, None]
-        phase += kit.delay_2 * w[None, :]
-        np.exp(block, out=block)
-        np.multiply(source[r0:r1], block, out=out[r0:r1])
+        phase = factor.imag
+        for r in range(r0, r1):
+            factor.real = 0.0
+            np.subtract(bw2[r], bw2, out=phase)
+            phase += kit.delay_1 * w[r]
+            phase += dw2
+            np.exp(factor, out=factor)
+            np.multiply(values[r], factor, out=values[r])
 
-    if values is None:
-        _for_blocks(n, n, rows)
-    else:  # by blocks of an eighth of the usual cells, so that the scratch stays small
-        _for_blocks(n, 8 * n, rows, lambda rows: np.empty((rows, n), dtype=np.complex128))
-    return BiphotonAmplitude(psi.grid, _Owned(out))
+    _for_blocks(n, n, rows, lambda _: np.empty(n, dtype=np.complex128))
+    return BiphotonAmplitude(psi.grid, _Owned(values))
 
 
-def _take(psi) -> tuple[BiphotonAmplitude, np.ndarray | None]:
-    """(psi, None), or for `_Owned(psi)` (psi, its storage made writable), psi being consumed."""
+def _take(psi) -> tuple[BiphotonAmplitude, np.ndarray]:
+    """(psi, the n x n array a kernel works in).
+
+    For `_Owned(psi)` that is psi's storage made writable, and psi is
+    consumed; for a plain psi, one fresh C-contiguous copy of its values.
+    """
     if not isinstance(psi, _Owned):
-        return psi, None
+        return psi, np.array(psi.values, order="C")
     psi, values = psi.held, psi.held.values
     values.setflags(write=True)
     object.__delattr__(psi, "values")
@@ -268,24 +269,23 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
 
     The discrete transform is unitary up to the 1/(2pi)^2 bookkeeping, so
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
-    1e-9 means the kernel itself is broken and raises ParsevalError.
-    Handed over as `_Owned(psi)`, psi is transformed in its own storage and
-    consumed, so the density is the only array this adds; otherwise the
-    transform goes into a copy, with the same bits.
+    1e-9 means the kernel itself is broken and raises ParsevalError.  psi
+    is transformed in its own storage if handed over as `_Owned(psi)`, and
+    consumed, so the density is the only array this adds; otherwise in one
+    copy of it (`_take`), with the same bits.
     """
     psi, values = _take(psi)
     n = psi.grid.n
-    field = to_time_2d(psi.values if values is None else values, psi.grid, values)
-    del values
+    values = to_time_2d(values, psi.grid)
     p = np.empty((n, n))
 
     def square(r0, r1, _):
         block = p[r0:r1]
-        np.abs(field[r0:r1], out=block)
+        np.abs(values[r0:r1], out=block)
         block **= 2
 
     _for_blocks(n, n, square)
-    del field
+    del values
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
     expected = psi._norm / (2.0 * math.pi) ** 2

@@ -63,11 +63,12 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 
 # The peak memory a run or scan may plan for, and the estimate checked
 # against it: the measured peak bytes per grid cell (n^2 cells for a
-# biphoton, n for a stationary state; 74-98 measured), per sampled event
-# (88-134 measured) and per worker of the block pool, which each hold their
-# own block buffers (tracemalloc over 1-3 workers: 2.1 MiB per worker for
-# the line route, 2.5 MiB for the biphoton sampler and 3.5-3.7 MiB for the
-# stationary samplers), rounded up.
+# biphoton, n for a stationary state; tracemalloc: 24-32 for a biphoton run
+# at n = 1024-2048, 79-88 for a stationary one at n = 2^18-2^20), per
+# sampled event (88-134 measured) and per worker of the block pool, which
+# each hold their own block buffers (tracemalloc over 1-3 workers: 2.1 MiB
+# per worker for the line route, 2.5 MiB for the biphoton sampler and
+# 3.5-3.7 MiB for the stationary samplers), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
