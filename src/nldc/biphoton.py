@@ -42,7 +42,10 @@ dispersion cancellation (Franson, Phys. Rev. A 45, 3126 (1992)).
 cov(tau, Omega) is therefore the covariance of the line mean taus with the
 line frequencies, computed exactly.  A cyclic line also holds cells of a
 second true sum, Omega -+ n*domega; that branch, |omega1 + omega2| >=
-n*domega/2, must stay empty, or the moments are rejected.
+n*domega/2, must stay empty, or the moments are rejected.  The exchanged
+amplitude psi[j, i] (a run's minus arm) has the same lines, each reversed
+in i, so its line profiles are the plus ones at tau -> -tau on the cyclic
+grid, where cell 0 (tau = -n*dt/2) maps to itself.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ._blocks import BLOCK_CELLS, _for_blocks
+from ._blocks import _for_blocks
 from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance, _require_finite
@@ -310,47 +313,41 @@ def _require_parseval(what: str, mass: float, expected: float) -> None:
         )
 
 
-def _exchanged(state):
-    """The amplitude or density with omega1, t1 and omega2, t2 exchanged: a transposed view, checked like any state of its type."""
-    return type(state)(state.grid, _Owned(state.values.T))
+def _exchanged(density: JointTemporalDensity) -> JointTemporalDensity:
+    """The density with t1 and t2 exchanged, the minus arm's: a transposed view, checked like any density."""
+    return JointTemporalDensity(density.grid, _Owned(density.values.T))
 
 
-def _gather_lines(flat: np.ndarray, s0: int, out: np.ndarray, steps: tuple, band: tuple, held: np.ndarray) -> None:
+def _gather_lines(flat: np.ndarray, s0: int, out: np.ndarray) -> None:
     """Copy the cyclic lines s0 .. s0 + m - 1 (m = len(out), s0 + m <= n) into out.
 
-    out[r, i] = psi[i, (s0 + r - i) % n], read from flat, the storage of
-    psi.  With steps (row, line, wrap), line s holds flat[s*row + i*line] up
-    to i = s and flat[s*row + wrap + i*line] past its wrap: (1, n - 1, n)
-    when flat is psi row-major, (n, 1 - n, n^2) when it is psi's transpose.
-    Columns i <= s0 are before the wrap in every line of the block, and
-    columns i >= s0 + m past it; each is one strided view, inside flat.  In
-    the band between, line r wraps after i = s0 + r; a view across it would
-    leave flat in the transposed layout, so it is taken into held by index:
-    band = (lo, offsets) holds the cells of lines 0 .. m - 1, less lo.
+    out[r, i] = psi[i, (s0 + r - i) % n], from flat, psi row-major: line s
+    holds flat[s + i*(n - 1)] up to i = s and flat[s + n + i*(n - 1)] past
+    its wrap, each one strided view inside flat.  Line r wraps after
+    i = s0 + r, so in columns s0 + 1 .. s0 + m - 1 the cells past the wrap
+    are copied over through a triangular mask (from lines 0 .. m - 2 alone).
     """
     m, n = out.shape
-    row, line, wrap = steps
-    lo, offsets = band
     step = flat.strides[0]
 
-    def cells(base, i0, i1):
-        return as_strided(flat[base + i0 * line :], shape=(m, i1 - i0), strides=(row * step, line * step))
+    def cells(base, i0, i1, rows=m):
+        return as_strided(flat[base + i0 * (n - 1) :], shape=(rows, i1 - i0), strides=(step, (n - 1) * step))
 
-    out[:, : s0 + 1] = cells(s0 * row, 0, s0 + 1)
-    out[:, s0 + m :] = cells(s0 * row + wrap, s0 + m, n)
-    taken = held.reshape(-1)[: offsets.size].reshape(offsets.shape)
-    out[:, s0 + 1 : s0 + m] = np.take(flat[s0 * (row + line) + lo :], offsets, out=taken, mode="clip")
+    out[:, : s0 + m] = cells(s0, 0, s0 + m)
+    out[:, s0 + m :] = cells(s0 + n, s0 + m, n)
+    c = np.arange(m - 1)
+    np.copyto(out[:-1, s0 + 1 : s0 + m], cells(s0 + n, s0 + 1, s0 + m, m - 1), where=c >= c[:, None])
 
 
-def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Tau marginal and per-line tau moments, one cyclic sum-frequency line at a time.
 
     Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
     is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
     fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into
-    buffers that each worker reuses for its blocks) from the storage of psi,
-    or of its base for an exchanged psi (a transposed view), and each
-    block is transformed along i by one batched to_time_1d; an all-zero line
+    buffers that each worker reuses for its blocks) from psi's row-major
+    storage, a view of it or one copy of any other layout, and each block
+    is transformed along i by one batched to_time_1d; an all-zero line
     transforms to zeros and is skipped.  Per-block sums are added in block
     order, so the result is that of one thread, bit for bit.  With
     p = |transform|^2 on the tau grid grid.times, returns
@@ -358,6 +355,7 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
         weight[k]   = sum_d p[k, d]        (the weight of line k)
         first[k]    = sum_d tau[d] p[k, d] (its unnormalized tau moment)
+        edge[k]     = p[k, 0]              (its mass at tau[0] = -n*dt/2)
 
     and the share of sum |psi|^2 on the second branch.  sum p must equal
     n * (domega/2pi)^2 * sum |psi|^2 within NORM_RTOL, or ParsevalError.
@@ -367,21 +365,10 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     half = n // 2
     i = np.arange(n)
     tau = grid.times
-    if psi.values.flags.c_contiguous:
-        flat, steps = psi.values.ravel(), (1, n - 1, n)
-    else:  # psi[i, j] is flat[j*n + i]
-        flat, steps = psi.values.T.ravel(), (n, 1 - n, n * n)
-    # Every gather takes the same number of lines: a block of lines never
-    # runs past line n - 1, except on a one-block grid, which it then takes
-    # in two halves.  The band of lines s0 .. (i = s0 + 1 + c on line s0 + r)
-    # is that of lines 0 .. moved by s0*(row + line) cells.
-    per_gather = min(half, max(1, BLOCK_CELLS // n))
-    r, c = np.arange(per_gather)[:, None], np.arange(per_gather - 1)[None, :]
-    cells_at = r * steps[0] + (1 + c) * steps[1] + steps[2] * (c >= r)
-    lo = int(cells_at.min(initial=0))
-    band = lo, cells_at - lo
+    flat = psi.values.ravel()
     weight = np.zeros(n)
     first = np.zeros(n)
+    edge = np.zeros(n)
 
     def block_buffers(rows):
         lines = np.empty((rows, n), dtype=np.complex128)
@@ -398,11 +385,10 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         rows = k1 - k0
         centred = np.arange(k0, k1) - half
         s = centred % n
-        unwrapped = min(rows, n - int(s[0]))  # s runs on from s[0], through n - 1 to 0
-        # work is dead while lines are gathered, so it holds the band they take.
-        _gather_lines(flat, int(s[0]), lines[:unwrapped], steps, band, work)
+        unwrapped = min(rows, n - int(s[0]))  # s runs through n - 1 to 0 on a one-block grid alone
+        _gather_lines(flat, int(s[0]), lines[:unwrapped])
         if unwrapped < rows:
-            _gather_lines(flat, 0, lines[unwrapped:], steps, band, work)
+            _gather_lines(flat, 0, lines[unwrapped:])
         np.multiply(lines.real, lines.real, out=cells)
         np.multiply(lines.imag, lines.imag, out=spare)
         cells += spare
@@ -426,6 +412,7 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         weight[k0 + live] = p.sum(axis=1)
         np.multiply(p, tau, out=spare[:m])
         first[k0 + live] = spare[:m].sum(axis=1)
+        edge[k0 + live] = p[:, 0]
         return p.sum(axis=0), line_norm.sum(), second
 
     marginal = np.zeros(n)
@@ -437,7 +424,7 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     expected = n * (grid.domega / (2.0 * math.pi)) ** 2 * norm
     total = float(marginal.sum())
     _require_parseval("line transform mass", total, expected)
-    return marginal, weight, first, second / norm
+    return marginal, weight, first, edge, second / norm
 
 
 def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
@@ -458,9 +445,22 @@ def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
 
     Raises GridTooNarrowError when the second branch of the lines,
     |omega1 + omega2| >= n*domega/2, holds SECOND_BRANCH_LIMIT of the norm
-    or more, and GridTooCoarseError when the tau marginal wraps the grid.
+    or more, and GridTooCoarseError when the tau marginal, or that of psi
+    exchanged, wraps the grid.  That check reads four edge cells: lines a
+    cell or two wide that dispersion wraps into a comb of spikes between
+    them pass it, aliased, which `nldc run` catches by the moment algebra.
     """
-    marginal, weight, first, second = _sum_frequency_lines(psi)
+    return _arm_moments(psi)[0]
+
+
+def _arm_moments(psi: BiphotonAmplitude) -> tuple[TemporalCovariance, TemporalCovariance]:
+    """amplitude_moments of psi and of psi exchanged (psi[j, i]), from one line pass.
+
+    The exchanged lines are the plus lines reversed (module docstring): the
+    same weights, so shared Omega moments, the marginal at -d % n, and
+    the first moments 2*tau[0]*edge - first.  Each arm's marginal is checked.
+    """
+    marginal, weight, first, edge, second = _sum_frequency_lines(psi)
     if second >= SECOND_BRANCH_LIMIT:
         raise GridTooNarrowError(
             f"amplitude reaches |omega1 + omega2| >= n*domega/2 with mass share {second} "
@@ -469,23 +469,21 @@ def amplitude_moments(psi: BiphotonAmplitude) -> TemporalCovariance:
             limit=SECOND_BRANCH_LIMIT,
         )
     grid = psi.grid
-    total = float(marginal.sum())
-    _require_unwrapped(marginal / total, "tau marginal")
     tau = grid.times
-    mean_tau = float((tau * marginal).sum() / total)
-    var_tau = float((((tau - mean_tau) ** 2) * marginal).sum() / total)
     lines_total = float(weight.sum())
     mean_omega = float((grid.omegas * weight).sum() / lines_total)
     d_omega = grid.omegas - mean_omega
     var_omega = float(((d_omega ** 2) * weight).sum() / lines_total)
-    cov = float((first * d_omega).sum() / lines_total)
-    return TemporalCovariance(
-        var_tau=var_tau,
-        var_omega=var_omega,
-        cov_tau_omega=cov,
-        mean_tau=mean_tau,
-        mean_omega=mean_omega,
-    )
+
+    def arm(marginal, first):
+        total = float(marginal.sum())
+        _require_unwrapped(marginal / total, "tau marginal")
+        mean_tau = float((tau * marginal).sum() / total)
+        var_tau = float((((tau - mean_tau) ** 2) * marginal).sum() / total)
+        cov = float((first * d_omega).sum() / lines_total)
+        return TemporalCovariance(var_tau, var_omega, cov, mean_tau, mean_omega)
+
+    return arm(marginal, first), arm(marginal[-np.arange(grid.n)], 2.0 * tau[0] * edge - first)
 
 
 # ---------------------------------------------------------------------------

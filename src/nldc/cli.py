@@ -47,7 +47,7 @@ from . import sampler as sp
 from . import spectral as spc
 from . import stationary as st
 from ._schema import best_error
-from .errors import DegenerateStateError, MemoryBudgetError, PreconditionError
+from .errors import DegenerateStateError, GridTooCoarseError, MemoryBudgetError, PreconditionError
 from .moments import (
     DispersionKit,
     TemporalCovariance,
@@ -65,14 +65,19 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 # against it: the measured peak bytes per grid cell (n^2 cells for a
 # biphoton, n for a stationary state; tracemalloc: 24-32 for a biphoton run
 # at n = 1024-2048, 79-88 for a stationary one at n = 2^18-2^20), per
-# sampled event (88-134 measured) and per worker of the block pool, which
-# each hold their own block buffers (tracemalloc over 1-3 workers: 2.1 MiB
-# per worker for the line route, 2.5 MiB for the biphoton sampler and
-# 3.5-3.7 MiB for the stationary samplers), rounded up.
+# sampled event (tracemalloc at 1e6 events with jitter: 40 with no events
+# CSV, 72 with the CSVs, which keep all three batches) and per worker of
+# the block pool, which each hold their own block buffers (tracemalloc over
+# 1-3 workers: 2.1 MiB per worker for the line route, 2.5 MiB for the
+# biphoton sampler and 3.5-3.7 MiB for the stationary samplers), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
 _BYTES_PER_WORKER = 4 * 2**20
+
+# The relative gap between a biphoton arm's grid var_tau and the moment
+# algebra's beyond which a run stops (acceptance criterion 6's bound).
+_ROUTE_RTOL = 1e-3
 
 _GRID_SCHEMA = {
     "type": "object",
@@ -380,12 +385,32 @@ def _witness(evaluate, *args) -> dict:
         return {"evaluable": False, "reason": str(err)}
 
 
+def _require_one_route(label: str, grid_cov: TemporalCovariance, algebra: TemporalCovariance) -> None:
+    """GridTooCoarseError unless an arm's grid var_tau is the moment algebra's within _ROUTE_RTOL.
+
+    Dispersion shifts each sum-frequency line's tau profile by
+    2*beta_L*Omega modulo the time span, so narrow lines can wrap into a
+    comb of spikes that misses the edge cells of the wrap check: the
+    marginal, the density and the events are then aliased.
+    """
+    gap = abs(grid_cov.var_tau - algebra.var_tau) / algebra.var_tau
+    if gap > _ROUTE_RTOL:
+        raise GridTooCoarseError(
+            f"the {label} arm's tau lines wrap the time grid: its grid var_tau {grid_cov.var_tau} ps^2 "
+            f"is {gap:.3g} away from the moment algebra's {algebra.var_tau} ps^2 (relative limit "
+            f"{_ROUTE_RTOL}); a finer domega_rad_ps gives a longer time span",
+            ratio=gap / _ROUTE_RTOL,
+            limit=_ROUTE_RTOL,
+        )
+
+
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
     """Execute one normalized scenario, writing outputs into out_dir.
 
-    A biphoton state is dispersed once, with the kit, and the minus arm is
-    the plus arm exchanged, read through transposed views.  Moments come
-    from the sum-frequency line route; the 2D time transform runs for
+    A biphoton state is dispersed once, with the kit.  The minus arm is the
+    plus arm exchanged: one line pass gives both arms' moments, each checked
+    against the moment algebra, and the minus events are drawn through a
+    transposed view of the plus density.  The 2D time transform runs for
     density_before (the "before" draw and density_before.bin) and the plus
     density.  Other kinds shear in closed form.
 
@@ -440,7 +465,9 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         psi = bp.apply_dispersion_phase(spc._Owned(source), kit)
         # build_pdc_amplitude gives psi == psi.T bit for bit, so the swapped kit would disperse
         # it into the plus amplitude exchanged: the minus arm is the plus arm with t1 <-> t2.
-        arms = {"plus": bp.amplitude_moments(psi), "minus": bp.amplitude_moments(bp._exchanged(psi))}
+        arms = dict(zip(("plus", "minus"), bp._arm_moments(psi)))
+        for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
+            _require_one_route(label, arms[label], shear_covariance(cov0, arm_kit))
         if sampler is not None:
             density = bp.to_time_domain(spc._Owned(psi))
             sample("plus", density)
@@ -564,8 +591,8 @@ def scan_scenario(scenario: dict, param: str, values, base_dir: Path = Path(".")
     distinct normalized state and each row is apply_jitter plus
     evaluate_witness, the same algebra that gives `run` its witness (or
     witness_observed).  No dispersed amplitude is built, so a kit whose
-    dispersed marginal would wrap the grid (which `run` rejects) still gets
-    its closed-form row.
+    dispersed marginal would wrap or alias on the grid (which `run`
+    rejects) still gets its closed-form row.
 
     lhs/rhs/margin and the product refer to the jitter-observed covariance,
     so jitter sweeps show the feasibility degradation directly.

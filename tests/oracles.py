@@ -5,7 +5,8 @@ builds amplitudes only from closed forms, so the tests keep these
 independent routes here: the tau marginal of a joint time density by a
 plain index gather (the 2D route the line marginal is checked against),
 an amplitude normalized from arbitrary values, and the reader of the
-density dump that `run` writes.
+density dump that `run` writes.  The seeded dispersion cases that check
+the minus arm live here too, as two test modules share them.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from nldc.biphoton import DENSITY_MAGIC, BiphotonAmplitude, JointTemporalDensity
+from nldc.moments import DispersionKit
 from nldc.spectral import FrequencyGrid
 
 
@@ -51,3 +53,18 @@ def density_from_binary(path):
         raise ValueError(f"{path}: header dt inconsistent with n and domega")
     data = np.frombuffer(raw[64:], dtype="<f8")
     return JointTemporalDensity(grid, data.reshape(grid.n, grid.n))
+
+
+def random_kits(n):
+    """Three seeded (a, b, domega, kit) cases with delays on an n-point grid: one delta-ridge pump, two resolved."""
+    rng = np.random.default_rng(n)
+    domega = 64.0 / n
+    cases = []
+    for a, beta_range in ((1e-4, 8.0), (4 * domega, 0.4), (6 * domega, 0.2)):
+        kit = DispersionKit(
+            beta_L=float(rng.uniform(-beta_range, beta_range)),
+            delay_1=float(rng.uniform(-2.0, 2.0)),
+            delay_2=float(rng.uniform(-2.0, 2.0)),
+        )
+        cases.append((a, float(rng.uniform(3.0, 6.0)), domega, kit))
+    return cases

@@ -303,7 +303,7 @@ def test_line_marginal_matches_the_2d_transform(n):
     psi = apply_dispersion_phase(
         build_pdc_amplitude(grid, 0.6, 1.3), DispersionKit(beta_L=0.4, delay_1=0.8, delay_2=-0.5)
     )
-    marginal, weight, first, second = _sum_frequency_lines(psi)
+    marginal, weight, first, _, second = _sum_frequency_lines(psi)
     _, q_ref = tau_marginal(to_time_domain(psi))
     q = marginal / (marginal.sum() * grid.dt)
     assert np.max(np.abs(q - q_ref)) <= 1e-14 * q_ref.max()

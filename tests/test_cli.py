@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
 from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
-from oracles import density_from_binary, tau_marginal
+from oracles import density_from_binary, random_kits, tau_marginal
 
 
 def _write(tmp_path, name, obj):
@@ -241,6 +241,37 @@ def test_precondition_error_json_carries_ratio_and_limit(
     assert ratio > 1.0
     assert err["ratio"] == pytest.approx(ratio, rel=1e-6)
     assert err["limit"] == pytest.approx(limit, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a, b, domega, kit",
+    [
+        (2.7807279988698346, 10.814759833293085, 0.4163865323905513, {"beta_L_ps2": 6.066376287275483}),
+        (1.5082350005210814, 17.85729544585427, 0.43498809099439906,
+         {"beta_L_ps2": -8.271627503721517, "delay_2_ps": -4.227582384191516}),
+    ],
+)
+def test_a_biphoton_run_whose_dispersed_lines_alias_exits_3(tmp_path, capsys, a, b, domega, kit):
+    # Each line's tau profile is about 1.5 cells wide, and dispersion shifts
+    # it by 2*beta_L*Omega modulo the time span: the lines wrap into a comb
+    # of spikes that misses the four edge cells the wrap check reads.  The
+    # grid's dispersed var_tau is then about 1.5% of the moment algebra's.
+    scenario = _resolved_biphoton(a=a, b=b, n=256, domega=domega)
+    scenario["kit"] = kit
+    scenario["sampler"] = {"n_events": 20000, "seed": 1}
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "GridTooCoarseError" and err["limit"] == 1e-3
+    psi = biphoton.build_pdc_amplitude(FrequencyGrid(n=256, domega=domega), a, b)
+    kit = cli._kit_from(cli.normalize_scenario(scenario))
+    algebra = cli.shear_covariance(biphoton.amplitude_moments(psi), kit).var_tau
+    grid = biphoton.amplitude_moments(biphoton.apply_dispersion_phase(psi, kit)).var_tau
+    assert err["ratio"] == pytest.approx(abs(grid - algebra) / algebra / 1e-3, rel=1e-9)
+    assert err["ratio"] > 900
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -838,12 +869,14 @@ def _count_calls(monkeypatch, module, name):
 def test_sampling_run_transforms_twice_and_disperses_once(tmp_path, monkeypatch):
     # The source is dispersed once, with the kit.  The two densities
     # (before and plus) are the only transforms; the minus arm is the plus
-    # arm exchanged, amplitude and density alike.  The before transform
-    # takes the source's storage, so the source is built again to be
-    # dispersed.  The minus draw reads the plus density, transposed.
+    # arm exchanged.  The before transform takes the source's storage, so
+    # the source is built again to be dispersed.  Two line passes read the
+    # moments: cov0 from the source, and both arms from the plus amplitude.
+    # The minus draw reads the plus density, transposed.
     transforms = _count_calls(monkeypatch, biphoton, "to_time_domain")
     dispersions = _count_calls(monkeypatch, biphoton, "apply_dispersion_phase")
     builds = _count_calls(monkeypatch, biphoton, "build_pdc_amplitude")
+    line_passes = _count_calls(monkeypatch, biphoton, "_sum_frequency_lines")
     densities = []
     draw = sampler.sample_biphoton
     monkeypatch.setattr(sampler, "sample_biphoton", lambda density, *args: draw(densities.append(density) or density, *args))
@@ -852,24 +885,9 @@ def test_sampling_run_transforms_twice_and_disperses_once(tmp_path, monkeypatch)
     rc, _ = _run(tmp_path, scenario)
     assert rc == 0
     assert len(transforms) == 2 and len(dispersions) == 1
-    assert len(builds) == 2
+    assert len(builds) == 2 and len(line_passes) == 2
     before, plus, minus = densities
     assert np.shares_memory(minus.values, plus.values) and not np.shares_memory(plus.values, before.values)
-
-
-def _random_kits(n):
-    """Three seeded (a, b, domega, kit) cases with delays on an n-point grid: one delta-ridge pump, two resolved."""
-    rng = np.random.default_rng(n)
-    domega = 64.0 / n
-    cases = []
-    for a, beta_range in ((1e-4, 8.0), (4 * domega, 0.4), (6 * domega, 0.2)):
-        kit = DispersionKit(
-            beta_L=float(rng.uniform(-beta_range, beta_range)),
-            delay_1=float(rng.uniform(-2.0, 2.0)),
-            delay_2=float(rng.uniform(-2.0, 2.0)),
-        )
-        cases.append((a, float(rng.uniform(3.0, 6.0)), domega, kit))
-    return cases
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -878,7 +896,7 @@ def test_exchanged_minus_arm_matches_the_direct_route(tmp_path, n):
     # route disperses the source with the swapped kit.  With delays the two
     # phases add their terms in another order, so the records agree to
     # rounding, and the minus events are identical on these seeds.
-    for case, (a, b, domega, kit) in enumerate(_random_kits(n)):
+    for case, (a, b, domega, kit) in enumerate(random_kits(n)):
         scenario = _resolved_biphoton(a=a, b=b, n=n, domega=domega, beta_L=kit.beta_L)
         scenario["kit"].update(delay_1_ps=kit.delay_1, delay_2_ps=kit.delay_2)
         scenario["sampler"] = {"n_events": 5000, "seed": 100 + case}
@@ -903,12 +921,13 @@ def test_exchanged_minus_arm_matches_the_direct_route(tmp_path, n):
 
 def test_minus_amplitude_is_the_plus_amplitude_exchanged_without_delays():
     # With no delays the swapped phase is the plus phase negated, which is
-    # exact, so the shortcut's minus amplitude is the direct one bit for bit.
+    # exact, so the minus amplitude the shortcut stands for, the plus one
+    # transposed, is the direct one bit for bit.
     source = biphoton.build_pdc_amplitude(FrequencyGrid(n=256, domega=0.25), 1.0, 4.0)
     kit = DispersionKit(beta_L=0.37)
     plus = biphoton.apply_dispersion_phase(source, kit)
     direct = biphoton.apply_dispersion_phase(source, kit.swapped())
-    assert np.array_equal(biphoton._exchanged(plus).values, direct.values)
+    assert np.array_equal(plus.values.T, direct.values)
 
 
 def test_unsampled_biphoton_run_makes_no_2d_transform(tmp_path, monkeypatch):

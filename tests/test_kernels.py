@@ -6,9 +6,11 @@ kept here as oracles, and every rewritten kernel must match its oracle bit
 for bit (compared as uint64 views), on any number of workers, whether it
 copies its input or works in the storage of a state handed over as
 `_Owned(psi)`.  The owning constructor path must still run every check,
-and the public constructors must still copy.  The minus arm reads the plus
-arm through transposed views, which must give the bits of a contiguous
-transpose and read nothing outside the amplitude.  The tracemalloc budgets
+and the public constructors must still copy.  The line route gathers
+psi's lines from its row-major storage and reads nothing outside it; the
+minus arm's moments are the plus lines reflected in tau, which must match
+a pass over a contiguous transpose, and its events are drawn through a
+transposed view of the plus density.  The tracemalloc budgets
 count the arrays a kernel, or a whole run, holds at its peak, so a copy
 that comes back fails them.
 """
@@ -25,6 +27,7 @@ from nldc._fft import to_time_1d, to_time_2d
 from nldc.biphoton import (
     BiphotonAmplitude,
     JointTemporalDensity,
+    _arm_moments,
     _exchanged,
     _sum_frequency_lines,
     amplitude_moments,
@@ -32,10 +35,11 @@ from nldc.biphoton import (
     build_pdc_amplitude,
     to_time_domain,
 )
+from nldc.errors import MemoryBudgetError
 from nldc.moments import DispersionKit
 from nldc.sampler import EventBatch, sample_biphoton
 from nldc.spectral import FrequencyGrid, _Owned
-from oracles import amplitude_from_values
+from oracles import amplitude_from_values, random_kits
 
 KIT = DispersionKit(beta_L=0.3, delay_1=0.8, delay_2=-0.5)
 PM_SIGMA = 3.0
@@ -98,7 +102,7 @@ def _lines_oracle(values, grid):
     i = np.arange(n)
     flat = values.ravel()
     rows = max(1, (1 << 16) // n)
-    marginal, weight, first = np.zeros(n), np.zeros(n), np.zeros(n)
+    marginal, weight, first, edge = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     norm = second = 0.0
     for k0 in range(0, n, rows):
         centred = np.arange(k0, min(k0 + rows, n))[:, None] - half
@@ -117,7 +121,8 @@ def _lines_oracle(values, grid):
         marginal += p.sum(axis=0)
         weight[k0 + live] = p.sum(axis=1)
         first[k0 + live] = (p * grid.times).sum(axis=1)
-    return marginal, weight, first, second / norm
+        edge[k0 + live] = p[:, 0]
+    return marginal, weight, first, edge, second / norm
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def test_line_sums_match_their_oracle(case):
     for amplitude in (psi, dispersed):
         got = _sum_frequency_lines(amplitude)
         expected = _lines_oracle(amplitude.values, grid)
-        assert all(_same_bits(g, e) for g, e in zip(got, expected))
+        assert len(got) == len(expected) and all(_same_bits(g, e) for g, e in zip(got, expected))
 
 
 def test_owned_kernels_give_the_copying_bits(case):
@@ -191,7 +196,7 @@ def test_line_sums_match_on_single_block_grids(n):
     psi = amplitude_from_values(grid, values)
     got = _sum_frequency_lines(psi)
     expected = _lines_oracle(psi.values, grid)
-    assert all(_same_bits(g, e) for g, e in zip(got, expected))
+    assert len(got) == len(expected) and all(_same_bits(g, e) for g, e in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +312,9 @@ def test_public_constructors_copy():
 
 
 # ---------------------------------------------------------------------------
-# Transposed reads: the minus arm is the plus arm exchanged, read through
-# transposed views of the plus amplitude and density.
+# The minus arm is the plus arm exchanged: its moments are the plus lines
+# reflected in tau, and its events are drawn through a transposed view of
+# the plus density.
 
 def _nan_padded(values):
     """values in the middle of a NaN-padded buffer, so that a read outside them is not finite."""
@@ -320,22 +326,58 @@ def _nan_padded(values):
     return inner
 
 
+def _close(got, want):
+    return got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
-def test_exchanged_lines_match_the_contiguous_transpose(n):
-    # A random amplitude is not symmetric, so a gather that mixes up the
-    # two layouts cannot pass; the lines of the exchanged amplitude are read
-    # in place, and must give the bits of those of a contiguous transpose.
+def test_reflected_lines_match_the_pass_over_the_transpose(n):
+    # A random amplitude is not symmetric, so a reflection that is off by a
+    # cell cannot pass.  The exchanged amplitude's lines are the plus lines
+    # reversed: its marginal and first moments are the plus ones reflected
+    # in tau (cell 0 kept), its weights and second-branch share the same.
+    # The lines are gathered in place, and read nothing outside psi.
     grid = FrequencyGrid(n=n, domega=1.0)
     rng = np.random.default_rng(n + 1)
     psi = amplitude_from_values(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    held = BiphotonAmplitude(grid, _Owned(_nan_padded(psi.values)))
-    exchanged = _exchanged(held)
-    assert np.shares_memory(exchanged.values, held.values)
-    transposed = BiphotonAmplitude(grid, np.ascontiguousarray(psi.values.T))
-    for got, want in ((_sum_frequency_lines(held), _sum_frequency_lines(psi)),
-                      (_sum_frequency_lines(exchanged), _sum_frequency_lines(transposed))):
-        assert all(np.isfinite(g).all() for g in got)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    got = _sum_frequency_lines(BiphotonAmplitude(grid, _Owned(_nan_padded(psi.values))))
+    assert all(_same_bits(g, w) for g, w in zip(got, _sum_frequency_lines(psi)))
+    marginal, weight, first, edge, second = got
+    want = _sum_frequency_lines(BiphotonAmplitude(grid, np.ascontiguousarray(psi.values.T)))
+    assert _close(marginal[-np.arange(n)], want[0]) and _close(weight, want[1])
+    assert _close(2.0 * grid.times[0] * edge - first, want[2])
+    assert second == pytest.approx(want[4], rel=1e-12)
+
+
+# Seeded dispersed states with delays, whose amplitudes are not symmetric
+# either, and one whose tau marginal keeps 1.7e-9 of its mass in cell 0,
+# the cell that maps to itself (a minus arm with first negated misses its
+# cov by 1.2e-7 there).
+MINUS_CASES = [(n, *case) for n in (256, 512) for case in random_kits(n)] + [
+    (256, 1.0, 3.0, 0.25, DispersionKit(beta_L=1.0, delay_1=0.7, delay_2=-0.3))
+]
+
+
+@pytest.mark.parametrize("n, a, b, domega, kit", MINUS_CASES)
+def test_minus_moments_match_the_pass_over_the_transpose(n, a, b, domega, kit):
+    # The mean tau to within 1e-12 standard deviations.
+    psi = apply_dispersion_phase(build_pdc_amplitude(FrequencyGrid(n=n, domega=domega), a, b), kit)
+    got = _arm_moments(psi)[1]
+    want = amplitude_moments(BiphotonAmplitude(psi.grid, np.ascontiguousarray(psi.values.T)))
+    for name in ("var_tau", "var_omega", "cov_tau_omega"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+    for name, var in (("mean_tau", "var_tau"), ("mean_omega", "var_omega")):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * math.sqrt(getattr(want, var)), name
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_a_column_major_amplitude_gives_the_bits_of_its_row_major_copy(n):
+    # A plain caller may pass any layout; the line route reads one row-major copy of it.
+    psi = apply_dispersion_phase(build_pdc_amplitude(_grid(n), PUMPS["resolved"], PM_SIGMA), KIT)
+    column_major = BiphotonAmplitude(psi.grid, np.asfortranarray(psi.values))
+    assert column_major.values.flags.f_contiguous and not column_major.values.flags.c_contiguous
+    assert all(_same_bits(g, w) for g, w in zip(_sum_frequency_lines(column_major), _sum_frequency_lines(psi)))
+    assert _arm_moments(column_major) == _arm_moments(psi)
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -412,8 +454,8 @@ def test_sampled_run_stays_within_its_memory_budget(tmp_path, workers, dump, bud
     # at a time, transformed in place next to its density (0.5), and the
     # density dump keeps density_before (0.5).  The line route's blocks
     # (1/16 each at this n) and 1000 events stay within the rest.  A copy
-    # of the exchanged amplitude or a transform into a fresh field (1 more)
-    # breaks the budget.  At n <= 256 one block of lines is a whole grid,
+    # of the amplitude, exchanged or not, or a transform into a fresh field
+    # (1 more) breaks the budget.  At n <= 256 one block of lines is a whole grid,
     # so that the line route, not the live set, would set the peak.
     workers(2)
     scenario = cli.normalize_scenario({
@@ -425,6 +467,42 @@ def test_sampled_run_stays_within_its_memory_budget(tmp_path, workers, dump, bud
     })
     cli.run_scenario(scenario, tmp_path / "warm")  # numpy.fft, numpy.random and the pool load here
     assert _traced_peak(cli.run_scenario, scenario, tmp_path / "traced") <= budget * 16 * 1024 ** 2
+
+
+def _state(kind, n):
+    if kind == "biphoton":
+        return {"biphoton": {"pump_sigma_rad_ps": 1e-4, "pm_sigma_rad_ps": 10.0,
+                             "grid": {"n": n, "domega_rad_ps": 64.0 / n}}}
+    gaussian = {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}}
+    return {"stationary": {"grid": {"n": n, "domega_rad_ps": 0.25}, "s1": gaussian, "s2": gaussian,
+                           "cross": "classical-extremal", "window_T_ps": 14.0}}
+
+
+@pytest.mark.parametrize(
+    "kind, n, n_events, events_csv",
+    [
+        ("biphoton", 256, 20_000, True),  # the line route's blocks set this peak; all three batches kept for their CSVs
+        ("biphoton", 1024, 1000, False),
+        ("stationary", 1024, 20_000, True),
+        ("stationary", 1024, 1_000_000, False),
+    ],
+)
+def test_a_run_peaks_within_its_memory_estimate(tmp_path, monkeypatch, workers, kind, n, n_events, events_csv):
+    # With jitter, on two workers.  The estimate covers the peak when a
+    # budget one byte below the peak rejects the run.
+    workers(2)
+    scenario = cli.normalize_scenario({
+        "state": _state(kind, n),
+        "kit": {"beta_L_ps2": 32.0 if kind == "biphoton" else 0.8},
+        "jitter_sigma_ps": 0.5,
+        "sampler": {"n_events": n_events, "seed": 5},
+        "outputs": {"events_csv": events_csv},
+    })
+    cli.run_scenario(scenario, tmp_path / "warm")  # numpy.fft, numpy.random and the pool load here
+    peak = _traced_peak(cli.run_scenario, scenario, tmp_path / "traced")
+    monkeypatch.setattr(cli, "MEMORY_BUDGET_BYTES", peak - 1)
+    with pytest.raises(MemoryBudgetError):
+        cli._check_memory_budget(scenario["state"], n_events)
 
 
 def test_line_route_stays_within_its_memory_budget(workers):
