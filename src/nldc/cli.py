@@ -65,11 +65,11 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 # against it: the measured peak bytes per grid cell (n^2 cells for a
 # biphoton, n for a stationary state; tracemalloc: 24-32 for a biphoton run
 # at n = 1024-2048, 79-88 for a stationary one at n = 2^18-2^20), per
-# sampled event (tracemalloc at 1e6 events with jitter: 40 with no events
+# sampled event (tracemalloc at 1e6 events with jitter: 24 with no events
 # CSV, 72 with the CSVs, which keep all three batches) and per worker of
 # the block pool, which each hold their own block buffers (tracemalloc over
-# 1-3 workers: 2.1 MiB per worker for the line route, 2.5 MiB for the
-# biphoton sampler and 3.5-3.7 MiB for the stationary samplers), rounded up.
+# 1-3 workers: 2.1 MiB per worker for the line route, 0.2 MiB for the
+# biphoton sampler and 0.9 MiB for the stationary samplers), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
@@ -419,7 +419,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     build of it the plus amplitude and then the plus density, so one n x n
     complex array is alive at a time, next to at most a density and the
     sampler's CDF.  density_before is kept only to be dumped, and a batch
-    only when its events CSV is written.
+    only when its events CSV is written; the estimator consumes the others.
     """
     kit = _kit_from(scenario)
     jitter_sigma = scenario["jitter_sigma_ps"]
@@ -445,11 +445,13 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         else:
             arm_kit = kit if label == "plus" else kit.swapped()
             batch = sp.sample_stationary_sheared(source, arm_kit, count, sub_seed)
+        if write_events:
+            batches[label] = batch
+        else:
+            batch = spc._Owned(batch)  # the estimator forms tau in its times
         estimates[label] = sp.estimate_tau_stats(
             batch, jitter_sigma / math.sqrt(2.0), sp.derive_seed(seed, f"jitter-{label}")
         )
-        if write_events:
-            batches[label] = batch
 
     density_before = None
     if kind == "biphoton":
@@ -523,13 +525,10 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
             ),
         }
         if write_events:
-            events = {}
+            events = {label: f"events_{label}.csv" for label in batches}
             for label, batch in batches.items():
-                name = f"events_{label}.csv"
-                sp.events_to_csv(batch, out_dir / name)
-                events[label] = name
-            sampling["events"] = events
-            outputs["events"] = events
+                sp.events_to_csv(batch, out_dir / events[label])
+            sampling["events"] = outputs["events"] = events
         record["sampling"] = sampling
 
     if kind == "stationary" and scenario["outputs"]["tau_profile_csv"]:

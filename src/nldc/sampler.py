@@ -13,10 +13,12 @@ comparing against density moments must include that term.
 
 Every uniform a sampler uses has a fixed position in its stream, and
 `_uniforms` reads it there.  A batch is filled in the fixed blocks of
-events of `_blocks._for_blocks`, each block reading its share of every
-kind of draw, so its bytes do not depend on the number of workers.
-The layouts, for count events of which n_sig are signal and n_bg
-background events, each kind in event order:
+`_blocks._for_blocks`, each block reading its share of every kind of
+draw, so its bytes depend neither on the number of workers nor on the
+block size.  A worker's blocks read each kind at contiguous positions, so
+it enters each stream once and reads on in it.  The layouts, for count
+events of which n_sig are signal and n_bg background events, each kind in
+event order:
 
 * "biphoton": count cell uniforms, count t1 jitters, count t2 jitters;
 * "stationary" (sample_tau_density): count signal-mask uniforms, n_bg
@@ -35,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,11 +75,13 @@ class EventBatch:
     window is the (lo, hi) interval all times are guaranteed to lie in, or
     None for batches that are not window-bounded (dispersed stationary
     events walk out of the shutter interval).  t1 and t2 are copied unless
-    package code hands over fresh arrays as `_Owned(array)`.
+    package code hands over fresh arrays as `_Owned(array)`.  Once
+    estimate_tau_stats has consumed the batch, reading them raises
+    AttributeError; the repr leaves them out.
     """
 
-    t1: np.ndarray
-    t2: np.ndarray
+    t1: np.ndarray = field(repr=False)
+    t2: np.ndarray = field(repr=False)
     seed: int
     source: str
     window: tuple[float, float] | None = None
@@ -137,23 +141,32 @@ class EmpiricalWitnessReport:
 
 
 # Buckets of the guide table in _InverseCdf.  A power of two, so that u*K,
-# its floor and the bucket edges k/K are exact in binary floating point.
+# cdf*K, their floor and ceiling, and the bucket edges k/K are exact.
 _GUIDE_CELLS = 1 << 16
 
+# The `_for_blocks` width of an event: its block scratch and temporaries
+# take up to 64 bytes, four 16-byte complex cells of an n x n kernel.
+_EVENT_CELLS = 4
 
-def _uniforms(key: int, start: int, out: np.ndarray) -> np.ndarray:
+
+def _uniforms(key: int, start: int, out: np.ndarray, streams: dict | None = None) -> np.ndarray:
     """Fill out with the doubles at positions [start, start + len(out)) of the Philox stream of key.
 
     Each double takes one 64-bit output, and one counter step of Philox
     yields four of them (Salmon et al., SC11), so the stream is entered at
     any position by advancing the counter start // 4 steps and dropping
     start % 4 outputs.  start may be a numpy integer, which Philox.advance
-    itself rejects.
+    itself rejects.  streams, a worker's {(key, position): Generator},
+    keeps the stream where this read ends, for a read that starts there.
     """
     start = operator.index(start)
-    bits = np.random.Philox(key=key).advance(start // 4)
-    bits.random_raw(start % 4)
-    np.random.Generator(bits).random(out=out)
+    streams = {} if streams is None else streams
+    gen = streams.pop((key, start), None)
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(key=key).advance(start // 4))
+        gen.bit_generator.random_raw(start % 4)
+    gen.random(out=out)
+    streams[key, start + len(out)] = gen
     return out
 
 
@@ -167,7 +180,8 @@ class _InverseCdf:
     guide table (Chen & Asau, AIIE Trans. 6, 1974).  Bucket k = floor(u*K)
     holds the u in [k/K, (k+1)/K), and guide[k] = searchsorted(cdf, k/K) is
     the answer for all of them unless a CDF value falls inside the bucket
-    (guide[k] != guide[k+1]); only those queries are searched.  At most
+    (guide[k] != guide[k+1]); only those queries are searched.  As
+    cdf[j] <= k/K exactly when ceil(cdf[j]*K) <= k, the table counts.  At most
     len(cdf) buckets are split and each takes 1/K of the queries, so a
     1024-cell CDF searches under 1.6% of them.  Any other CDF (the n^2-cell
     biphoton one) is searched in sorted query order, which keeps the lookups
@@ -184,8 +198,8 @@ class _InverseCdf:
         self.cdf = cdf
         self.guide = self.split = None
         if len(cdf) <= _GUIDE_CELLS <= count:
-            edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
-            self.guide = np.searchsorted(cdf, edges, side="right")
+            above = np.ceil(cdf * _GUIDE_CELLS).astype(np.intp)
+            self.guide = np.cumsum(np.bincount(above, minlength=_GUIDE_CELLS + 1))
             self.split = self.guide[1:] != self.guide[:-1]
 
     def draw(self, u: np.ndarray, out: np.ndarray, bucket: np.ndarray) -> np.ndarray:
@@ -209,8 +223,8 @@ class _InverseCdf:
 
 
 def _scratch(**dtypes):
-    """A sampler's block scratch: per worker, one buffer of each named dtype, for blocks of at most `size` events."""
-    return lambda size: SimpleNamespace(**{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
+    """A sampler's block scratch: per worker, its streams (`_uniforms`) and one buffer of each named dtype, for at most `size` events."""
+    return lambda size: SimpleNamespace(streams={}, **{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
 
 
 # The buffers of _draw_cells and _InverseCdf.draw.
@@ -225,9 +239,9 @@ def _draw_cells(key, start, total, cdf, centers, width, out, s):
     before their jitters.
     """
     n = len(out)
-    idx = cdf.draw(_uniforms(key, start, s.u[:n]), s.idx[:n], s.bucket[:n])
+    idx = cdf.draw(_uniforms(key, start, s.u[:n], s.streams), s.idx[:n], s.bucket[:n])
     np.take(centers, idx, out=out)
-    jitter = _uniforms(key, start + total, s.u[:n])
+    jitter = _uniforms(key, start + total, s.u[:n], s.streams)
     jitter -= 0.5
     jitter *= width
     out += jitter
@@ -263,11 +277,11 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
 
     def block(start, stop, s):
         size = stop - start
-        idx = cdf.draw(_uniforms(key, start, s.u[:size]), s.idx[:size], s.bucket[:size])
+        idx = cdf.draw(_uniforms(key, start, s.u[:size], s.streams), s.idx[:size], s.bucket[:size])
         i1, i2 = np.divmod(idx, n, out=(s.bucket[:size], idx))
         for t, cells, at in ((t1[start:stop], i1, count), (t2[start:stop], i2, 2 * count)):
             np.take(times, cells, out=t)
-            jitter = _uniforms(key, at + start, s.u[:size])
+            jitter = _uniforms(key, at + start, s.u[:size], s.streams)
             jitter -= 0.5
             jitter *= dt
             t += jitter
@@ -280,7 +294,7 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
         t1[start:stop] -= half
         t2[start:stop] += half
 
-    _for_blocks(count, 1, block, _scratch(**_CELL_BUFFERS))
+    _for_blocks(count, _EVENT_CELLS, block, _scratch(**_CELL_BUFFERS))
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
@@ -309,11 +323,11 @@ def _signal_mask(key, f_s, count):
     signal = np.empty(count, dtype=bool)
 
     def block(start, stop, s):
-        mask = np.less(_uniforms(key, start, s.u[: stop - start]), f_s, out=signal[start:stop])
+        mask = np.less(_uniforms(key, start, s.u[: stop - start], s.streams), f_s, out=signal[start:stop])
         return start, np.count_nonzero(mask)
 
     before, total = {}, 0
-    for start, found in _for_blocks(count, 1, block, _scratch(u=np.float64)):
+    for start, found in _for_blocks(count, _EVENT_CELLS, block, _scratch(u=np.float64)):
         before[start] = total  # counted in block order
         total += found
     return signal, before, total
@@ -358,7 +372,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
         times = (t1[start:stop], t2[start:stop])
         if nb:
             for t, at in zip(times, bg_at):
-                u = _uniforms(key, at + j, s.u[:nb])
+                u = _uniforms(key, at + j, s.u[:nb], s.streams)
                 u *= T
                 t[bg] = u
         if ns:
@@ -366,7 +380,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
             # Profile mass beyond the window is negligible by the 6x RMS
             # precondition; clamp so the mean-time interval is never empty.
             np.clip(tau, -T, T, out=tau)
-            u = _uniforms(key, tau_at + 2 * n_sig + k, s.u[:ns])
+            u = _uniforms(key, tau_at + 2 * n_sig + k, s.u[:ns], s.streams)
             for t, mean_time in zip(times, _draw_mean_times(tau, u, T, s.v[:ns], s.w[:ns])):
                 t[sg] = mean_time
         if sheared is None:
@@ -386,7 +400,7 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
             w *= two_beta
             shifts[arm](t, w, out=t)
 
-    _for_blocks(count, 1, block, _scratch(**_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
+    _for_blocks(count, _EVENT_CELLS, block, _scratch(**_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
     return t1, t2
 
 
@@ -430,20 +444,27 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     Independent N(0, jitter_sigma^2) offsets are added to every t1 and t2,
     so tau gains variance 2*jitter_sigma^2.  The standard error of the
     variance comes from the fourth-moment formula
-    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.
+    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  A batch handed over as
+    `_Owned(batch)` is consumed: its times take the jitter and tau, with
+    the bits a plain batch gives.  A plain batch is left as it was.
     """
-    if batch.n < 2:
-        ratio = 2 / batch.n if batch.n else math.inf
-        raise BatchTooSmallError(f"need at least 2 events, got {batch.n}", ratio=ratio, limit=2)
+    owned = isinstance(batch, _Owned)
+    batch = batch.held if owned else batch
+    n = batch.n
+    if n < 2:
+        raise BatchTooSmallError(f"need at least 2 events, got {n}", ratio=2 / n if n else math.inf, limit=2)
     _require_finite("jitter_sigma", jitter_sigma, at_least=0)
-    t1 = batch.t1
-    t2 = batch.t2
+    t1, t2 = batch.t1, batch.t2
+    if owned:
+        for name, t in (("t1", t1), ("t2", t2)):
+            t.setflags(write=True)
+            object.__delattr__(batch, name)
     if jitter_sigma > 0.0:
         rng = _generator(seed, "detector-jitter")
-        t1 = t1 + rng.normal(0.0, jitter_sigma, batch.n)
-        t2 = t2 + rng.normal(0.0, jitter_sigma, batch.n)
-    d = t1 - t2  # tau; then its deviations, their squares and fourth powers, in place
-    n = batch.n
+        t1 = np.add(t1, rng.normal(0.0, jitter_sigma, n), out=t1 if owned else None)
+        t2 = np.add(t2, rng.normal(0.0, jitter_sigma, n), out=t2 if owned else None)
+    # tau, in t1 if it is not a caller's; then its deviations, their squares and fourth powers, in place
+    d = np.subtract(t1, t2, out=t1 if owned or jitter_sigma > 0.0 else None)
     mean = float(d.mean())
     d -= mean
     d *= d  # m4 squares the squares again by a multiply, not a pow

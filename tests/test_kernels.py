@@ -16,6 +16,7 @@ that comes back fails them.
 """
 
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -467,6 +468,28 @@ def test_sampled_run_stays_within_its_memory_budget(tmp_path, workers, dump, bud
     })
     cli.run_scenario(scenario, tmp_path / "warm")  # numpy.fft, numpy.random and the pool load here
     assert _traced_peak(cli.run_scenario, scenario, tmp_path / "traced") <= budget * 16 * 1024 ** 2
+
+
+def test_a_stationary_run_stays_within_its_memory_budget(tmp_path, workers):
+    # The benchmark's stationary run: 1e6 events, no events CSV, on two
+    # workers, through cli.main.  Drawing a batch sets the peak: its times
+    # (two 8 MB arrays), its signal mask (1 MB), four guide tables (0.6 MB
+    # each) and each worker's scratch for a block of 16,384 events, 20.5
+    # MiB in all.  Forming tau in a new array beside the batch (8 MB) gives
+    # 23.0 MiB, and blocks of 65,536 events (3 MB of scratch per worker)
+    # 26.5 MiB; each breaks the budget.
+    workers(2)
+    gaussian = {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}}
+    path = tmp_path / "stationary.json"
+    path.write_text(json.dumps({
+        "state": {"stationary": {"grid": {"n": 1024, "domega_rad_ps": 0.0625}, "s1": gaussian, "s2": gaussian,
+                                 "cross": {"gaussian": {"peak": 1.2, "sigma_rad_ps": 1.0}}, "window_T_ps": 14.0}},
+        "kit": {"beta_L_ps2": 2.0},
+        "sampler": {"n_events": 1_000_000, "seed": 5},
+        "outputs": {"events_csv": False},
+    }))
+    cli.main(["run", str(path), "--out", str(tmp_path / "warm")])  # numpy.random and the pool load here
+    assert _traced_peak(cli.main, ["run", str(path), "--out", str(tmp_path / "traced")]) <= 22 * 2**20
 
 
 def _state(kind, n):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nldc.sampler
 from nldc._blocks import BLOCK_CELLS
 from nldc.biphoton import (
     JointTemporalDensity,
@@ -25,6 +26,7 @@ from nldc.biphoton import (
 from nldc.errors import BatchTooSmallError, DegenerateStateError
 from nldc.moments import DispersionKit, shear_covariance
 from nldc.sampler import (
+    _EVENT_CELLS,
     _GUIDE_CELLS,
     EventBatch,
     TauStats,
@@ -45,6 +47,7 @@ from nldc.sampler import (
 from nldc.spectral import (
     _CHUNK_ROWS,
     FrequencyGrid,
+    _Owned,
     flat_cross,
     flat_spectrum,
     gaussian_cross,
@@ -472,6 +475,36 @@ def test_inverse_cdf_draw_with_cdf_values_on_the_bucket_edges():
     _assert_draw_is_searchsorted(weights, u[:K - 1])
 
 
+def _on_edges(cells, seed):
+    """Integer weights summing to K, with zero cells: every CDF value sits on a bucket edge j/K."""
+    stops = np.sort(np.random.default_rng(seed).integers(0, K + 1, size=cells - 1))  # repeated stops: ties
+    return np.diff(np.concatenate([[0], stops, [K]])).astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        _on_edges(4096, 11),
+        np.repeat([1.0, 0.0, 2.0, 0.0, 1.0], [K // 4, 7, K // 8, 5, K // 2]),  # on edges, zero runs
+        [0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0],  # zero cells before and after: a last run of values 1.0
+        [3.0],  # one cell, whose value is 1.0
+        [1e-300, 1.0, 1e-300],  # cells far below one ulp of the CDF
+        np.exp(-0.5 * np.linspace(-6.0, 6.0, K) ** 2),  # K cells: nearly every bucket split
+    ],
+)
+def test_guide_table_counts_what_searchsorted_finds(weights):
+    # guide[k] counts the CDF values <= k/K.  The table counts them by
+    # ceil(cdf * K), which is exact as K is a power of two.
+    weights = np.asarray(weights, dtype=np.float64)
+    table = _InverseCdf(weights, K)
+    assert table.cdf[-1] == 1.0
+    edges = np.arange(K + 1) / K
+    assert np.array_equal(table.guide, np.searchsorted(table.cdf, edges, side="right"))
+    assert np.array_equal(table.split, table.guide[1:] != table.guide[:-1])
+    if weights.sum() == K and np.all(weights == np.round(weights)):
+        assert np.array_equal(table.cdf * K, np.cumsum(weights))  # every value on an edge
+
+
 _weights = st.lists(
     st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e3)), min_size=1, max_size=40
 ).filter(lambda w: sum(w) > 0.0)
@@ -521,13 +554,47 @@ def test_estimate_tau_stats_matches_the_pow_oracle(seed):
         assert stats.stderr == pytest.approx(stderr, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
+def _stats_bits(stats):
+    return stats.n, [np.float64(v).view(np.uint64) for v in (stats.var_tau, stats.stderr, stats.mean_tau)]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.4])
+def test_a_batch_handed_to_the_estimator_is_consumed_with_the_same_bits(jitter):
+    m = _mixture_model("quantum")
+    kit = DispersionKit(beta_L=-0.8, delay_1=0.3)
+    plain = sample_stationary_sheared(m, kit, 5000, seed=9)
+    kept = plain.t1.copy(), plain.t2.copy()
+    expected = estimate_tau_stats(plain, jitter, seed=4)
+    # a plain batch is left as it was
+    for t, k in zip((plain.t1, plain.t2), kept):
+        assert np.array_equal(t.view(np.uint64), k.view(np.uint64)) and not t.flags.writeable
+    owned = sample_stationary_sheared(m, kit, 5000, seed=9)
+    assert _stats_bits(estimate_tau_stats(_Owned(owned), jitter, seed=4)) == _stats_bits(expected)
+    for name in ("t1", "t2"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(owned, name)
+    assert (owned.seed, owned.source, owned.window) == (plain.seed, plain.source, plain.window)
+    assert repr(owned) == repr(plain) and "t1" not in repr(plain)
+
+
+def test_a_batch_the_estimator_rejects_is_not_consumed():
+    one = EventBatch(t1=np.array([1.0]), t2=np.array([0.5]), seed=0, source="one")
+    with pytest.raises(BatchTooSmallError):
+        estimate_tau_stats(_Owned(one), 0.0, seed=0)
+    two = EventBatch(t1=np.array([1.0, 2.0]), t2=np.zeros(2), seed=0, source="two")
+    with pytest.raises(ValueError, match="jitter_sigma"):
+        estimate_tau_stats(_Owned(two), -1.0, seed=0)
+    assert one.t1[0] == 1.0 and two.t1[1] == 2.0
+
+
 # ---------------------------------------------------------------------------
 # Counter-addressed draws.  Every sampler fills its batch in fixed blocks of
-# BLOCK_CELLS events on the row-block pool, each block reading its uniforms at the
-# stream positions the batch layout fixes.  The sequential bodies below are
-# the samplers as they were written before the blocks: one Generator drawn
-# in order, plain searchsorted lookups.  The blocked samplers must give the
-# same bits on any number of workers.
+# BLOCK_CELLS // _EVENT_CELLS events on the row-block pool, each block
+# reading its uniforms at the stream positions the batch layout fixes.  The
+# sequential bodies below are the samplers as they were written before the
+# blocks: one Generator drawn in order, plain searchsorted lookups.  The
+# blocked samplers must give the same bits on any number of workers and at
+# any block size.
 
 def _searchsorted_oracle(rng, weights, count):
     cdf = np.cumsum(weights)
@@ -605,7 +672,19 @@ def _assert_same_bits(batch, expected):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# The oracle tests run the samplers' blocks and blocks of 1024 events.
+# BLOCK_CELLS is a whole number of blocks at both sizes, so that the counts
+# below sit on and next to block edges at each.
+_EVENT_CELLS_TESTED = (_EVENT_CELLS, 64)
 _COUNTS = [1, 2, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 5]
+
+
+def _block_sizes(monkeypatch):
+    """Set each block size of _EVENT_CELLS_TESTED in turn."""
+    for cells in _EVENT_CELLS_TESTED:
+        assert BLOCK_CELLS % (BLOCK_CELLS // cells) == 0
+        monkeypatch.setattr(nldc.sampler, "_EVENT_CELLS", cells)
+        yield cells
 
 
 def _mixture_model(kind):
@@ -624,7 +703,7 @@ def _mixture_model(kind):
 
 @pytest.mark.parametrize("count", _COUNTS)
 @pytest.mark.parametrize("kind", ["quantum", "classical-extremal", "zero-cross", "zero-background"])
-def test_stationary_samplers_match_the_sequential_oracle(workers, kind, count):
+def test_stationary_samplers_match_the_sequential_oracle(monkeypatch, workers, kind, count):
     m = _mixture_model(kind)
     f_s = m.profile.windowed.signal_fraction
     assert {"zero-cross": f_s == 0.0, "zero-background": f_s == 1.0}.get(kind, 0.0 < f_s < 1.0)
@@ -632,21 +711,42 @@ def test_stationary_samplers_match_the_sequential_oracle(workers, kind, count):
     seed = 1000 + count
     tau_density = _tau_density_oracle(m.profile, count, seed)
     sheared = _sheared_oracle(m, kit, count, seed)
-    for worker_count in (1, 2, 3):
-        workers(worker_count)
-        _assert_same_bits(sample_tau_density(m.profile, count, seed), tau_density)
-        _assert_same_bits(sample_stationary_sheared(m, kit, count, seed), sheared)
+    for _ in _block_sizes(monkeypatch):
+        for worker_count in (1, 2, 3):
+            workers(worker_count)
+            _assert_same_bits(sample_tau_density(m.profile, count, seed), tau_density)
+            _assert_same_bits(sample_stationary_sheared(m, kit, count, seed), sheared)
 
 
 @pytest.mark.parametrize("count", _COUNTS)
 @pytest.mark.parametrize("n", [128, 512])  # a guide-table and a sorted-search CDF
-def test_sample_biphoton_matches_the_sequential_oracle(workers, n, count):
+def test_sample_biphoton_matches_the_sequential_oracle(monkeypatch, workers, n, count):
     grid = FrequencyGrid(n, 0.25 * 128 / n)
     density = to_time_domain(build_pdc_amplitude(grid, 0.9, 1.3))
     expected = _biphoton_oracle(density, count, seed=count)
-    for worker_count in (1, 2, 3):
-        workers(worker_count)
-        _assert_same_bits(sample_biphoton(density, count, seed=count), expected)
+    for _ in _block_sizes(monkeypatch):
+        for worker_count in (1, 2, 3):
+            workers(worker_count)
+            _assert_same_bits(sample_biphoton(density, count, seed=count), expected)
+
+
+def test_a_worker_enters_each_stream_once(monkeypatch, workers):
+    # One worker reads the 12 kinds of draw of a sheared batch (the mask,
+    # background t1 and t2, tau cells, their jitters, mean times, and the
+    # cells and jitters of s1, s2 and the cross), each kind from block to
+    # block at contiguous positions: it builds 12 Philox streams at any
+    # number of blocks, not 12 per block.
+    workers(1)
+    m = _mixture_model("quantum")
+    kit = DispersionKit(beta_L=-0.8)
+    real = np.random.Philox
+    built = []
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+    for cells in _block_sizes(monkeypatch):
+        built.clear()
+        sample_stationary_sheared(m, kit, 20_000, seed=3)
+        assert 20_000 > BLOCK_CELLS // cells  # more than one block
+        assert len(built) == 12
 
 
 def test_all_zero_densities_still_raise_degenerate_state(workers):
@@ -678,6 +778,20 @@ def test_uniforms_are_addressed_by_stream_position(length):
     for start in starts:
         got = _uniforms(key, start, np.empty(length))
         assert np.array_equal(got.view(np.uint64), stream[start : start + length].view(np.uint64)), start
+
+
+def test_a_kept_stream_goes_on_where_its_last_read_ended():
+    key = _stream_key(42, "stationary")
+    stream = _generator(42, "stationary").random(1000)
+    streams = {}
+    bounds = [0, 3, 4, 9, 500, 1000]
+    got = np.concatenate([_uniforms(key, a, np.empty(b - a), streams) for a, b in zip(bounds, bounds[1:])])
+    assert np.array_equal(got.view(np.uint64), stream.view(np.uint64))
+    assert list(streams) == [(key, 1000)]
+    # a read that starts elsewhere enters the stream anew, and keeps both
+    got = _uniforms(key, np.int64(7), np.empty(5), streams)
+    assert np.array_equal(got.view(np.uint64), stream[7:12].view(np.uint64))
+    assert set(streams) == {(key, 1000), (key, 12)}
 
 
 def test_uniforms_take_a_numpy_integer_start():
