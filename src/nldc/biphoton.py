@@ -60,7 +60,7 @@ from ._blocks import _for_blocks
 from ._fft import _to_time_rows, to_time_2d
 from .errors import GridTooCoarseError, GridTooNarrowError, ParsevalError
 from .moments import DispersionKit, TemporalCovariance, _require_finite
-from .spectral import FrequencyGrid, _own_or_copy, _Owned, _readonly, _require_unwrapped
+from .spectral import FrequencyGrid, _gaussian_divisor, _own_or_copy, _Owned, _require_unwrapped, _take
 
 NORM_RTOL = 1e-9
 SECOND_BRANCH_LIMIT = 1e-9
@@ -72,11 +72,10 @@ class BiphotonAmplitude:
     """Complex n x n amplitude with sum |psi|^2 * domega^2 = 1 (within 1e-9).
 
     Axis 0 is omega1, axis 1 is omega2, both running over grid.omegas.
-    values is copied, unless package code hands over a fresh array as
-    `_Owned(array)`; either way it is checked and stored read-only, and
-    its norm is kept as `_norm`.  A kernel handed the amplitude as
-    `_Owned(psi)` takes its values (`_take`): reading them after that
-    raises AttributeError, and its repr names its grid alone.
+    values is taken in by `spectral._own_or_copy` (copied, unless package
+    code hands over a fresh array as `_Owned(array)`), and its norm is kept
+    as `_norm`.  A kernel handed the amplitude as `_Owned(psi)` takes its
+    values (`spectral._take`); its repr names its grid alone.
     """
 
     grid: FrequencyGrid
@@ -84,11 +83,11 @@ class BiphotonAmplitude:
 
     def __post_init__(self):
         n = self.grid.n
-        arr = _own_or_copy(self.values, np.complex128, (n, n), "amplitude")
-        norm = _finite_sum_of_squares(arr) * self.grid.domega ** 2
+        arr = _own_or_copy(self.values, np.complex128, "amplitude", (n, n))
+        norm = _sum_of_squares(arr) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
             raise ValueError(f"amplitude norm is {norm}, must be 1 within {NORM_RTOL}")
-        object.__setattr__(self, "values", _readonly(arr))
+        object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_norm", norm)  # for the Parseval check of to_time_domain
 
 
@@ -97,37 +96,26 @@ class JointTemporalDensity:
     """Joint detection-time density p(t1, t2) on the conjugate time grid.
 
     Spacing dt = 2*pi/(n*domega); sum p * dt^2 = 1 within 1e-9.  values is
-    copied unless handed over as `_Owned(array)`, as for BiphotonAmplitude.
+    taken in as for BiphotonAmplitude, and checked >= 0 as well.
     """
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n
-        arr = _own_or_copy(self.values, np.float64, (n, n), "density")
-        cells = arr.ravel(order="K").reshape(n, n)  # its storage, also for a transposed view
-
-        def negative(r0, r1, _):
-            block = cells[r0:r1]
-            if not np.isfinite(block).all():
-                raise ValueError("density must be finite")
-            return (block < 0.0).any()
-
-        if any(_for_blocks(n, n, negative)):
-            raise ValueError("density must be >= 0")
-        mass = float(cells.sum()) * self.dt ** 2
+        arr = _own_or_copy(self.values, np.float64, "density", (self.grid.n,) * 2, nonnegative=True)
+        mass = float(arr.sum()) * self.dt ** 2  # summed in storage order, also for a transposed view
         if abs(mass - 1.0) > NORM_RTOL:
             raise ValueError(f"density mass is {mass}, must be 1 within {NORM_RTOL}")
-        object.__setattr__(self, "values", _readonly(arr))
+        object.__setattr__(self, "values", arr)
 
     @property
     def dt(self) -> float:
         return self.grid.dt
 
 
-def _finite_sum_of_squares(values: np.ndarray) -> float:
-    """sum |values|^2 of an n x n complex array, or ValueError if a value is not finite.
+def _sum_of_squares(values: np.ndarray) -> float:
+    """sum |values|^2 of an n x n complex array.
 
     Each block of rows of its storage sums its own squares with no BLAS
     call (a threaded BLAS keeps spinning on the cores the row blocks need),
@@ -138,10 +126,7 @@ def _finite_sum_of_squares(values: np.ndarray) -> float:
     cells = values.ravel(order="K").view(np.float64).reshape(len(values), -1)
 
     def block_sum(r0, r1, _):
-        block = cells[r0:r1]
-        if not np.isfinite(block).all():
-            raise ValueError("amplitude must be finite")
-        return np.einsum("ij,ij->", block, block)
+        return np.einsum("ij,ij->", cells[r0:r1], cells[r0:r1])
 
     return float(np.sum(_for_blocks(len(values), len(values), block_sum)))
 
@@ -184,6 +169,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     # own rows of both; the norm is summed over all of them at once.
     n = grid.n
     w = grid.omegas
+    four_a2, four_b2 = _gaussian_divisor("pump_sigma", a, 4.0), _gaussian_divisor("pm_sigma", b, 4.0)
     out = np.empty((n, n), dtype=np.complex128)
     scratch = out.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
     raw = np.empty((n, n))
@@ -193,10 +179,11 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
         np.add.outer(w[r0:r1], w, out=e)
         np.square(e, out=e)
         np.negative(e, out=e)
-        e /= 4.0 * a ** 2
         np.subtract.outer(w[r0:r1], w, out=s)
         np.square(s, out=s)
-        s /= 4.0 * b ** 2
+        with np.errstate(over="ignore"):  # per thread: a delta ridge's -inf term, exp's exact 0
+            e /= four_a2
+            s /= four_b2
         e -= s
         np.exp(e, out=e)
         np.multiply(e, e, out=s)
@@ -223,7 +210,7 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
     storage if handed over as `_Owned(psi)`, and consumed; otherwise in
     one copy of it (`_take`), with the same bits.
     """
-    psi, values = _take(psi)
+    psi, values = _take(psi, "values")
     w = psi.grid.omegas
     w_max = float(np.abs(w).max())
     peak = abs(kit.beta_L) * w_max * w_max + (abs(kit.delay_1) + abs(kit.delay_2)) * w_max
@@ -253,20 +240,6 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
     return BiphotonAmplitude(psi.grid, _Owned(values))
 
 
-def _take(psi) -> tuple[BiphotonAmplitude, np.ndarray]:
-    """(psi, the n x n array a kernel works in).
-
-    For `_Owned(psi)` that is psi's storage made writable, and psi is
-    consumed; for a plain psi, one fresh C-contiguous copy of its values.
-    """
-    if not isinstance(psi, _Owned):
-        return psi, np.array(psi.values, order="C")
-    psi, values = psi.held, psi.held.values
-    values.setflags(write=True)
-    object.__delattr__(psi, "values")
-    return psi, values
-
-
 def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     """|2D transform|^2, renormalized to unit mass on the time grid.
 
@@ -277,7 +250,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     consumed, so the density is the only array this adds; otherwise in one
     copy of it (`_take`), with the same bits.
     """
-    psi, values = _take(psi)
+    psi, values = _take(psi, "values")
     n = psi.grid.n
     values = to_time_2d(values, psi.grid)
     p = np.empty((n, n))

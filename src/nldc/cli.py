@@ -65,7 +65,7 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 # against it: the measured peak bytes per grid cell (n^2 cells for a
 # biphoton, n for a stationary state; tracemalloc: 24-32 for a biphoton run
 # at n = 1024-2048, 79-88 for a stationary one at n = 2^18-2^20), per
-# sampled event (tracemalloc at 1e6 events with jitter: 24 with no events
+# sampled event (tracemalloc at 1e6 events with jitter: 20-23 with no events
 # CSV, 72 with the CSVs, which keep all three batches) and per worker of
 # the block pool, which each hold their own block buffers (tracemalloc over
 # 1-3 workers: 2.1 MiB per worker for the line route, 0.2 MiB for the
@@ -619,10 +619,8 @@ _SCAN_COLUMNS = ("value", "lhs_ps2", "rhs_ps2", "margin_ps2", "product")
 
 
 def write_scan_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_SCAN_COLUMNS) + "\n")
-        columns = [np.array([row[key] for row in rows], dtype=np.float64) for key in _SCAN_COLUMNS]
-        spc._write_formatted_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+    columns = [np.array([row[key] for row in rows], dtype=np.float64) for key in _SCAN_COLUMNS]
+    spc._write_table(path, (",".join(_SCAN_COLUMNS),), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from ._blocks import _for_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit, _require_finite
-from .spectral import _own_or_copy, _Owned, _read_body, _readonly, _write_formatted_rows
+from .spectral import _own_or_copy, _Owned, _read_body, _take, _write_table
 from .stationary import StationaryPairModel, TauDensity
 
 
@@ -74,10 +74,10 @@ class EventBatch:
 
     window is the (lo, hi) interval all times are guaranteed to lie in, or
     None for batches that are not window-bounded (dispersed stationary
-    events walk out of the shutter interval).  t1 and t2 are copied unless
-    package code hands over fresh arrays as `_Owned(array)`.  Once
-    estimate_tau_stats has consumed the batch, reading them raises
-    AttributeError; the repr leaves them out.
+    events walk out of the shutter interval).  t1 and t2 are taken in by
+    `spectral._own_or_copy`, so copied unless package code hands over fresh
+    arrays as `_Owned(array)`.  Once estimate_tau_stats has taken them
+    (`spectral._take`), reading them raises AttributeError; the repr leaves them out.
     """
 
     t1: np.ndarray = field(repr=False)
@@ -87,12 +87,11 @@ class EventBatch:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        t1 = _own_or_copy(self.t1, np.float64)
-        t2 = _own_or_copy(self.t2, np.float64)
+        for name in ("t1", "t2"):
+            object.__setattr__(self, name, _own_or_copy(getattr(self, name), np.float64, "detection times"))
+        t1, t2 = self.t1, self.t2
         if t1.ndim != 1 or t1.shape != t2.shape or len(t1) == 0:
             raise ValueError("t1 and t2 must be equal-length non-empty 1D arrays")
-        if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(t2))):
-            raise ValueError("detection times must be finite")
         if self.window is not None:
             lo, hi = self.window
             if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
@@ -100,8 +99,6 @@ class EventBatch:
             for name, t in (("t1", t1), ("t2", t2)):
                 if t.min() < lo or t.max() > hi:
                     raise ValueError(f"{name} leaves the declared window {self.window}")
-        object.__setattr__(self, "t1", _readonly(t1))
-        object.__setattr__(self, "t2", _readonly(t2))
 
     @property
     def n(self) -> int:
@@ -444,27 +441,22 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     Independent N(0, jitter_sigma^2) offsets are added to every t1 and t2,
     so tau gains variance 2*jitter_sigma^2.  The standard error of the
     variance comes from the fourth-moment formula
-    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  A batch handed over as
-    `_Owned(batch)` is consumed: its times take the jitter and tau, with
-    the bits a plain batch gives.  A plain batch is left as it was.
+    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  The times take the jitter and
+    tau in place (`spectral._take`): in a batch handed over as
+    `_Owned(batch)`, which is consumed, or in one copy of a plain one's,
+    with the same bits.  A batch that fails a check is not taken.
     """
-    owned = isinstance(batch, _Owned)
-    batch = batch.held if owned else batch
-    n = batch.n
+    n = getattr(batch, "held", batch).n
     if n < 2:
         raise BatchTooSmallError(f"need at least 2 events, got {n}", ratio=2 / n if n else math.inf, limit=2)
     _require_finite("jitter_sigma", jitter_sigma, at_least=0)
-    t1, t2 = batch.t1, batch.t2
-    if owned:
-        for name, t in (("t1", t1), ("t2", t2)):
-            t.setflags(write=True)
-            object.__delattr__(batch, name)
+    _, t1, t2 = _take(batch, "t1", "t2")
     if jitter_sigma > 0.0:
         rng = _generator(seed, "detector-jitter")
-        t1 = np.add(t1, rng.normal(0.0, jitter_sigma, n), out=t1 if owned else None)
-        t2 = np.add(t2, rng.normal(0.0, jitter_sigma, n), out=t2 if owned else None)
-    # tau, in t1 if it is not a caller's; then its deviations, their squares and fourth powers, in place
-    d = np.subtract(t1, t2, out=t1 if owned or jitter_sigma > 0.0 else None)
+        t1 += rng.normal(0.0, jitter_sigma, n)
+        t2 += rng.normal(0.0, jitter_sigma, n)
+    # tau, in t1; then its deviations, their squares and fourth powers, in place
+    d = np.subtract(t1, t2, out=t1)
     mean = float(d.mean())
     d -= mean
     d *= d  # m4 squares the squares again by a multiply, not a pow
@@ -523,10 +515,8 @@ def events_to_csv(batch: EventBatch, path) -> None:
         window = "none"
     else:
         window = f"{batch.window[0]:.17g},{batch.window[1]:.17g}"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed={batch.seed} window={window} source={batch.source}\n")
-        fh.write("t1_ps,t2_ps\n")
-        _write_formatted_rows(fh, "%.17g,%.17g\n", (batch.t1, batch.t2))
+    comment = f"# seed={batch.seed} window={window} source={batch.source}"
+    _write_table(path, (comment, "t1_ps,t2_ps"), (batch.t1, batch.t2))
 
 
 def _events_comment(path, comment: str):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import _write_in_groups
+from ._blocks import _for_blocks, _write_in_groups
 from .errors import GridMismatchError, GridTooCoarseError
 from .moments import _require_finite
 
@@ -50,11 +50,11 @@ class _Owned:
     """An array handed to a constructor, or a state handed to a kernel, which takes it instead of copying it.
 
     Package code wraps only an array it has just allocated and holds no
-    other reference to.  The constructor still runs every check on it and
-    makes it read-only.  A kernel handed a state works in the state's own
-    storage, and the state's values can no longer be read.  Anything passed
-    unwrapped is copied, so a caller's array or state never aliases
-    another object.
+    other reference to.  The constructor still runs every check on it
+    (`_own_or_copy`) and makes it read-only.  A kernel handed a state works
+    in the state's own storage (`_take`), and those arrays of the state can
+    no longer be read.  Anything passed unwrapped is copied, so a caller's
+    array or state never aliases another object.
     """
 
     __slots__ = ("held",)
@@ -63,13 +63,43 @@ class _Owned:
         self.held = held
 
 
-def _own_or_copy(values, dtype, shape=None, what=None) -> np.ndarray:
-    """values as a dtype array, kept if `_Owned` and copied if not; ValueError unless it has shape (if given)."""
+def _own_or_copy(values, dtype, what, shape=None, nonnegative=False) -> np.ndarray:
+    """values as a read-only dtype array, kept if `_Owned` and copied if not: the intake of every held array.
+
+    ValueError "<what> must have shape <shape>, got <shape>", "<what> must be
+    finite" or (if nonnegative) "<what> must be >= 0", checked in that order,
+    the last two in fixed `_for_blocks` blocks of its storage.
+    """
     owned = isinstance(values, _Owned)
     arr = np.array(values.held if owned else values, dtype=dtype, copy=None if owned else True)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    return arr
+    if arr.size:
+        cells = np.atleast_2d(arr.T if arr.flags.f_contiguous else arr)  # a transposed view goes by its columns
+        cells = cells.reshape(-1, cells.shape[-1])  # a 1D array is one row, so one block: no thread hand-off
+
+        def faults(r0, r1, _):
+            block = cells[r0:r1]
+            return not np.isfinite(block).all(), nonnegative and bool((block < 0.0).any())
+
+        for fault, condition in zip(np.any(_for_blocks(*cells.shape, faults), axis=0), ("finite", ">= 0")):
+            if fault:
+                raise ValueError(f"{what} must be {condition}")
+    return _readonly(arr)
+
+
+def _take(state, *names) -> tuple:
+    """(state, then its arrays `names`, writable for a kernel to work in).
+
+    `_Owned(state)` gives its own storage, which the state no longer holds after; a plain one gives C-contiguous copies.
+    """
+    if not isinstance(state, _Owned):
+        return (state, *(np.array(getattr(state, name), order="C") for name in names))
+    arrays = [getattr(state.held, name) for name in names]
+    for name, arr in zip(names, arrays):
+        arr.setflags(write=True)
+        object.__delattr__(state.held, name)
+    return (state.held, *arrays)
 
 
 @dataclass(frozen=True)
@@ -126,12 +156,8 @@ class SpectralModel:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _own_or_copy(self.values, np.float64, (self.grid.n,), "spectrum values")
-        if not np.isfinite(arr).all():
-            raise ValueError("spectrum values must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("spectrum values must be >= 0")
-        object.__setattr__(self, "values", _readonly(arr))
+        values = _own_or_copy(self.values, np.float64, "spectrum values", (self.grid.n,), nonnegative=True)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +168,8 @@ class CrossSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _own_or_copy(self.values, np.complex128, (self.grid.n,), "cross-spectrum values")
-        if not np.isfinite(arr.view(np.float64)).all():
-            raise ValueError("cross-spectrum values must be finite")
-        object.__setattr__(self, "values", _readonly(arr))
+        values = _own_or_copy(self.values, np.complex128, "cross-spectrum values", (self.grid.n,))
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -182,10 +206,23 @@ def gaussian_spectrum(
 ) -> SpectralModel:
     """peak * exp(-(omega - center)^2 / (2*sigma^2)) on the grid."""
     _require_finite("peak", peak, at_least=0)
-    _require_finite("sigma", sigma, above=0)
+    two_var = _gaussian_divisor("sigma", _require_finite("sigma", sigma, above=0), 2.0)
     _require_finite("center", center)
-    w = grid.omegas
-    return SpectralModel(grid, peak * np.exp(-((w - center) ** 2) / (2.0 * sigma ** 2)))
+    exponent = -((grid.omegas - center) ** 2)
+    with np.errstate(over="ignore"):  # a quotient past -DBL_MAX is -inf, which exp makes an exact 0
+        exponent /= two_var
+    return SpectralModel(grid, peak * np.exp(exponent))
+
+
+def _gaussian_divisor(name: str, width: float, factor: float) -> float:
+    """factor * width ** 2, a Gaussian exponent's divisor; ValueError naming the width if width^2 overflows or it is 0.
+
+    A tiny divisor is kept: the exponent's -inf off the centre is the delta limit.
+    """
+    square = width ** 2 if math.isfinite(width * width) else math.inf  # a float power raises on overflow
+    if not 0.0 < square < math.inf:
+        raise ValueError(f"{name} = {width!r} rad/ps is out of range: {name}^2 rounds to {square!r}")
+    return factor * square
 
 
 def flat_spectrum(grid: FrequencyGrid, value: float) -> SpectralModel:
@@ -277,12 +314,16 @@ def _write_formatted_rows(fh, row_template, cols) -> None:
     _write_in_groups(fh, -(-n // _CHUNK_ROWS), write)
 
 
-def _write_rows(path, grid, header, cols):
-    """Grid-descriptor comment, header, then the columns at 17 significant digits."""
+def _write_table(path, lines, cols) -> None:
+    """The head lines, then the equal-length columns at 17 significant digits, one row per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n={grid.n} domega_rad_ps={grid.domega:.17g}\n")
-        fh.write(header + "\n")
+        fh.write("".join(line + "\n" for line in lines))
         _write_formatted_rows(fh, ",".join(["%.17g"] * len(cols)) + "\n", cols)
+
+
+def _grid_line(grid: FrequencyGrid) -> str:
+    """The first line of a grid CSV: an exact grid descriptor (`_read_rows`)."""
+    return f"# n={grid.n} domega_rad_ps={grid.domega:.17g}"
 
 
 def _read_body(fh, path, header: str) -> np.ndarray:
@@ -321,7 +362,7 @@ def _read_rows(path, header):
 
 
 def spectrum_to_csv(s: SpectralModel, path) -> None:
-    _write_rows(path, s.grid, "omega_rad_ps,value", (s.grid.omegas, s.values))
+    _write_table(path, (_grid_line(s.grid), "omega_rad_ps,value"), (s.grid.omegas, s.values))
 
 
 def spectrum_from_csv(path) -> SpectralModel:
@@ -330,7 +371,7 @@ def spectrum_from_csv(path) -> SpectralModel:
 
 
 def cross_to_csv(x: CrossSpectrum, path) -> None:
-    _write_rows(path, x.grid, "omega_rad_ps,re,im", (x.grid.omegas, x.values.real, x.values.imag))
+    _write_table(path, (_grid_line(x.grid), "omega_rad_ps,re,im"), (x.grid.omegas, x.values.real, x.values.imag))
 
 
 def cross_from_csv(path) -> CrossSpectrum:

@@ -41,11 +41,11 @@ from .spectral import (
     CrossSpectrum,
     FrequencyGrid,
     SpectralModel,
+    _grid_line,
     _own_or_copy,
     _Owned,
-    _readonly,
     _require_unwrapped,
-    _write_rows,
+    _write_table,
     classical_admissible,
     intensity,
     quantum_admissible,
@@ -128,14 +128,10 @@ class TauDensity:
     window: float
 
     def __post_init__(self):
-        arr = _own_or_copy(self.signal, np.float64, (self.grid.n,), "signal")
-        if not np.isfinite(arr).all():
-            raise ValueError("signal must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("signal must be >= 0")
+        signal = _own_or_copy(self.signal, np.float64, "signal", (self.grid.n,), nonnegative=True)
+        object.__setattr__(self, "signal", signal)
         _require_finite("background", self.background, at_least=0)
         _require_finite("window", self.window, above=0)
-        object.__setattr__(self, "signal", _readonly(arr))
 
     @property
     def taus(self) -> np.ndarray:
@@ -239,4 +235,4 @@ def tau_density_to_csv(d: TauDensity, path) -> None:
     """Plot-ready rows (tau_ps, signal, background, window_ps)."""
     n = d.grid.n
     cols = (d.taus, d.signal, np.full(n, d.background), np.full(n, d.window))
-    _write_rows(path, d.grid, "tau_ps,signal,background,window_ps", cols)
+    _write_table(path, (_grid_line(d.grid), "tau_ps,signal,background,window_ps"), cols)

@@ -547,6 +547,40 @@ def test_number_fields_written_as_integers_come_out_as_floats():
     assert all(type(value) is float for value in kit.values())
 
 
+def _with_widths(pump=1e-4, pm=10.0):
+    scenario = _biphoton_scenario()
+    scenario["state"]["biphoton"].update(pump_sigma_rad_ps=pump, pm_sigma_rad_ps=pm)
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "scenario, rc, message",
+    [
+        # sigma^2 overflows: `2.0 * sigma ** 2` used to end in an OverflowError traceback (exit 1).
+        (_stationary_scenario(s2={"gaussian": {"peak": 1, "sigma_rad_ps": 1e308}}), 2,
+         "sigma = 1e+308 rad/ps is out of range: sigma^2 rounds to inf"),
+        # 2*sigma^2 underflows to 0: numpy warned of an invalid divide before "spectrum values must be finite".
+        (_stationary_scenario(s2={"gaussian": {"peak": 1, "sigma_rad_ps": 1e-300}}), 2,
+         "sigma = 1e-300 rad/ps is out of range: sigma^2 rounds to 0.0"),
+        # A delta-ridge width whose exponent overflows to -inf off the ridge: numpy warned of the overflow.
+        (_with_widths(pump=1e-155), 0, None),
+        (_with_widths(pm=1e-155), 3, "tau marginal wraps the time grid"),
+        # 4*width^2 underflows to 0: numpy warned of a divide by zero before "amplitude must be finite".
+        (_with_widths(pump=1e-162), 2, "pump_sigma = 1e-162 rad/ps is out of range: pump_sigma^2 rounds to 0.0"),
+        (_with_widths(pm=1e-162), 2, "pm_sigma = 1e-162 rad/ps is out of range: pm_sigma^2 rounds to 0.0"),
+    ],
+    ids=["sigma-1e308", "sigma-1e-300", "pump-1e-155", "pm-1e-155", "pump-1e-162", "pm-1e-162"],
+)
+def test_extreme_gaussian_widths_exit_quietly(tmp_path, capsys, scenario, rc, message):
+    # Every warning is an error under pytest, so a numpy warning fails the run itself.
+    assert _run(tmp_path, scenario)[0] == rc
+    lines = capsys.readouterr().err.strip().splitlines()
+    if message is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and message in _strict_json(lines[0])["message"]
+
+
 def test_overflowing_dispersion_phase_exits_2_quietly(tmp_path):
     # beta_L = 1e308 on a resolved n = 128 grid: numpy used to print four
     # RuntimeWarnings, then fail with a message that did not name beta_L.

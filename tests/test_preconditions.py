@@ -2,9 +2,10 @@
 
 Every scalar precondition reads "<name> must be finite[ and > 0 | and >= 0],
 got <value>" whatever the value that failed it, and every container that
-takes an array reads "<what> must have shape <shape>, got <shape>".  The
-texts are written out here in full, so a site that words its own check
-differently fails.
+takes an array reads "<what> must have shape <shape>, got <shape>", then
+"<what> must be finite" and, for the non-negative ones, "<what> must be
+>= 0", whether the array is copied or handed over.  The texts are written
+out here in full, so a site that words its own check differently fails.
 """
 
 import math
@@ -15,7 +16,16 @@ import pytest
 from nldc.biphoton import BiphotonAmplitude, JointTemporalDensity, build_pdc_amplitude
 from nldc.moments import DispersionKit, TemporalCovariance, apply_jitter, jitter_feasibility
 from nldc.sampler import EventBatch, estimate_tau_stats
-from nldc.spectral import CrossSpectrum, FrequencyGrid, SpectralModel, flat_cross, flat_spectrum, gaussian_spectrum
+from nldc.spectral import (
+    CrossSpectrum,
+    FrequencyGrid,
+    SpectralModel,
+    _Owned,
+    _take,
+    flat_cross,
+    flat_spectrum,
+    gaussian_spectrum,
+)
 from nldc.stationary import StationaryPairModel, TauDensity
 
 GRID = FrequencyGrid(n=64, domega=0.5)
@@ -92,3 +102,52 @@ def test_every_container_has_one_shape_message(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+def _holders():
+    """(what, bound, make): make(values, wrap) builds the holder from valid values with wrap applied to its array."""
+    unit = np.zeros((64, 64), dtype=np.complex128)
+    unit[0, 0] = 1.0 / GRID.domega
+    point = np.zeros((64, 64))
+    point[0, 0] = 1.0 / GRID.dt ** 2
+    return [
+        ("amplitude", "", unit, lambda v, wrap: BiphotonAmplitude(GRID, wrap(v))),
+        ("density", ">= 0", point, lambda v, wrap: JointTemporalDensity(GRID, wrap(v))),
+        ("spectrum values", ">= 0", np.ones(64), lambda v, wrap: SpectralModel(GRID, wrap(v))),
+        ("cross-spectrum values", "", np.ones(64, dtype=np.complex128), lambda v, wrap: CrossSpectrum(GRID, wrap(v))),
+        ("signal", ">= 0", SIGNAL, lambda v, wrap: TauDensity(GRID, wrap(v), 1.0, 10.0)),
+        ("detection times", "", np.arange(4.0), lambda v, wrap: EventBatch(t1=wrap(v), t2=np.zeros(4), seed=0, source="x")),
+    ]
+
+
+def _holder_cases():
+    for what, bound, valid, make in _holders():
+        for value in [math.nan, math.inf, -math.inf] + ([BOUNDARY[bound]] if bound else []):
+            for wrapped in ("plain", "owned"):
+                yield pytest.param(what, valid, make, value, wrapped, id=f"{what}-{value!r}-{wrapped}")
+
+
+@pytest.mark.parametrize("what, valid, make, value, wrapped", list(_holder_cases()))
+def test_every_array_holder_has_one_finite_and_sign_message(what, valid, make, value, wrapped):
+    # One bad cell, past the first row, in an otherwise valid array: plain
+    # arrays are copied and `_Owned` ones kept, and both get the same check.
+    values = valid.copy()
+    values.flat[values.size - 2] = value
+    with pytest.raises(ValueError) as err:
+        make(values, _Owned if wrapped == "owned" else (lambda v: v))
+    condition = ">= 0" if value == BOUNDARY[">= 0"] else "finite"
+    assert str(err.value) == f"{what} must be {condition}"
+
+
+def test_take_copies_a_plain_state_and_leaves_it_readable():
+    density = JointTemporalDensity(GRID, np.full((64, 64), 1.0 / (64 * 64 * GRID.dt ** 2)))
+    exchanged = JointTemporalDensity(GRID, _Owned(density.values.T))  # column-major storage
+    for state, names in ((BATCH, ("t1", "t2")), (exchanged, ("values",))):
+        kept = [getattr(state, name).copy() for name in names]
+        held, *arrays = _take(state, *names)
+        assert held is state
+        for name, array, before in zip(names, arrays, kept):
+            assert array.flags.writeable and array.flags.c_contiguous
+            assert np.array_equal(array, before) and not np.shares_memory(array, getattr(state, name))
+            array[...] = -1.0
+            assert np.array_equal(getattr(state, name), before) and not getattr(state, name).flags.writeable

@@ -183,7 +183,7 @@ def test_cross_csv_round_trip(tmp_path):
 
 
 def _rows_oracle(grid, header, rows):
-    """The bytes of the per-row writer that spectral._write_rows replaced."""
+    """The bytes of the per-row writer that the chunked `spectral._write_table` replaced."""
     lines = [f"# n={grid.n} domega_rad_ps={grid.domega:.17g}\n", header + "\n"]
     lines += [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
     return "".join(lines).encode("utf-8")
