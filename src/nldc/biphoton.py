@@ -184,7 +184,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
         with np.errstate(over="ignore"):  # per thread: a delta ridge's -inf term, exp's exact 0
             e /= four_a2
             s /= four_b2
-        e -= s
+            e -= s
         np.exp(e, out=e)
         np.multiply(e, e, out=s)
 

@@ -411,8 +411,8 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     plus arm exchanged: one line pass gives both arms' moments, each checked
     against the moment algebra, and the minus events are drawn through a
     transposed view of the plus density.  The 2D time transform runs for
-    density_before (the "before" draw and density_before.bin) and the plus
-    density.  Other kinds shear in closed form.
+    density_before and the plus density.  Other kinds shear in closed form.
+    Each branch hands `sample` its arms' samplers: before, plus, minus.
 
     Each biphoton kernel works in the storage of the amplitude handed to it
     as `_Owned`: the source becomes density_before, a second (identical)
@@ -432,34 +432,25 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     estimates: dict = {}
     batches: dict = {}  # only the batches whose events CSV is written
 
-    def sample(label: str, density=None) -> None:
-        """Draw and estimate the batch of one arm ("before", "plus" or "minus"), from its density or the model."""
-        count, seed = sampler["n_events"], sampler["seed"]
-        sub_seed = sp.derive_seed(seed, label)
-        if density is not None:
-            batch = sp.sample_biphoton(density, count, sub_seed)
-        elif label == "before":
-            batch = sp.sample_tau_density(
-                source.profile, count, sub_seed, source=f"stationary-{source.regime}"
-            )
-        else:
-            arm_kit = kit if label == "plus" else kit.swapped()
-            batch = sp.sample_stationary_sheared(source, arm_kit, count, sub_seed)
+    def sample(label: str, draw, *args, **kwargs) -> None:
+        """Draw one arm's batch ("before", "plus" or "minus") by draw(*args, n_events, seed, **kwargs); estimate it."""
+        batch = draw(*args, n_events, sp.derive_seed(sampler["seed"], label), **kwargs)
         if write_events:
             batches[label] = batch
         else:
             batch = spc._Owned(batch)  # the estimator forms tau in its times
         estimates[label] = sp.estimate_tau_stats(
-            batch, jitter_sigma / math.sqrt(2.0), sp.derive_seed(seed, f"jitter-{label}")
+            batch, jitter_sigma / math.sqrt(2.0), sp.derive_seed(sampler["seed"], f"jitter-{label}")
         )
 
-    density_before = None
+    kits = {"plus": kit, "minus": kit.swapped()}
+    density_before = None  # kept only for density_before.bin
     if kind == "biphoton":
         dump = scenario["outputs"]["density_binary"]
         if sampler is not None or dump:
             density_before = bp.to_time_domain(spc._Owned(source))
             if sampler is not None:
-                sample("before", density_before)
+                sample("before", sp.sample_biphoton, density_before)
             if not dump:
                 density_before = None
             cfg = scenario["state"]["biphoton"]
@@ -468,18 +459,19 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
         # build_pdc_amplitude gives psi == psi.T bit for bit, so the swapped kit would disperse
         # it into the plus amplitude exchanged: the minus arm is the plus arm with t1 <-> t2.
         arms = dict(zip(("plus", "minus"), bp._arm_moments(psi)))
-        for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
+        for label, arm_kit in kits.items():
             _require_one_route(label, arms[label], shear_covariance(cov0, arm_kit))
         if sampler is not None:
             density = bp.to_time_domain(spc._Owned(psi))
-            sample("plus", density)
-            sample("minus", bp._exchanged(density))
+            sample("plus", sp.sample_biphoton, density)
+            sample("minus", sp.sample_biphoton, bp._exchanged(density))
             del density
     else:
-        arms = {"plus": shear_covariance(cov0, kit), "minus": shear_covariance(cov0, kit.swapped())}
+        arms = {label: shear_covariance(cov0, arm_kit) for label, arm_kit in kits.items()}
         if sampler is not None:
-            for label in ("before", "plus", "minus"):
-                sample(label)
+            sample("before", sp.sample_tau_density, source.profile, source=f"stationary-{source.regime}")
+            for label, arm_kit in kits.items():
+                sample(label, sp.sample_stationary_sheared, source, arm_kit)
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -534,7 +526,7 @@ def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> d
     if kind == "stationary" and scenario["outputs"]["tau_profile_csv"]:
         st.tau_density_to_csv(source.profile, out_dir / "tau_profile.csv")
         outputs["tau_profile"] = "tau_profile.csv"
-    if kind == "biphoton" and scenario["outputs"]["density_binary"]:
+    if density_before is not None:
         bp.density_to_binary(density_before, out_dir / "density_before.bin")
         outputs["density_before"] = "density_before.bin"
 

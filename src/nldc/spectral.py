@@ -118,6 +118,8 @@ class FrequencyGrid:
         if not isinstance(self.n, int) or self.n < 8 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
         _require_finite("domega", self.domega, above=0)
+        span = self.n * self.domega  # each omega, and each sum or difference of two, squares below this
+        _require_finite("the squared frequency span (n*domega)^2", span * span)
 
     @cached_property
     def omegas(self) -> np.ndarray:
@@ -208,8 +210,8 @@ def gaussian_spectrum(
     _require_finite("peak", peak, at_least=0)
     two_var = _gaussian_divisor("sigma", _require_finite("sigma", sigma, above=0), 2.0)
     _require_finite("center", center)
-    exponent = -((grid.omegas - center) ** 2)
-    with np.errstate(over="ignore"):  # a quotient past -DBL_MAX is -inf, which exp makes an exact 0
+    with np.errstate(over="ignore"):  # an exponent past the float range is -inf, which exp makes an exact 0
+        exponent = -((grid.omegas - center) ** 2)
         exponent /= two_var
     return SpectralModel(grid, peak * np.exp(exponent))
 
@@ -243,8 +245,9 @@ def flat_cross(grid: FrequencyGrid, value: float) -> CrossSpectrum:
 
 
 def intensity(s: SpectralModel) -> float:
-    """Photon flux (photons/ps): (1/2pi) * sum(values) * domega."""
-    return float(s.values.sum() * s.grid.domega / (2.0 * math.pi))
+    """Photon flux (photons/ps): (1/2pi) * sum(values) * domega; inf if the sum passes the float range."""
+    with np.errstate(over="ignore"):
+        return float(s.values.sum() * s.grid.domega / (2.0 * math.pi))
 
 
 def _admissibility(x: CrossSpectrum, bound: np.ndarray, grid: FrequencyGrid) -> AdmissibilityReport:
@@ -265,8 +268,8 @@ def quantum_admissible(
 ) -> AdmissibilityReport:
     """Check |x(omega)|^2 <= (1 + S1(omega)) * S2(-omega) pointwise."""
     grid = require_same_grid(s1, s2, x)
-    bound = (1.0 + s1.values) * reflected(s2.values)
-    return _admissibility(x, bound, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range a bound or |x|^2 is inf, inf/inf nan
+        return _admissibility(x, (1.0 + s1.values) * reflected(s2.values), grid)
 
 
 def classical_admissible(
@@ -274,14 +277,15 @@ def classical_admissible(
 ) -> AdmissibilityReport:
     """Check the classical ceiling |x(omega)|^2 <= S1(omega) * S2(-omega)."""
     grid = require_same_grid(s1, s2, x)
-    bound = s1.values * reflected(s2.values)
-    return _admissibility(x, bound, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in quantum_admissible
+        return _admissibility(x, s1.values * reflected(s2.values), grid)
 
 
 def max_classical_cross(s1: SpectralModel, s2: SpectralModel) -> CrossSpectrum:
     """The non-negative cross-spectrum saturating the classical bound pointwise."""
     grid = require_same_grid(s1, s2)
-    mag = np.sqrt(s1.values * reflected(s2.values))
+    with np.errstate(over="ignore"):  # a product past the float range is inf, which CrossSpectrum rejects
+        mag = np.sqrt(s1.values * reflected(s2.values))
     return CrossSpectrum(grid, mag.astype(np.complex128))
 
 

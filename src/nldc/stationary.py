@@ -92,10 +92,11 @@ class StationaryPairModel:
     @cached_property
     def profile(self) -> TauDensity:
         """B = I1*I2 and |g(tau)|^2 from the transform of the cross-spectrum, once per model."""
-        g = to_time_1d(self.cross.values, self.grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range, TauDensity rejects the signal
+            signal = np.abs(to_time_1d(self.cross.values, self.grid)) ** 2
         return TauDensity(
             grid=self.grid,
-            signal=_Owned(np.abs(g) ** 2),
+            signal=_Owned(signal),
             background=intensity(self.s1) * intensity(self.s2),
             window=self.window,
         )
@@ -149,9 +150,13 @@ class TauDensity:
         (the profile would wrap) and WindowTooSmallError when the window does
         not cover 6x the RMS width sqrt(E[tau^2]) of the profile.
         """
-        total = float(self.signal.sum()) * self.dt
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected below
+            total = float(self.signal.sum()) * self.dt
         if total == 0.0:
             return 0.0, 0.0, 0.0
+        _require_finite("the integrated signal", total)
+        span = self.grid.n * self.dt  # each tau, and its deviation from the mean, squares below this
+        _require_finite("the squared time span (n*dt)^2", span * span)
         weights = self.signal * self.dt / total
         _require_unwrapped(weights, "signal profile")
         tau = self.taus
@@ -198,8 +203,9 @@ def _spectral_moments(s: SpectralModel) -> tuple[float, float]:
     if total == 0.0:
         return 0.0, 0.0
     w = s.grid.omegas
-    mean = float((w * s.values).sum() / total)
-    var = float((((w - mean) ** 2) * s.values).sum() / total)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, TemporalCovariance rejects them
+        mean = float((w * s.values).sum() / total)
+        var = float((((w - mean) ** 2) * s.values).sum() / total)
     return mean, var
 
 

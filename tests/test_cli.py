@@ -21,6 +21,7 @@ import subprocess
 import sys
 import tomllib
 import types
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -31,7 +32,14 @@ from hypothesis import strategies as st
 
 from nldc import _schema, biphoton, cli, sampler, stationary
 from nldc.moments import DispersionKit
-from nldc.spectral import _CHUNK_ROWS, FrequencyGrid
+from nldc.spectral import (
+    _CHUNK_ROWS,
+    FrequencyGrid,
+    cross_to_csv,
+    gaussian_cross,
+    gaussian_spectrum,
+    spectrum_to_csv,
+)
 from oracles import density_from_binary, random_kits, tau_marginal
 
 
@@ -182,6 +190,60 @@ def test_spectrum_csv_with_a_bad_body_exits_2(tmp_path, capsys, spec, defect):
     err = _strict_json(lines[0])
     assert err["error"] == "ValueError" and str(tmp_path / "bad.csv") in err["message"]
     assert ("found shape (0, 1)" if defect == "empty_body" else repr(header)) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "first_line, body_rows, message",
+    [
+        # parses once its first two characters are dropped, but is not "# n=..."
+        ("% n=256 domega_rad_ps=0.25", 256, "the first line must read '# n=<int> domega_rad_ps=<float>'"),
+        ("# n=256 domega_rad_ps=0.25", 255, "expected 256 rows, got 255"),
+    ],
+    ids=["foreign_comment", "short_body"],
+)
+def test_spectrum_csv_off_its_grid_line_exits_2_naming_the_file(tmp_path, capsys, first_line, body_rows, message):
+    rows = "".join(f"{(k - 128) * 0.25!r},1\n" for k in range(body_rows))
+    (tmp_path / "bad.csv").write_text(f"{first_line}\nomega_rad_ps,value\n{rows}")
+    scenario = _stationary_scenario(s1={"csv": "bad.csv"})
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "ValueError"
+    assert str(tmp_path / "bad.csv") in err["message"] and message in err["message"]
+
+
+def _quantum_cross(peak=1.2):
+    return {"gaussian": {"peak": peak, "sigma_rad_ps": 1.0}}
+
+
+def test_spectra_read_from_csv_run_as_their_gaussian_scenario(tmp_path):
+    grid = FrequencyGrid(n=256, domega=0.25)
+    spectrum_to_csv(gaussian_spectrum(grid, 1.0, 1.0), tmp_path / "s.csv")
+    cross_to_csv(gaussian_cross(grid, 1.2, 1.0), tmp_path / "x.csv")
+    from_csv = _stationary_scenario(s1={"csv": "s.csv"}, s2={"csv": "s.csv"}, cross={"csv": "x.csv"})
+    rc, csv_out = _run(tmp_path, from_csv, name="csv.json", out="csv")
+    assert rc == 0
+    rc, gaussian_out = _run(tmp_path, _stationary_scenario(cross=_quantum_cross()), out="gaussian")
+    assert rc == 0
+    csv_record, gaussian_record = _record(csv_out), _record(gaussian_out)
+    assert csv_record["windowed"]["regime"] == "quantum"
+    for key in ("covariance_before", "covariance_after_plus", "covariance_after_minus", "windowed", "witness"):
+        assert csv_record[key] == gaussian_record[key]
+
+
+@pytest.mark.parametrize("spec, kind", [("s2", "spectrum"), ("cross", "cross")])
+def test_spectrum_csv_on_another_grid_exits_2(tmp_path, capsys, spec, kind):
+    grid = FrequencyGrid(n=128, domega=0.25)  # the scenario's grid has n = 256
+    spectrum_to_csv(gaussian_spectrum(grid, 1.0, 1.0), tmp_path / "s.csv")
+    cross_to_csv(gaussian_cross(grid, 1.0, 1.0), tmp_path / "x.csv")
+    scenario = _stationary_scenario(**{spec: {"csv": "s.csv" if spec == "s2" else "x.csv"}})
+    rc, _ = _run(tmp_path, scenario)
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ScenarioError"
+    assert f"{kind} CSV" in err["message"] and "does not match the scenario grid" in err["message"]
 
 
 def test_unresolvable_grid_exits_3(tmp_path, capsys):
@@ -608,6 +670,126 @@ def test_non_finite_error_ratio_is_null_with_a_reason(tmp_path, capsys):
     assert err["limit"] > 0.0
 
 
+# Schema-valid grid spacings and spectra whose squares, sums or products
+# pass the float range.  Each ends in one strict-JSON line (or exits 0 with
+# nothing on stderr) and no numpy warning.
+_SWEEP_DOMEGAS = (1e-320, 1e-300, 1e-160, 1e-150, 1e100, 1e150, 1e152, 1e153, 1e154, 1e160, 1e200, 1e308)
+
+
+def _sweep_state(kind, n, domega):
+    grid = {"n": n, "domega_rad_ps": domega}
+    if kind == "biphoton":
+        return {"biphoton": {"pump_sigma_rad_ps": 1e-3, "pm_sigma_rad_ps": 1e-3, "grid": grid}}
+    return {
+        "stationary": {
+            "grid": grid,
+            "s1": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}},
+            "s2": {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}},
+            "cross": "classical-extremal",
+            "window_T_ps": 20.0,
+        }
+    }
+
+
+def _quiet_outcome(tmp_path, capsys, scenario, argv):
+    """(exit code, stderr lines, warning messages, quiet) of one command.
+
+    Quiet is no warning, and exit 0 with nothing on stderr or exit 2 or 3
+    with one line, which must parse as strict JSON.
+    """
+    path = _write(tmp_path, "extreme.json", scenario)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    quiet = not caught and ((rc == 0 and not lines) or (rc in (2, 3) and len(lines) == 1))
+    if quiet and lines:
+        _strict_json(lines[0])
+    return rc, lines, [str(w.message) for w in caught], quiet
+
+
+def test_every_schema_valid_grid_spacing_ends_quietly(tmp_path, capsys):
+    noisy = []
+    for kind in ("biphoton", "stationary"):
+        for n in (8, 64, 1024):
+            for domega in _SWEEP_DOMEGAS:
+                scenario = {"state": _sweep_state(kind, n, domega), "kit": {"beta_L_ps2": 1.0}}
+                for argv in (["run"], ["scan", "--param", "kit.beta_L_ps2", "--values", "0,1"]):
+                    rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, argv)
+                    if not quiet:
+                        noisy.append((kind, n, domega, argv[0], rc, lines, caught))
+    assert noisy == []
+
+
+def test_frequency_and_time_spans_whose_squares_overflow_exit_2(tmp_path, capsys):
+    wide = {"state": _sweep_state("biphoton", 1024, 1e152), "kit": {"beta_L_ps2": 1.0}}
+    long = {"state": _sweep_state("stationary", 8, 1e-160), "kit": {"beta_L_ps2": 1.0}}
+    for scenario, message in (
+        (wide, "the squared frequency span (n*domega)^2 must be finite, got inf"),
+        (long, "the squared time span (n*dt)^2 must be finite, got inf"),
+    ):
+        rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
+        assert (rc, quiet) == (2, True)
+        assert _strict_json(lines[0])["message"] == message
+
+
+def _extreme_spectra(s1, s2, cross="classical-extremal"):
+    """A stationary scenario on n = 1024, domega = 0.0625, T = 20 ps."""
+    return _stationary_scenario(
+        grid={"n": 1024, "domega_rad_ps": 0.0625}, s1=s1, s2=s2, cross=cross, window_T_ps=20.0
+    )
+
+
+def _flat(value):
+    return {"flat": {"value": value}}
+
+
+def _peak(peak, center=0.0):
+    return {"gaussian": {"peak": peak, "sigma_rad_ps": 1.0, "center_rad_ps": center}}
+
+
+@pytest.mark.parametrize(
+    "scenario, rc, message",
+    [
+        (_extreme_spectra(_flat(1e150), _flat(1e150)), 0, None),
+        (_extreme_spectra(_peak(1e150), _peak(1e150)), 0, None),
+        # |g|^2 overflows
+        (_extreme_spectra(_flat(1e154), _flat(1e154)), 2, "signal must be finite"),
+        # the signal's sum overflows
+        (_extreme_spectra(_peak(1e154), _peak(1e154)), 2, "the integrated signal must be finite, got inf"),
+        # S1 * S2 of the classical-extremal cross overflows
+        (_extreme_spectra(_flat(1e155), _flat(1e155)), 2, "cross-spectrum values must be finite"),
+        (_extreme_spectra(_flat(1e308), _flat(1e308)), 2, "cross-spectrum values must be finite"),
+        (_extreme_spectra(_peak(1e155), _peak(1e155)), 2, "cross-spectrum values must be finite"),
+        (_extreme_spectra(_peak(1e308), _peak(1e308)), 2, "cross-spectrum values must be finite"),
+        # |x|^2 overflows in both admissibility checks: an infinite ratio
+        (_extreme_spectra(_peak(1), _peak(1), _flat(1e155)), 3, "violates the quantum bound: worst ratio inf"),
+        (_extreme_spectra(_peak(1), _peak(1), _flat(1e308)), 3, "violates the quantum bound: worst ratio inf"),
+        # bound and |x|^2 both overflow (inf/inf), then the transform of the cross
+        (_extreme_spectra(_flat(1e200), _flat(1e200), _flat(1e200)), 2, "signal must be finite"),
+        (_extreme_spectra(_flat(1e308), _flat(1e308), _flat(1e308)), 2, "signal must be finite"),
+        # the spectral moments of one beam overflow, then its flux
+        (_extreme_spectra(_flat(1e305), _peak(1)), 2, "var_omega must be finite and >= 0, got nan"),
+        (_extreme_spectra(_flat(1e308), _peak(1)), 2, "background must be finite and >= 0, got inf"),
+        # (omega - center)^2 overflows: an all-zero spectrum
+        (_extreme_spectra(_peak(1, 1e200), _peak(1, 1e200)), 3, "model has neither background nor signal weight"),
+        (_extreme_spectra(_peak(1, 1e308), _peak(1, 1e308)), 3, "model has neither background nor signal weight"),
+        (_extreme_spectra(_peak(1), _peak(1), _peak(1, -1e308)), 0, None),
+    ],
+    ids=[
+        "flat-1e150", "peak-1e150", "flat-1e154", "peak-1e154", "flat-1e155", "flat-1e308", "peak-1e155",
+        "peak-1e308", "cross-1e155", "cross-1e308", "all-1e200", "all-1e308", "s1-1e305", "s1-1e308",
+        "center-1e200", "center-1e308", "cross-center-minus-1e308",
+    ],
+)
+def test_extreme_spectrum_magnitudes_and_centres_end_quietly(tmp_path, capsys, scenario, rc, message):
+    scenario["sampler"] = {"n_events": 1000, "seed": 3}
+    outcome = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
+    assert outcome[0] == rc and outcome[3], outcome
+    if message is not None:
+        assert message in _strict_json(outcome[1][0])["message"]
+
+
 def test_infinite_significance_is_written_as_null(tmp_path, monkeypatch):
     real = sampler.empirical_witness
 
@@ -863,6 +1045,33 @@ def test_covariance_record_shears_and_scores(tmp_path, capsys):
 
     stdout = capsys.readouterr().out
     assert "witness:" in stdout and "violated=False" in stdout
+
+
+def test_a_non_evaluable_witness_is_recorded_and_printed(tmp_path, capsys):
+    scenario = _covariance_scenario()
+    scenario["state"]["covariance"].update(var_tau_ps2=0.0, cov_tau_omega=0.0)
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0
+    witness = _record(out_dir)["witness"]
+    assert set(witness) == {"evaluable", "reason"} and witness["evaluable"] is False
+    assert "var_tau = 0" in witness["reason"]
+    captured = capsys.readouterr()
+    assert f"witness: non-evaluable ({witness['reason']})" in captured.out.splitlines()
+    assert captured.err == ""
+
+
+def test_a_dark_beam_with_a_quantum_cross_runs(tmp_path, capsys):
+    # S1 = 0: no background, and the zero-spectrum branch of the Omega moments.
+    scenario = _stationary_scenario(s1=_flat(0.0), cross=_quantum_cross(0.9))
+    scenario["sampler"] = {"n_events": 2000, "seed": 4}
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 0 and capsys.readouterr().err == ""
+    record = _record(out_dir)
+    assert record["windowed"]["regime"] == "quantum"
+    assert record["windowed"]["background"] == 0.0 and record["windowed"]["signal_fraction"] == 1.0
+    before = record["covariance_before"]
+    assert before["var_omega_rad2_ps2"] == 0.0 and before["mean_omega_rad_ps"] == 0.0
+    assert record["witness"]["evaluable"] is True
 
 
 def test_biphoton_run_cancels_dispersion_and_samples(tmp_path):
@@ -1291,6 +1500,16 @@ def test_scan_rejects_values_that_are_not_finite_numbers(tmp_path, capsys, entry
     err = _strict_json(lines[0])
     assert err["error"] == "ScenarioError"
     assert "--values" in err["message"] and repr(entry) in err["message"]
+    assert not out_dir.exists()
+
+
+def test_scan_with_no_values_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "cov.json", _covariance_scenario())
+    out_dir = tmp_path / "scan"
+    rc = cli.main(["scan", str(path), "--param", "jitter_sigma_ps", "--values", " , ,", "--out", str(out_dir)])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err == {"error": "ScenarioError", "message": "scan needs at least one value"}
     assert not out_dir.exists()
 
 
