@@ -241,26 +241,19 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
 
 
 def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
-    """|2D transform|^2, renormalized to unit mass on the time grid.
+    """|2D transform|^2 (`to_time_2d`), renormalized to unit mass on the time grid.
 
     The discrete transform is unitary up to the 1/(2pi)^2 bookkeeping, so
     the pre-normalization mass must equal norm/(2pi)^2; a mismatch beyond
     1e-9 means the kernel itself is broken and raises ParsevalError.  psi
     is transformed in its own storage if handed over as `_Owned(psi)`, and
-    consumed, so the density is the only array this adds; otherwise in one
+    consumed, so the density, which the transform squares into and this
+    normalizes in place, is the only array this adds; otherwise in one
     copy of it (`_take`), with the same bits.
     """
     psi, values = _take(psi, "values")
     n = psi.grid.n
-    values = to_time_2d(values, psi.grid)
-    p = np.empty((n, n))
-
-    def square(r0, r1, _):
-        block = p[r0:r1]
-        np.abs(values[r0:r1], out=block)
-        block **= 2
-
-    _for_blocks(n, n, square)
+    p = to_time_2d(values, psi.grid)
     del values
     dt = psi.grid.dt
     mass = float(p.sum()) * dt * dt
@@ -320,9 +313,10 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into
     buffers that each worker reuses for its blocks) from psi's row-major
     storage, a view of it or one copy of any other layout, and each block
-    is transformed along i by one batched to_time_1d; an all-zero line
-    transforms to zeros and is skipped.  Per-block sums are added in block
-    order, so the result is that of one thread, bit for bit.  With
+    is transformed along i in place, up to the sign of each cell, by one
+    batched `_to_time_rows`; an all-zero line transforms to zeros and is
+    skipped.  Per-block sums are added in block order, so the result is
+    that of one thread, bit for bit.  With
     p = |transform|^2 on the tau grid grid.times, returns
 
         marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
@@ -344,17 +338,12 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     edge = np.zeros(n)
 
     def block_buffers(rows):
-        lines = np.empty((rows, n), dtype=np.complex128)
-        # cells and spare are dead while a block is transformed, so their
-        # storage doubles as the transform's work array.
-        work = np.empty((rows, n), dtype=np.complex128)
-        cells, spare = work.reshape(-1).view(np.float64).reshape(2, rows, n)
-        off_branch = np.empty((rows, n), dtype=bool)
-        return lines, work, cells, spare, off_branch
+        cells, spare = np.empty((2, rows, n))
+        return np.empty((rows, n), dtype=np.complex128), cells, spare, np.empty((rows, n), dtype=bool)
 
     def line_block(k0, k1, buffers):
         """The block's marginal, sum |psi|^2 and second-branch sum (every block is full: n is a power of two)."""
-        lines, work, cells, spare, off_branch = buffers
+        lines, cells, spare, off_branch = buffers
         rows = k1 - k0
         centred = np.arange(k0, k1) - half
         s = centred % n
@@ -377,7 +366,7 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         m = live.size
         if m == 0:
             return 0.0, line_norm.sum(), second
-        g = _to_time_rows(lines if m == rows else lines[live], grid, work[:m], lines[:m])
+        g = _to_time_rows(lines if m == rows else lines[live], grid, lines[:m])
         p = cells[:m]
         np.multiply(g.real, g.real, out=p)
         np.multiply(g.imag, g.imag, out=spare[:m])

@@ -444,7 +444,8 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  The times take the jitter and
     tau in place (`spectral._take`): in a batch handed over as
     `_Owned(batch)`, which is consumed, or in one copy of a plain one's,
-    with the same bits.  A batch that fails a check is not taken.
+    with the same bits.  A batch that fails a check is not taken.  Times
+    whose tau moments leave the float range raise ValueError, once taken.
     """
     n = getattr(batch, "held", batch).n
     if n < 2:
@@ -455,14 +456,16 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
         rng = _generator(seed, "detector-jitter")
         t1 += rng.normal(0.0, jitter_sigma, n)
         t2 += rng.normal(0.0, jitter_sigma, n)
-    # tau, in t1; then its deviations, their squares and fourth powers, in place
-    d = np.subtract(t1, t2, out=t1)
-    mean = float(d.mean())
-    d -= mean
-    d *= d  # m4 squares the squares again by a multiply, not a pow
-    s2 = float(d.sum() / (n - 1))
-    d *= d
-    m4 = float(d.mean())
+    # tau, in t1; then its deviations, their squares and fourth powers, in
+    # place.  Past the float range a moment is inf or nan, and is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.subtract(t1, t2, out=t1)
+        mean = _require_finite("mean_tau", float(d.mean()))
+        d -= mean
+        d *= d  # m4 squares the squares again by a multiply, not a pow
+        s2 = _require_finite("var_tau", float(d.sum() / (n - 1)))
+        d *= d
+        m4 = _require_finite("the fourth central moment of tau", float(d.mean()))
     var_of_var = (m4 - s2 * s2 * (n - 3) / (n - 1)) / n
     return TauStats(n=n, var_tau=s2, stderr=math.sqrt(max(var_of_var, 0.0)), mean_tau=mean)
 

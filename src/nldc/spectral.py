@@ -106,7 +106,7 @@ def _take(state, *names) -> tuple:
 class FrequencyGrid:
     """Uniform detuning grid omega_k = (k - n/2)*domega, k = 0..n-1.
 
-    n must be a power of two (>= 8) so FFT index shuffles are exact; domega
+    n must be a power of two (>= 8) so FFT sign-flip centring is exact; domega
     is the spacing in rad/ps.  The conjugate time grid has spacing
     dt = 2*pi/(n*domega) and is centred the same way.
     """
@@ -256,7 +256,7 @@ def _admissibility(x: CrossSpectrum, bound: np.ndarray, grid: FrequencyGrid) -> 
     nz = bound > 0.0
     ratio[nz] = mag2[nz] / bound[nz]
     ratio[~nz & (mag2 > 0.0)] = np.inf
-    worst = int(np.argmax(ratio))
+    worst = int(np.argmax(np.where(np.isnan(ratio), -np.inf, ratio)))  # a defined ratio, unless none is
     ok = bool(np.all(mag2 <= bound * (1.0 + SATURATION_RTOL)))
     return AdmissibilityReport(
         ok=ok, worst_ratio=float(ratio[worst]), worst_omega=float(grid.omegas[worst])

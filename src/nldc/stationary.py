@@ -93,7 +93,7 @@ class StationaryPairModel:
     def profile(self) -> TauDensity:
         """B = I1*I2 and |g(tau)|^2 from the transform of the cross-spectrum, once per model."""
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range, TauDensity rejects the signal
-            signal = np.abs(to_time_1d(self.cross.values, self.grid)) ** 2
+            signal = to_time_1d(self.cross.values, self.grid)
         return TauDensity(
             grid=self.grid,
             signal=_Owned(signal),

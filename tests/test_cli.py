@@ -829,7 +829,9 @@ def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
     for factor, kernel, outputs in cases:
         with monkeypatch.context() as patch:
             real = getattr(biphoton, kernel)
-            patch.setattr(biphoton, kernel, lambda *args, real=real: real(*args) * factor)
+            # to_time_2d returns a power, so it is scaled by factor^2.
+            scale = factor if kernel == "_to_time_rows" else factor**2
+            patch.setattr(biphoton, kernel, lambda *args, real=real, scale=scale: real(*args) * scale)
             scenario = _biphoton_scenario()
             del scenario["sampler"]
             scenario["outputs"] = outputs

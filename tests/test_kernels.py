@@ -117,7 +117,8 @@ def _lines_oracle(values, grid):
         live = np.flatnonzero(line_norm)
         if live.size == 0:
             continue
-        g = to_time_1d(lines[live], grid)
+        g = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(lines[live], axes=-1)), axes=-1)
+        g *= grid.domega / (2.0 * np.pi)
         p = g.real ** 2 + g.imag ** 2
         marginal += p.sum(axis=0)
         weight[k0 + live] = p.sum(axis=1)
@@ -164,7 +165,7 @@ def test_dispersion_matches_its_oracle(case):
 
 def test_time_transforms_match_their_oracles(case):
     grid, _, _, dispersed = case
-    assert _same_bits(to_time_2d(np.array(dispersed.values), grid), _to_time_2d_oracle(dispersed.values, grid))
+    assert _same_bits(to_time_2d(np.array(dispersed.values), grid), np.abs(_to_time_2d_oracle(dispersed.values, grid)) ** 2)
     assert _same_bits(to_time_domain(dispersed).values, _density_oracle(dispersed.values, grid))
 
 
@@ -183,8 +184,7 @@ def test_owned_kernels_give_the_copying_bits(case):
     plus = apply_dispersion_phase(_Owned(BiphotonAmplitude(grid, psi.values)), KIT)
     assert _same_bits(plus.values, dispersed.values)
     held = np.array(plus.values)
-    assert to_time_2d(held, grid) is held
-    assert _same_bits(held, _to_time_2d_oracle(dispersed.values, grid))
+    assert _same_bits(to_time_2d(held, grid), np.abs(_to_time_2d_oracle(dispersed.values, grid)) ** 2)
     assert _same_bits(to_time_domain(_Owned(plus)).values, _density_oracle(dispersed.values, grid))
 
 
@@ -198,6 +198,54 @@ def test_line_sums_match_on_single_block_grids(n):
     got = _sum_frequency_lines(psi)
     expected = _lines_oracle(psi.values, grid)
     assert len(got) == len(expected) and all(_same_bits(g, e) for g, e in zip(got, expected))
+
+
+def _centred_power_oracle(values, grid):
+    """|fftshift(fftn(ifftshift(values)))|^2, scaled by domega/(2 pi) per axis, over every axis of values."""
+    field = np.fft.ifftshift(values)
+    np.fft.fftn(field, out=field)
+    field *= (grid.domega / (2.0 * np.pi)) ** values.ndim
+    power = np.abs(field)
+    del field
+    power **= 2
+    return np.fft.fftshift(power)
+
+
+def _sign_identity_inputs(grid, ndim):
+    """Complex noise with exact zeros, a chirped delta ridge (2D) and a real even Gaussian with zero tails, one at a time."""
+    n, w = grid.n, grid.omegas
+    noise = np.random.default_rng(n).random((n,) * ndim + (2,)).view(np.complex128)[..., 0] - (0.5 + 0.5j)
+    noise.reshape(-1)[::3] = 0.0
+    yield noise
+    del noise
+    bell = np.exp(-4.0 * w ** 2)  # exactly 0 past |omega| = 13.6, with omega -> -omega symmetry
+    if ndim == 1:
+        yield bell.astype(np.complex128)
+        return
+    ridge = np.zeros((n, n), dtype=np.complex128)
+    i = np.arange(1, n)
+    ridge[i, n - i] = bell[i] * np.exp(0.3j * w[i] ** 2)  # omega1 + omega2 = 0 alone
+    yield ridge
+    del ridge
+    yield np.outer(bell, bell).astype(np.complex128)
+
+
+@pytest.mark.parametrize(
+    "transform, ndim, sizes", [(to_time_1d, 1, range(3, 21)), (to_time_2d, 2, range(3, 12))], ids=["1d", "2d"]
+)
+def test_sign_flip_centring_gives_the_shifted_power(transform, ndim, sizes):
+    # The transforms centre by negating the odd (odd-sum in 2D) input cells
+    # instead of shifting the input and output; at every even n their
+    # |F|^2 must have the bits of the shift recipe.
+    differing = []
+    for n in (1 << e for e in sizes):
+        grid = _grid(n)
+        for k, values in enumerate(_sign_identity_inputs(grid, ndim)):
+            expected = _centred_power_oracle(values, grid)
+            if not _same_bits(transform(values, grid), expected):
+                differing.append((n, k))
+            del values, expected
+    assert differing == []
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,21 @@ def test_estimate_tau_stats_exact_small_batch():
     assert flat.stderr == 0.0
 
 
+@pytest.mark.parametrize(
+    "t1, t2, quantity",
+    [
+        ([1e308, -1e308, 0.0], [-1e308, 1e308, 0.0], "mean_tau"),  # tau overflows both ways
+        ([1e200, 0.0, 0.0], [0.0, 0.0, 0.0], "var_tau"),
+        ([1e100, 0.0, 0.0], [0.0, 0.0, 0.0], "the fourth central moment of tau"),
+    ],
+)
+def test_tau_moments_past_the_float_range_raise(t1, t2, quantity):
+    # A ValueError naming the moment, and no numpy warning (warnings fail tests).
+    batch = EventBatch(t1=np.array(t1), t2=np.array(t2), seed=0, source="hand")
+    with pytest.raises(ValueError, match=f"^{quantity} must be finite"):
+        estimate_tau_stats(batch, 0.0, seed=0)
+
+
 def test_detector_jitter_adds_twice_its_variance_to_tau():
     n = 200_000
     batch = EventBatch(t1=np.zeros(n), t2=np.zeros(n), seed=0, source="still")

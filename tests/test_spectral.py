@@ -112,6 +112,23 @@ def test_vacuum_cannot_carry_cross_correlation():
     assert math.isinf(report.worst_ratio)
 
 
+def test_worst_cell_is_a_defined_ratio():
+    # Past the float range |x|^2 and the bound are both inf at the centre,
+    # and inf/inf is undefined; the worst cell is picked among the others,
+    # here a tail cell whose bound underflows to 0 under an infinite |x|^2.
+    grid = FrequencyGrid(1024, 0.0625)
+    s = gaussian_spectrum(grid, 1e200, 1.0)
+    x = flat_cross(grid, 1e200)
+    for check in (quantum_admissible, classical_admissible):
+        report = check(s, s, x)
+        assert not report.ok
+        assert math.isinf(report.worst_ratio) and report.worst_omega == grid.omegas[0]
+    # With every ratio undefined the report names the first cell.
+    huge = flat_spectrum(grid, 1e200)
+    report = classical_admissible(huge, huge, x)
+    assert math.isnan(report.worst_ratio) and report.worst_omega == grid.omegas[0]
+
+
 def test_reflection_pairs_omega_with_minus_omega():
     grid = FrequencyGrid(n=16, domega=1.0)
     vals = np.arange(16.0)
