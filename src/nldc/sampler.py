@@ -1,7 +1,7 @@
 """Monte Carlo detection events and their time-difference statistics.
 
 Event batches are pairs of detection times (t1, t2) in ps.  All randomness
-flows through counter-based Philox generators keyed by a sha256 hash of
+flows through PCG64 generators (O'Neill 2014) keyed by a sha256 hash of
 (seed, stream label), so every operation owns an independent substream and
 batches reproduce bit for bit regardless of how callers interleave work.
 
@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._blocks import _for_blocks
+from ._blocks import BLOCK_CELLS, _for_blocks
 from .biphoton import JointTemporalDensity
 from .errors import BatchTooSmallError, DegenerateStateError
 from .moments import DispersionKit, _require_finite
@@ -60,12 +60,12 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 def _stream_key(seed: int, label: str) -> int:
-    """The Philox key of the (seed, label) stream."""
+    """The PCG64 seed of the (seed, label) stream: 128 bits of its sha256 digest."""
     return int.from_bytes(_seed_digest(seed, label)[:16], "little")
 
 
 def _generator(seed: int, label: str) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, label)))
+    return np.random.Generator(np.random.PCG64(_stream_key(seed, label)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,21 +147,20 @@ _EVENT_CELLS = 4
 
 
 def _uniforms(key: int, start: int, out: np.ndarray, streams: dict | None = None) -> np.ndarray:
-    """Fill out with the doubles at positions [start, start + len(out)) of the Philox stream of key.
+    """Fill out with the doubles at positions [start, start + len(out)) of the PCG64 stream of key.
 
-    Each double takes one 64-bit output, and one counter step of Philox
-    yields four of them (Salmon et al., SC11), so the stream is entered at
-    any position by advancing the counter start // 4 steps and dropping
-    start % 4 outputs.  start may be a numpy integer, which Philox.advance
-    itself rejects.  streams, a worker's {(key, position): Generator},
-    keeps the stream where this read ends, for a read that starts there.
+    Each double takes one 64-bit output, so the stream is entered at start
+    by advancing the generator start steps, which its linear congruential
+    state does in O(log start) (F. Brown, Trans. Am. Nucl. Soc. 71, 1994;
+    M. O'Neill, HMC-CS-2014-0905).  start may be a numpy integer, which
+    PCG64.advance itself rejects.  streams, a worker's {(key, position):
+    Generator}, keeps the stream where this read ends, for a read there.
     """
     start = operator.index(start)
     streams = {} if streams is None else streams
     gen = streams.pop((key, start), None)
     if gen is None:
-        gen = np.random.Generator(np.random.Philox(key=key).advance(start // 4))
-        gen.bit_generator.random_raw(start % 4)
+        gen = np.random.Generator(np.random.PCG64(key).advance(start))
     gen.random(out=out)
     streams[key, start + len(out)] = gen
     return out
@@ -441,11 +440,13 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     Independent N(0, jitter_sigma^2) offsets are added to every t1 and t2,
     so tau gains variance 2*jitter_sigma^2.  The standard error of the
     variance comes from the fourth-moment formula
-    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  The times take the jitter and
-    tau in place (`spectral._take`): in a batch handed over as
-    `_Owned(batch)`, which is consumed, or in one copy of a plain one's,
-    with the same bits.  A batch that fails a check is not taken.  Times
-    whose tau moments leave the float range raise ValueError, once taken.
+    Var(s^2) = (m4 - s^4*(n-3)/(n-1)) / n.  The jitter, t1's then t2's
+    from one sequential generator, is added a sampler block at a time.
+    The times take the jitter and tau in place (`spectral._take`): in a
+    batch handed over as `_Owned(batch)`, which is consumed, or in one copy
+    of a plain one's, with the same bits.  A batch that fails a check is
+    not taken.  Times whose tau moments leave the float range raise
+    ValueError, once taken.
     """
     n = getattr(batch, "held", batch).n
     if n < 2:
@@ -454,8 +455,10 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     _, t1, t2 = _take(batch, "t1", "t2")
     if jitter_sigma > 0.0:
         rng = _generator(seed, "detector-jitter")
-        t1 += rng.normal(0.0, jitter_sigma, n)
-        t2 += rng.normal(0.0, jitter_sigma, n)
+        step = BLOCK_CELLS // _EVENT_CELLS  # the events of a sampler block
+        for t in (t1, t2):  # in pieces, with the bits of one n-element draw per detector
+            for start in range(0, n, step):
+                t[start : start + step] += rng.normal(0.0, jitter_sigma, min(step, n - start))
     # tau, in t1; then its deviations, their squares and fourth powers, in
     # place.  Past the float range a moment is inf or nan, and is rejected.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -257,7 +257,8 @@ def _admissibility(x: CrossSpectrum, bound: np.ndarray, grid: FrequencyGrid) -> 
     ratio[nz] = mag2[nz] / bound[nz]
     ratio[~nz & (mag2 > 0.0)] = np.inf
     worst = int(np.argmax(np.where(np.isnan(ratio), -np.inf, ratio)))  # a defined ratio, unless none is
-    ok = bool(np.all(mag2 <= bound * (1.0 + SATURATION_RTOL)))
+    # A cell whose |x|^2 or bound is past the float range fails, even at inf <= inf.
+    ok = bool(np.all(np.isfinite(mag2) & np.isfinite(bound) & (mag2 <= bound * (1.0 + SATURATION_RTOL))))
     return AdmissibilityReport(
         ok=ok, worst_ratio=float(ratio[worst]), worst_omega=float(grid.omegas[worst])
     )

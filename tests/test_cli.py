@@ -765,9 +765,9 @@ def _peak(peak, center=0.0):
         # |x|^2 overflows in both admissibility checks: an infinite ratio
         (_extreme_spectra(_peak(1), _peak(1), _flat(1e155)), 3, "violates the quantum bound: worst ratio inf"),
         (_extreme_spectra(_peak(1), _peak(1), _flat(1e308)), 3, "violates the quantum bound: worst ratio inf"),
-        # bound and |x|^2 both overflow (inf/inf), then the transform of the cross
-        (_extreme_spectra(_flat(1e200), _flat(1e200), _flat(1e200)), 2, "signal must be finite"),
-        (_extreme_spectra(_flat(1e308), _flat(1e308), _flat(1e308)), 2, "signal must be finite"),
+        # bound and |x|^2 both overflow: inf <= inf passes no cell, and inf/inf is undefined
+        (_extreme_spectra(_flat(1e200), _flat(1e200), _flat(1e200)), 3, "violates the quantum bound: worst ratio nan"),
+        (_extreme_spectra(_flat(1e308), _flat(1e308), _flat(1e308)), 3, "violates the quantum bound: worst ratio nan"),
         # the spectral moments of one beam overflow, then its flux
         (_extreme_spectra(_flat(1e305), _peak(1)), 2, "var_omega must be finite and >= 0, got nan"),
         (_extreme_spectra(_flat(1e308), _peak(1)), 2, "background must be finite and >= 0, got inf"),

@@ -9,6 +9,7 @@ background pairs; expectations below include those terms explicitly.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,13 +76,13 @@ def test_derive_seed_is_stable_and_label_separated():
 
 
 def test_generator_streams_are_keyed_by_the_seed_hash():
-    # The Philox key is the first 16 bytes of sha256("seed:label"), the
+    # The PCG64 seed is the first 16 bytes of sha256("seed:label"), the
     # same digest whose first 8 bytes are derive_seed.
     for seed, label in ((7, "a"), (123, "stationary-sheared"), (0, "detector-jitter")):
         digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
         assert derive_seed(seed, label) == int.from_bytes(digest[:8], "little")
         key = int.from_bytes(digest[:16], "little")
-        expected = np.random.Generator(np.random.Philox(key=key)).random(5)
+        expected = np.random.Generator(np.random.PCG64(key)).random(5)
         assert np.array_equal(_generator(seed, label).random(5), expected)
 
 
@@ -270,6 +271,30 @@ def test_detector_jitter_adds_twice_its_variance_to_tau():
     # is reproducible.
     again = estimate_tau_stats(batch, sigma, seed=77)
     assert again.var_tau == stats.var_tau
+
+
+def test_detector_jitter_is_added_in_pieces_with_the_bits_of_one_draw():
+    n = 3 * (BLOCK_CELLS // _EVENT_CELLS) + 5
+    t1, t2 = np.sin(np.arange(n)), np.cos(np.arange(n))
+    whole = _generator(4, "detector-jitter")  # one n-element draw for t1, then one for t2
+    jittered = EventBatch(t1=t1 + whole.normal(0.0, 0.4, n), t2=t2 + whole.normal(0.0, 0.4, n), seed=0, source="hand")
+    want = _stats_bits(estimate_tau_stats(jittered, 0.0, seed=0))
+    assert _stats_bits(estimate_tau_stats(EventBatch(t1=t1, t2=t2, seed=0, source="hand"), 0.4, seed=4)) == want
+
+
+def test_detector_jitter_takes_no_batch_sized_temporary():
+    n = 1_000_000
+    estimate_tau_stats(EventBatch(t1=np.zeros(8), t2=np.zeros(8), seed=0, source="warm"), 0.5, seed=1)
+    batch = EventBatch(t1=_Owned(np.zeros(n)), t2=_Owned(np.zeros(n)), seed=0, source="still")
+    tracemalloc.start()
+    try:
+        estimate_tau_stats(_Owned(batch), 0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one piece of normals, a sampler block's (8 bytes an event), not 8 * n
+    piece = 8 * (BLOCK_CELLS // _EVENT_CELLS)
+    assert peak < 2 * piece < 8 * n // 4
 
 
 def test_batch_validation_and_small_batch_rejection():
@@ -749,14 +774,14 @@ def test_a_worker_enters_each_stream_once(monkeypatch, workers):
     # One worker reads the 12 kinds of draw of a sheared batch (the mask,
     # background t1 and t2, tau cells, their jitters, mean times, and the
     # cells and jitters of s1, s2 and the cross), each kind from block to
-    # block at contiguous positions: it builds 12 Philox streams at any
+    # block at contiguous positions: it builds 12 PCG64 streams at any
     # number of blocks, not 12 per block.
     workers(1)
     m = _mixture_model("quantum")
     kit = DispersionKit(beta_L=-0.8)
-    real = np.random.Philox
+    real = np.random.PCG64
     built = []
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+    monkeypatch.setattr(np.random, "PCG64", lambda *a, **k: built.append(a) or real(*a, **k))
     for cells in _block_sizes(monkeypatch):
         built.clear()
         sample_stationary_sheared(m, kit, 20_000, seed=3)
@@ -809,8 +834,21 @@ def test_a_kept_stream_goes_on_where_its_last_read_ended():
     assert set(streams) == {(key, 1000), (key, 12)}
 
 
+def test_uniforms_keep_their_golden_bits():
+    # The bits of two reads pinned as literals: a numpy whose PCG64,
+    # SeedSequence or Generator.random changed would silently change every
+    # sampled output, and fails here instead.
+    key = _stream_key(7, "a")
+    golden = {
+        0: [0x3FDF82CF485A5894, 0x3FDD4C40E80B5DDA, 0x3FE1D1731B66EDB2, 0x3FDF01D509DDAB04],
+        2 ** 40: [0x3FE80CE9AD34C368, 0x3FC38C477D961080, 0x3FE77A0A0FFB15C2, 0x3FD12FBD9C59C92C],
+    }
+    for start, bits in golden.items():
+        assert _uniforms(key, start, np.empty(4)).view(np.uint64).tolist() == bits, start
+
+
 def test_uniforms_take_a_numpy_integer_start():
-    # Philox.advance rejects numpy integers, and a stream position counted
+    # PCG64.advance rejects numpy integers, and a stream position counted
     # by numpy (np.count_nonzero) is one.
     key = _stream_key(42, "stationary")
     for start in (0, 3, 4, 250_001):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldc.errors import GridMismatchError
+from nldc.errors import AdmissibilityError, GridMismatchError
 from nldc.spectral import (
     FrequencyGrid,
     classical_admissible,
@@ -24,6 +24,7 @@ from nldc.spectral import (
     spectrum_from_csv,
     spectrum_to_csv,
 )
+from nldc.stationary import make_pair_model
 
 G64 = FrequencyGrid(n=64, domega=0.5)
 
@@ -127,6 +128,20 @@ def test_worst_cell_is_a_defined_ratio():
     huge = flat_spectrum(grid, 1e200)
     report = classical_admissible(huge, huge, x)
     assert math.isnan(report.worst_ratio) and report.worst_omega == grid.omegas[0]
+
+
+def test_an_overflowing_cross_spectrum_is_not_admissible():
+    # |x|^2 and its bound are inf in every cell, and inf <= inf is no pass:
+    # a check that cannot be evaluated in floating point fails.
+    grid = FrequencyGrid(1024, 0.0625)
+    huge = flat_spectrum(grid, 1e200)
+    x = flat_cross(grid, 1e200)
+    for check in (quantum_admissible, classical_admissible):
+        report = check(huge, huge, x)
+        assert not report.ok
+        assert math.isnan(report.worst_ratio) and report.worst_omega == grid.omegas[0]
+    with pytest.raises(AdmissibilityError, match="violates the quantum bound: worst ratio nan"):
+        make_pair_model(huge, huge, x, 20.0)
 
 
 def test_reflection_pairs_omega_with_minus_omega():
