@@ -11,22 +11,18 @@ samples continuous but adds the cell variance to tau: dt^2/6 for joint
 2D draws (two independent offsets), dt^2/12 for direct tau draws.  Tests
 comparing against density moments must include that term.
 
-Every uniform a sampler uses has a fixed position in its stream, and
-`_uniforms` reads it there.  A batch is filled in the fixed blocks of
-`_blocks._for_blocks`, each block reading its share of every kind of
-draw, so its bytes depend neither on the number of workers nor on the
-block size.  A worker's blocks read each kind at contiguous positions, so
-it enters each stream once and reads on in it.  The layouts, for count
-events of which n_sig are signal and n_bg background events, each kind in
-event order:
+A batch is filled in the fixed blocks of `_blocks._for_blocks`, which
+depend on the event count alone, and each block draws everything it needs
+from its own stream (`_block_stream`), so the bytes do not depend on the
+number of workers.  A block draws in this order, for its events of which
+ns are signal and nb background events, each kind in event order:
 
-* "biphoton": count cell uniforms, count t1 jitters, count t2 jitters;
-* "stationary" (sample_tau_density): count signal-mask uniforms, n_bg
-  background t1, n_bg background t2, n_sig tau cells, n_sig tau jitters,
-  n_sig mean times;
-* "stationary-sheared": the "stationary" layout, then n_bg s1 cells, n_bg
-  s1 jitters, n_bg s2 cells, n_bg s2 jitters, n_sig cross cells and n_sig
-  cross jitters (no cross draws when |x|^2 is all zero).
+* "biphoton": cell uniforms, t1 jitters, t2 jitters;
+* "stationary" (sample_tau_density): signal-mask uniforms, nb background
+  t1, nb background t2, ns tau cells, ns tau jitters, ns mean times;
+* "stationary-sheared": the "stationary" order, then nb s1 cells, nb s1
+  jitters, nb s2 cells, nb s2 jitters, ns cross cells and ns cross
+  jitters (no cross draws when |x|^2 is all zero).
 
 The detector jitter of estimate_tau_stats is drawn in sequence: a normal
 variate takes a variable number of stream values, so it has no position.
@@ -146,24 +142,15 @@ _GUIDE_CELLS = 1 << 16
 _EVENT_CELLS = 4
 
 
-def _uniforms(key: int, start: int, out: np.ndarray, streams: dict | None = None) -> np.ndarray:
-    """Fill out with the doubles at positions [start, start + len(out)) of the PCG64 stream of key.
+def _block_stream(key: int, start: int) -> np.random.Generator:
+    """The generator of the sampler block whose first event is start: the PCG64 stream of key, advanced start * 2^64 steps.
 
-    Each double takes one 64-bit output, so the stream is entered at start
-    by advancing the generator start steps, which its linear congruential
-    state does in O(log start) (F. Brown, Trans. Am. Nucl. Soc. 71, 1994;
-    M. O'Neill, HMC-CS-2014-0905).  start may be a numpy integer, which
-    PCG64.advance itself rejects.  streams, a worker's {(key, position):
-    Generator}, keeps the stream where this read ends, for a read there.
+    Blocks are thus 2^64 outputs apart, and block 0 reads the stream from
+    its start.  The linear congruential state advances in O(log) steps
+    (F. Brown, Trans. Am. Nucl. Soc. 71, 1994).  start may be a numpy
+    integer, whose shift by 64 would overflow.
     """
-    start = operator.index(start)
-    streams = {} if streams is None else streams
-    gen = streams.pop((key, start), None)
-    if gen is None:
-        gen = np.random.Generator(np.random.PCG64(key).advance(start))
-    gen.random(out=out)
-    streams[key, start + len(out)] = gen
-    return out
+    return np.random.Generator(np.random.PCG64(key).advance(operator.index(start) << 64))
 
 
 class _InverseCdf:
@@ -174,15 +161,16 @@ class _InverseCdf:
 
     A CDF of at most K = _GUIDE_CELLS cells queried at least K times uses a
     guide table (Chen & Asau, AIIE Trans. 6, 1974).  Bucket k = floor(u*K)
-    holds the u in [k/K, (k+1)/K), and guide[k] = searchsorted(cdf, k/K) is
-    the answer for all of them unless a CDF value falls inside the bucket
-    (guide[k] != guide[k+1]); only those queries are searched.  As
-    cdf[j] <= k/K exactly when ceil(cdf[j]*K) <= k, the table counts.  At most
-    len(cdf) buckets are split and each takes 1/K of the queries, so a
-    1024-cell CDF searches under 1.6% of them.  Any other CDF (the n^2-cell
-    biphoton one) is searched in sorted query order, which keeps the lookups
-    cache-friendly, and the results are scattered back.  The table is built
-    once; draw only reads it, so blocks of queries may run in parallel.
+    holds the u in [k/K, (k+1)/K), and guide[k] = searchsorted(cdf, k/K,
+    side="right"), the count of CDF values <= k/K, is the answer for all of
+    them unless a CDF value falls inside the bucket (guide[k] != guide[k+1]);
+    only those queries are searched.  As cdf[j] <= k/K exactly when
+    ceil(cdf[j]*K) <= k, the table counts.  At most len(cdf) buckets are
+    split and each takes 1/K of the queries, so a 1024-cell CDF searches
+    under 1.6% of them.  Any other CDF (the n^2-cell biphoton one) is
+    searched in sorted query order, which keeps the lookups cache-friendly,
+    and the results are scattered back.  The table is built once; draw only
+    reads it, so blocks of queries may run in parallel.
     """
 
     def __init__(self, weights: np.ndarray, count: int):
@@ -219,25 +207,20 @@ class _InverseCdf:
 
 
 def _scratch(**dtypes):
-    """A sampler's block scratch: per worker, its streams (`_uniforms`) and one buffer of each named dtype, for at most `size` events."""
-    return lambda size: SimpleNamespace(streams={}, **{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
+    """A sampler's block scratch: per worker, one buffer of each named dtype, for at most `size` events."""
+    return lambda size: SimpleNamespace(**{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
 
 
 # The buffers of _draw_cells and _InverseCdf.draw.
 _CELL_BUFFERS = {"u": np.float64, "idx": np.intp, "bucket": np.int64}
 
 
-def _draw_cells(key, start, total, cdf, centers, width, out, s):
-    """centers[i] + (jitter - 0.5) * width for len(out) events, into out.
-
-    The cell uniforms are read from position start, their jitters from
-    start + total: a batch draws all `total` cell uniforms of one kind
-    before their jitters.
-    """
+def _draw_cells(gen, cdf, centers, width, out, s):
+    """centers[i] + (jitter - 0.5) * width for len(out) events, into out: their cell uniforms from gen, then their jitters."""
     n = len(out)
-    idx = cdf.draw(_uniforms(key, start, s.u[:n], s.streams), s.idx[:n], s.bucket[:n])
+    idx = cdf.draw(gen.random(out=s.u[:n]), s.idx[:n], s.bucket[:n])
     np.take(centers, idx, out=out)
-    jitter = _uniforms(key, start + total, s.u[:n], s.streams)
+    jitter = gen.random(out=s.u[:n])
     jitter -= 0.5
     jitter *= width
     out += jitter
@@ -273,11 +256,12 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
 
     def block(start, stop, s):
         size = stop - start
-        idx = cdf.draw(_uniforms(key, start, s.u[:size], s.streams), s.idx[:size], s.bucket[:size])
+        gen = _block_stream(key, start)
+        idx = cdf.draw(gen.random(out=s.u[:size]), s.idx[:size], s.bucket[:size])
         i1, i2 = np.divmod(idx, n, out=(s.bucket[:size], idx))
-        for t, cells, at in ((t1[start:stop], i1, count), (t2[start:stop], i2, 2 * count)):
+        for t, cells in ((t1[start:stop], i1), (t2[start:stop], i2)):
             np.take(times, cells, out=t)
-            jitter = _uniforms(key, at + start, s.u[:size], s.streams)
+            jitter = gen.random(out=s.u[:size])
             jitter -= 0.5
             jitter *= dt
             t += jitter
@@ -314,44 +298,22 @@ def _draw_mean_times(tau, u, T, t1, t2):
     return t1, t2
 
 
-def _signal_mask(key, f_s, count):
-    """The mask u < f_s (stream positions 0 .. count), the signal events before each block start, and their total."""
-    signal = np.empty(count, dtype=bool)
-
-    def block(start, stop, s):
-        mask = np.less(_uniforms(key, start, s.u[: stop - start], s.streams), f_s, out=signal[start:stop])
-        return start, np.count_nonzero(mask)
-
-    before, total = {}, 0
-    for start, found in _for_blocks(count, _EVENT_CELLS, block, _scratch(u=np.float64)):
-        before[start] = total  # counted in block order
-        total += found
-    return signal, before, total
-
-
 def _sample_mixture(key, d: TauDensity, count, sheared=None):
-    """(t1, t2) of the windowed background/signal mixture d.
+    """(t1, t2) of the windowed background/signal mixture d, each block drawn in the order of the module docstring.
 
     sheared = (model, kit) also gives every event its frequencies and
-    shifts each time by its group delay.  The stream positions are those of
-    the module docstring; a block of events reads its share of each kind at
-    the count of that kind in the blocks before it.
+    shifts each time by its group delay.  The tables are built before the
+    blocks, for the kinds of event the signal fraction allows.
     """
     T = d.window
-    signal, sig_before, n_sig = _signal_mask(key, d.windowed.signal_fraction, count)
-    n_bg = count - n_sig
-    # stream positions of the first draw of each kind
-    bg_at = (count, count + n_bg)  # t1, t2
-    tau_at = count + 2 * n_bg  # cells, then jitters and mean times
-    tau_cdf = _InverseCdf(d.signal * d.dt, n_sig) if n_sig else None
+    f_s = d.windowed.signal_fraction
+    tau_cdf = _InverseCdf(d.signal * d.dt, count) if f_s > 0.0 else None
     if sheared is not None:
         m, kit = sheared
         omegas, domega = m.grid.omegas, m.grid.domega
-        bg_omega_at = (tau_at + 3 * n_sig, tau_at + 3 * n_sig + 2 * n_bg)  # s1, s2
-        cross_at = tau_at + 3 * n_sig + 4 * n_bg
-        bg_cdfs = (_InverseCdf(m.s1.values, n_bg), _InverseCdf(m.s2.values, n_bg)) if n_bg else None
+        bg_cdfs = (_InverseCdf(m.s1.values, count), _InverseCdf(m.s2.values, count)) if f_s < 1.0 else None
         mag2 = np.abs(m.cross.values) ** 2
-        cross_cdf = _InverseCdf(mag2, n_sig) if n_sig and mag2.sum() > 0.0 else None
+        cross_cdf = _InverseCdf(mag2, count) if f_s > 0.0 and mag2.sum() > 0.0 else None
         two_beta = 2.0 * kit.beta_L
         delays = (kit.delay_1, kit.delay_2)
         shifts = (np.add, np.subtract)  # t1 + 2*beta_L*w1, t2 - 2*beta_L*w2
@@ -359,42 +321,40 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
     t2 = np.empty(count)
 
     def block(start, stop, s):
-        k = sig_before[start]  # signal events before this block
-        j = start - k  # background events before it
-        mask = signal[start:stop]
+        gen = _block_stream(key, start)
+        mask = gen.random(out=s.u[: stop - start]) < f_s
         bg = np.flatnonzero(~mask)
         sg = np.flatnonzero(mask)
         nb, ns = bg.size, sg.size
         times = (t1[start:stop], t2[start:stop])
-        if nb:
-            for t, at in zip(times, bg_at):
-                u = _uniforms(key, at + j, s.u[:nb], s.streams)
-                u *= T
-                t[bg] = u
+        for t in times:
+            u = gen.random(out=s.u[:nb])
+            u *= T
+            t[bg] = u
         if ns:
-            tau = _draw_cells(key, tau_at + k, n_sig, tau_cdf, d.taus, d.dt, s.x[:ns], s)
+            tau = _draw_cells(gen, tau_cdf, d.taus, d.dt, s.x[:ns], s)
             # Profile mass beyond the window is negligible by the 6x RMS
             # precondition; clamp so the mean-time interval is never empty.
             np.clip(tau, -T, T, out=tau)
-            u = _uniforms(key, tau_at + 2 * n_sig + k, s.u[:ns], s.streams)
+            u = gen.random(out=s.u[:ns])
             for t, mean_time in zip(times, _draw_mean_times(tau, u, T, s.v[:ns], s.w[:ns])):
                 t[sg] = mean_time
         if sheared is None:
             return
-        ridge = None  # omega1 of the signal events; 0 when the cross is all zero
-        if ns and cross_cdf is not None:
-            ridge = _draw_cells(key, cross_at + k, n_sig, cross_cdf, omegas, domega, s.x[:ns], s)
-        w = s.w[: stop - start]
-        for arm, t in enumerate(times):
+        omega = (s.v[: stop - start], s.w[: stop - start])  # omega1, omega2; 0 on a ridge of zero |x|^2
+        for w in omega:
             w.fill(0.0)
-            if nb:
-                w[bg] = _draw_cells(key, bg_omega_at[arm] + j, n_bg, bg_cdfs[arm], omegas, domega, s.v[:nb], s)
-            if ridge is not None:
-                w[sg] = ridge
-                np.negative(ridge, out=ridge)  # omega2 = -omega1 on the ridge
-            t += delays[arm]
+        if nb:
+            for w, cdf in zip(omega, bg_cdfs):
+                w[bg] = _draw_cells(gen, cdf, omegas, domega, s.x[:nb], s)
+        if ns and cross_cdf is not None:
+            ridge = _draw_cells(gen, cross_cdf, omegas, domega, s.x[:ns], s)
+            omega[0][sg] = ridge
+            omega[1][sg] = np.negative(ridge, out=ridge)  # omega2 = -omega1 on the ridge
+        for t, w, delay, shift in zip(times, omega, delays, shifts):
+            t += delay
             w *= two_beta
-            shifts[arm](t, w, out=t)
+            shift(t, w, out=t)
 
     _for_blocks(count, _EVENT_CELLS, block, _scratch(**_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
     return t1, t2

@@ -31,11 +31,11 @@ from nldc.sampler import (
     _GUIDE_CELLS,
     EventBatch,
     TauStats,
+    _block_stream,
     _draw_mean_times,
     _generator,
     _InverseCdf,
     _stream_key,
-    _uniforms,
     derive_seed,
     empirical_witness,
     estimate_tau_stats,
@@ -628,13 +628,24 @@ def test_a_batch_the_estimator_rejects_is_not_consumed():
 
 
 # ---------------------------------------------------------------------------
-# Counter-addressed draws.  Every sampler fills its batch in fixed blocks of
+# Block streams.  Every sampler fills its batch in fixed blocks of
 # BLOCK_CELLS // _EVENT_CELLS events on the row-block pool, each block
-# reading its uniforms at the stream positions the batch layout fixes.  The
-# sequential bodies below are the samplers as they were written before the
-# blocks: one Generator drawn in order, plain searchsorted lookups.  The
-# blocked samplers must give the same bits on any number of workers and at
-# any block size.
+# drawing from its own stream.  The sequential bodies below are the samplers
+# as they were written before the blocks: one Generator drawn in order,
+# plain searchsorted lookups.  Run once per block on that block's stream
+# (`_per_block`), they must give the blocked samplers' bits on any number of
+# workers.
+
+def _per_block(seed, label, count, draw):
+    """(t1, t2) of draw(rng, size) run on each sampler block of count events, rng being the block's stream."""
+    rows = min(count, BLOCK_CELLS // nldc.sampler._EVENT_CELLS)
+    key = _stream_key(seed, label)
+    parts = [
+        draw(np.random.Generator(np.random.PCG64(key).advance(start << 64)), min(rows, count - start))
+        for start in range(0, count, rows)
+    ]
+    return tuple(np.concatenate(times) for times in zip(*parts))
+
 
 def _searchsorted_oracle(rng, weights, count):
     cdf = np.cumsum(weights)
@@ -664,12 +675,14 @@ def _mixture_oracle(rng, d, count):
 
 
 def _tau_density_oracle(d, count, seed):
-    t1, t2, _ = _mixture_oracle(_generator(seed, "stationary"), d, count)
-    return t1, t2
+    return _per_block(seed, "stationary", count, lambda rng, size: _mixture_oracle(rng, d, size)[:2])
 
 
 def _sheared_oracle(m, kit, count, seed):
-    rng = _generator(seed, "stationary-sheared")
+    return _per_block(seed, "stationary-sheared", count, lambda rng, size: _sheared_block_oracle(rng, m, kit, size))
+
+
+def _sheared_block_oracle(rng, m, kit, count):
     t1, t2, signal = _mixture_oracle(rng, m.profile, count)
     n_sig = int(signal.sum())
     n_bg = count - n_sig
@@ -694,7 +707,10 @@ def _sheared_oracle(m, kit, count, seed):
 
 
 def _biphoton_oracle(density, count, seed):
-    rng = _generator(seed, "biphoton")
+    return _per_block(seed, "biphoton", count, lambda rng, size: _biphoton_block_oracle(rng, density, size))
+
+
+def _biphoton_block_oracle(rng, density, count):
     n = density.grid.n
     dt = density.dt
     i1, i2 = np.divmod(_searchsorted_oracle(rng, density.values.ravel(), count), n)
@@ -712,9 +728,10 @@ def _assert_same_bits(batch, expected):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# The oracle tests run the samplers' blocks and blocks of 1024 events.
-# BLOCK_CELLS is a whole number of blocks at both sizes, so that the counts
-# below sit on and next to block edges at each.
+# The oracle tests run the samplers' blocks and blocks of 1024 events, with
+# the expected bits of each block size.  BLOCK_CELLS is a whole number of
+# blocks at both sizes, so that the counts below sit on and next to block
+# edges at each.
 _EVENT_CELLS_TESTED = (_EVENT_CELLS, 64)
 _COUNTS = [1, 2, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 5]
 
@@ -749,9 +766,9 @@ def test_stationary_samplers_match_the_sequential_oracle(monkeypatch, workers, k
     assert {"zero-cross": f_s == 0.0, "zero-background": f_s == 1.0}.get(kind, 0.0 < f_s < 1.0)
     kit = DispersionKit(beta_L=-0.8, delay_1=0.3, delay_2=-0.2)
     seed = 1000 + count
-    tau_density = _tau_density_oracle(m.profile, count, seed)
-    sheared = _sheared_oracle(m, kit, count, seed)
     for _ in _block_sizes(monkeypatch):
+        tau_density = _tau_density_oracle(m.profile, count, seed)
+        sheared = _sheared_oracle(m, kit, count, seed)
         for worker_count in (1, 2, 3):
             workers(worker_count)
             _assert_same_bits(sample_tau_density(m.profile, count, seed), tau_density)
@@ -763,30 +780,36 @@ def test_stationary_samplers_match_the_sequential_oracle(monkeypatch, workers, k
 def test_sample_biphoton_matches_the_sequential_oracle(monkeypatch, workers, n, count):
     grid = FrequencyGrid(n, 0.25 * 128 / n)
     density = to_time_domain(build_pdc_amplitude(grid, 0.9, 1.3))
-    expected = _biphoton_oracle(density, count, seed=count)
     for _ in _block_sizes(monkeypatch):
+        expected = _biphoton_oracle(density, count, seed=count)
         for worker_count in (1, 2, 3):
             workers(worker_count)
             _assert_same_bits(sample_biphoton(density, count, seed=count), expected)
 
 
-def test_a_worker_enters_each_stream_once(monkeypatch, workers):
-    # One worker reads the 12 kinds of draw of a sheared batch (the mask,
-    # background t1 and t2, tau cells, their jitters, mean times, and the
-    # cells and jitters of s1, s2 and the cross), each kind from block to
-    # block at contiguous positions: it builds 12 PCG64 streams at any
-    # number of blocks, not 12 per block.
-    workers(1)
+def test_a_sampler_builds_one_stream_per_block(monkeypatch, workers):
+    # A block draws every kind of draw from its own stream, and no stream is
+    # built for anything else: a sheared batch has 12 kinds, but builds one
+    # PCG64 per block on any number of workers.
     m = _mixture_model("quantum")
     kit = DispersionKit(beta_L=-0.8)
+    density = to_time_domain(build_pdc_amplitude(FrequencyGrid(128, 0.25), 0.9, 1.3))
     real = np.random.PCG64
     built = []
     monkeypatch.setattr(np.random, "PCG64", lambda *a, **k: built.append(a) or real(*a, **k))
     for cells in _block_sizes(monkeypatch):
-        built.clear()
-        sample_stationary_sheared(m, kit, 20_000, seed=3)
-        assert 20_000 > BLOCK_CELLS // cells  # more than one block
-        assert len(built) == 12
+        blocks = -(-20_000 // (BLOCK_CELLS // cells))
+        assert blocks > 1
+        for worker_count in (1, 3):
+            workers(worker_count)
+            for sample in (
+                lambda: sample_stationary_sheared(m, kit, 20_000, seed=3),
+                lambda: sample_tau_density(m.profile, 20_000, seed=3),
+                lambda: sample_biphoton(density, 20_000, seed=3),
+            ):
+                built.clear()
+                sample()
+                assert len(built) == blocks
 
 
 def test_all_zero_densities_still_raise_degenerate_state(workers):
@@ -809,49 +832,26 @@ def test_all_zero_densities_still_raise_degenerate_state(workers):
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("length", [1, 3, 1000])
-def test_uniforms_are_addressed_by_stream_position(length):
-    key = _stream_key(42, "stationary-sheared")
-    assert key == int.from_bytes(hashlib.sha256(b"42:stationary-sheared").digest()[:16], "little")
-    starts = list(range(10)) + [4 * k + d for k in (1, 2, 4096, 250_000) for d in (-1, 1)]
-    stream = _generator(42, "stationary-sheared").random(max(starts) + length)
-    for start in starts:
-        got = _uniforms(key, start, np.empty(length))
-        assert np.array_equal(got.view(np.uint64), stream[start : start + length].view(np.uint64)), start
-
-
-def test_a_kept_stream_goes_on_where_its_last_read_ended():
-    key = _stream_key(42, "stationary")
-    stream = _generator(42, "stationary").random(1000)
-    streams = {}
-    bounds = [0, 3, 4, 9, 500, 1000]
-    got = np.concatenate([_uniforms(key, a, np.empty(b - a), streams) for a, b in zip(bounds, bounds[1:])])
-    assert np.array_equal(got.view(np.uint64), stream.view(np.uint64))
-    assert list(streams) == [(key, 1000)]
-    # a read that starts elsewhere enters the stream anew, and keeps both
-    got = _uniforms(key, np.int64(7), np.empty(5), streams)
-    assert np.array_equal(got.view(np.uint64), stream[7:12].view(np.uint64))
-    assert set(streams) == {(key, 1000), (key, 12)}
-
-
-def test_uniforms_keep_their_golden_bits():
-    # The bits of two reads pinned as literals: a numpy whose PCG64,
-    # SeedSequence or Generator.random changed would silently change every
-    # sampled output, and fails here instead.
+def test_block_streams_keep_their_golden_bits():
+    # The bits of the first reads of two blocks pinned as literals: a numpy
+    # whose PCG64, SeedSequence or Generator.random changed would silently
+    # change every sampled output, and fails here instead.  Block 0 reads the
+    # stream from its start, so a batch of one block draws what a single
+    # sequential generator of its key would.
     key = _stream_key(7, "a")
     golden = {
         0: [0x3FDF82CF485A5894, 0x3FDD4C40E80B5DDA, 0x3FE1D1731B66EDB2, 0x3FDF01D509DDAB04],
-        2 ** 40: [0x3FE80CE9AD34C368, 0x3FC38C477D961080, 0x3FE77A0A0FFB15C2, 0x3FD12FBD9C59C92C],
+        16_384: [0x3FD2D831B4D14AAC, 0x3F8834D78F37CD00, 0x3FE43B2E9F79F396, 0x3FEEA85A4466540E],
     }
     for start, bits in golden.items():
-        assert _uniforms(key, start, np.empty(4)).view(np.uint64).tolist() == bits, start
+        assert _block_stream(key, start).random(4).view(np.uint64).tolist() == bits, start
 
 
-def test_uniforms_take_a_numpy_integer_start():
-    # PCG64.advance rejects numpy integers, and a stream position counted
-    # by numpy (np.count_nonzero) is one.
+def test_block_streams_take_a_numpy_integer_start():
+    # A numpy integer start shifted by 64 bits would overflow.
     key = _stream_key(42, "stationary")
-    for start in (0, 3, 4, 250_001):
-        for kind in (np.int64, np.intp, np.uint64, np.int32):
-            got = _uniforms(key, kind(start), np.empty(5))
-            assert np.array_equal(got.view(np.uint64), _uniforms(key, start, np.empty(5)).view(np.uint64))
+    for start in (0, 3, 16_384, 3 * 16_384):
+        want = np.random.Generator(np.random.PCG64(key).advance(start << 64)).random(5)
+        for kind in (int, np.int64, np.intp, np.uint64, np.int32):
+            got = _block_stream(key, kind(start)).random(5)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (start, kind)
