@@ -3,12 +3,13 @@ chunks of the large text tables, spread over forked processes.
 
 A kernel cuts its rows (or columns, or sum-frequency lines, or the events
 of a batch) into blocks of BLOCK_CELLS cells, and `_for_blocks` runs one
-call per block, each worker working one contiguous group of whole blocks
-with its own scratch.  The partition depends on the array's shape alone,
-never on the number of workers, and the per-block results come back in
-block order, so a kernel that adds them up in that order gets every output
-bit the same on any machine.  numpy releases the interpreter lock inside
-its loops, FFTs and random fills, so the groups run in parallel.
+call per block, each worker working one contiguous group of whole blocks.
+A block allocates the temporaries it works in.  The partition depends on
+the array's shape alone, never on the number of workers, and the
+per-block results come back in block order, so a kernel that adds them up
+in that order gets every output bit the same on any machine.  numpy
+releases the interpreter lock inside its loops, FFTs and random fills, so
+the groups run in parallel.
 
 Formatting text holds the interpreter lock, so threads cannot share it.
 `_write_in_groups` instead cuts a table's chunks into one contiguous group
@@ -106,22 +107,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=lambda: _POOL._forget_threads())
 
 
-def _for_blocks(length: int, width: int, fn, scratch=None) -> list:
-    """Call fn(r0, r1, s) on each block of rows r0 .. r1 that tiles 0 .. length; return the results in block order.
+def _for_blocks(length: int, width: int, fn) -> list:
+    """Call fn(r0, r1) on each block of rows r0 .. r1 that tiles 0 .. length; return the results in block order.
 
     A block holds max(1, BLOCK_CELLS // width) rows of `width` cells (all
     rows if fewer), and only the last block may be shorter.  Each worker
-    works one contiguous group of blocks in order, with s = scratch(size)
-    made once for the group, size being the rows of its first (longest)
-    block; s is None without scratch.
+    works one contiguous group of blocks in order.
     """
     rows = min(length, max(1, BLOCK_CELLS // width))
     results = [None] * -(-length // rows)
 
     def group(b0, b1):
-        s = scratch(min(rows, length - b0 * rows)) if scratch is not None else None
         for b in range(b0, b1):
-            results[b] = fn(b * rows, min(b * rows + rows, length), s)
+            results[b] = fn(b * rows, min(b * rows + rows, length))
 
     _POOL.run(len(results), group)
     return results

@@ -68,17 +68,17 @@ def to_time_2d(values, grid):
     scale = (grid.domega / (2.0 * np.pi)) ** 2
     power = np.empty((n, n))
 
-    def rows(r0, r1, _):
+    def rows(r0, r1):
         block = values[r0:r1]
         _centre(block, r0)
         np.fft.fft(block, out=block)
 
-    def columns(c0, c1, _):
+    def columns(c0, c1):
         block = values[:, c0:c1]
         np.fft.fft(block, axis=0, out=block)
         block *= scale
 
-    def square(r0, r1, _):
+    def square(r0, r1):
         block = power[r0:r1]
         np.abs(values[r0:r1], out=block)
         block **= 2

@@ -125,7 +125,7 @@ def _sum_of_squares(values: np.ndarray) -> float:
     # each row's real and imaginary parts, interleaved; a transposed view's storage goes by its columns
     cells = values.ravel(order="K").view(np.float64).reshape(len(values), -1)
 
-    def block_sum(r0, r1, _):
+    def block_sum(r0, r1):
         return np.einsum("ij,ij->", cells[r0:r1], cells[r0:r1])
 
     return float(np.sum(_for_blocks(len(values), len(values), block_sum)))
@@ -174,7 +174,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     scratch = out.reshape(-1).view(np.float64)[: n * n].reshape(n, n)
     raw = np.empty((n, n))
 
-    def exponent(r0, r1, _):
+    def exponent(r0, r1):
         e, s = raw[r0:r1], scratch[r0:r1]
         np.add.outer(w[r0:r1], w, out=e)
         np.square(e, out=e)
@@ -193,7 +193,7 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
 
     # A complex divided by a real is a multiply by its reciprocal in numpy,
     # so this is the division of the plain expression, bit for bit.
-    def scale(r0, r1, _):
+    def scale(r0, r1):
         np.multiply(raw[r0:r1], 1.0 / norm, out=out.real[r0:r1])
         out.imag[r0:r1] = 0.0
 
@@ -219,14 +219,15 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
             f"dispersion phase overflows on |omega| <= {w_max} rad/ps: beta_L = {kit.beta_L!r} ps^2, "
             f"delay_1 = {kit.delay_1!r} ps, delay_2 = {kit.delay_2!r} ps"
         )
-    # Each row's phase is formed in the imaginary part of a one-row scratch
-    # per worker, over a real part of zero, by 1-D ufuncs: broadcast ones
+    # Each row's phase is formed in the imaginary part of a one-row buffer
+    # of its block, over a real part of zero, by 1-D ufuncs: broadcast ones
     # would buffer a block of cells of their own.
     n = w.size
     bw2 = kit.beta_L * w ** 2
     dw2 = kit.delay_2 * w
 
-    def rows(r0, r1, factor):
+    def rows(r0, r1):
+        factor = np.empty(n, dtype=np.complex128)
         phase = factor.imag
         for r in range(r0, r1):
             factor.real = 0.0
@@ -236,7 +237,7 @@ def apply_dispersion_phase(psi: BiphotonAmplitude, kit: DispersionKit) -> Biphot
             np.exp(factor, out=factor)
             np.multiply(values[r], factor, out=values[r])
 
-    _for_blocks(n, n, rows, lambda _: np.empty(n, dtype=np.complex128))
+    _for_blocks(n, n, rows)
     return BiphotonAmplitude(psi.grid, _Owned(values))
 
 
@@ -260,7 +261,7 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     expected = psi._norm / (2.0 * math.pi) ** 2
     _require_parseval("time mass", mass, expected)
 
-    def normalize(r0, r1, _):
+    def normalize(r0, r1):
         block = p[r0:r1]
         block /= mass
 
@@ -310,14 +311,13 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
 
     Line k gathers psi[i, (k - n/2 - i) % n] over i; its centred sum index
     is k - n/2, so its frequency is grid.omegas[k].  Lines are gathered in
-    fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into
-    buffers that each worker reuses for its blocks) from psi's row-major
-    storage, a view of it or one copy of any other layout, and each block
-    is transformed along i in place, up to the sign of each cell, by one
-    batched `_to_time_rows`; an all-zero line transforms to zeros and is
-    skipped.  Per-block sums are added in block order, so the result is
-    that of one thread, bit for bit.  With
-    p = |transform|^2 on the tau grid grid.times, returns
+    fixed blocks of `_blocks.BLOCK_CELLS` cells (`_gather_lines`, into a
+    buffer of the block) from psi's row-major storage, a view of it or one
+    copy of any other layout, and each block is transformed along i in
+    place, up to the sign of each cell, by one batched `_to_time_rows`; an
+    all-zero line transforms to zeros and is skipped.  Per-block sums are
+    added in block order, so the result is that of one thread, bit for
+    bit.  With p = |transform|^2 on the tau grid grid.times, returns
 
         marginal[d] = sum_k p[k, d]        (the cyclic tau marginal)
         weight[k]   = sum_d p[k, d]        (the weight of line k)
@@ -337,28 +337,21 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
     first = np.zeros(n)
     edge = np.zeros(n)
 
-    def block_buffers(rows):
-        cells, spare = np.empty((2, rows, n))
-        return np.empty((rows, n), dtype=np.complex128), cells, spare, np.empty((rows, n), dtype=bool)
-
-    def line_block(k0, k1, buffers):
+    def line_block(k0, k1):
         """The block's marginal, sum |psi|^2 and second-branch sum (every block is full: n is a power of two)."""
-        lines, cells, spare, off_branch = buffers
         rows = k1 - k0
         centred = np.arange(k0, k1) - half
         s = centred % n
+        lines = np.empty((rows, n), dtype=np.complex128)
         unwrapped = min(rows, n - int(s[0]))  # s runs through n - 1 to 0 on a one-block grid alone
         _gather_lines(flat, int(s[0]), lines[:unwrapped])
         if unwrapped < rows:
             _gather_lines(flat, 0, lines[unwrapped:])
-        np.multiply(lines.real, lines.real, out=cells)
-        np.multiply(lines.imag, lines.imag, out=spare)
-        cells += spare
+        cells = lines.real ** 2 + lines.imag ** 2
         # Before its wrap (i <= s) a cell's true sum index is s - n, past it s.
         # The first branch is the one equal to the centred index, and line
         # -n/2 is all second branch.
-        np.less_equal(i, s[:, None], out=off_branch)
-        np.not_equal(off_branch, (centred < 0)[:, None], out=off_branch)
+        off_branch = (i <= s[:, None]) != (centred < 0)[:, None]
         off_branch[centred == -half] = True
         second = cells.sum(where=off_branch)
         line_norm = cells.sum(axis=1)
@@ -367,19 +360,16 @@ def _sum_frequency_lines(psi: BiphotonAmplitude) -> tuple[np.ndarray, np.ndarray
         if m == 0:
             return 0.0, line_norm.sum(), second
         g = _to_time_rows(lines if m == rows else lines[live], grid, lines[:m])
-        p = cells[:m]
-        np.multiply(g.real, g.real, out=p)
-        np.multiply(g.imag, g.imag, out=spare[:m])
-        p += spare[:m]
+        del cells, off_branch  # so that the squares below take their room
+        p = g.real ** 2 + g.imag ** 2
         weight[k0 + live] = p.sum(axis=1)
-        np.multiply(p, tau, out=spare[:m])
-        first[k0 + live] = spare[:m].sum(axis=1)
+        first[k0 + live] = (p * tau).sum(axis=1)
         edge[k0 + live] = p[:, 0]
         return p.sum(axis=0), line_norm.sum(), second
 
     marginal = np.zeros(n)
     norm = second = 0.0
-    for block_marginal, block_norm, block_second in _for_blocks(n, n, line_block, block_buffers):
+    for block_marginal, block_norm, block_second in _for_blocks(n, n, line_block):
         marginal += block_marginal  # in block order, as one thread would
         norm += float(block_norm)
         second += float(block_second)

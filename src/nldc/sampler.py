@@ -34,7 +34,6 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -137,8 +136,8 @@ class EmpiricalWitnessReport:
 # cdf*K, their floor and ceiling, and the bucket edges k/K are exact.
 _GUIDE_CELLS = 1 << 16
 
-# The `_for_blocks` width of an event: its block scratch and temporaries
-# take up to 64 bytes, four 16-byte complex cells of an n x n kernel.
+# The `_for_blocks` width of an event: the temporaries of its block take up
+# to 64 bytes, four 16-byte complex cells of an n x n kernel.
 _EVENT_CELLS = 4
 
 
@@ -156,8 +155,8 @@ def _block_stream(key: int, start: int) -> np.random.Generator:
 class _InverseCdf:
     """Inverse-CDF lookup in weights (need not be normalized), for `count` queries in all.
 
-    draw(u, out, bucket) writes exactly searchsorted(cdf, u, side="right") on
-    the normalized CDF into out; only the route differs.
+    draw(u) returns exactly searchsorted(cdf, u, side="right") on the
+    normalized CDF; only the route differs.
 
     A CDF of at most K = _GUIDE_CELLS cells queried at least K times uses a
     guide table (Chen & Asau, AIIE Trans. 6, 1974).  Bucket k = floor(u*K)
@@ -169,8 +168,9 @@ class _InverseCdf:
     split and each takes 1/K of the queries, so a 1024-cell CDF searches
     under 1.6% of them.  Any other CDF (the n^2-cell biphoton one) is
     searched in sorted query order, which keeps the lookups cache-friendly,
-    and the results are scattered back.  The table is built once; draw only
-    reads it, so blocks of queries may run in parallel.
+    and the results are scattered back.  The table is int32, as no count
+    passes len(cdf) <= K, and built once; draw only reads it, so blocks of
+    queries may run in parallel.
     """
 
     def __init__(self, weights: np.ndarray, count: int):
@@ -183,48 +183,26 @@ class _InverseCdf:
         self.guide = self.split = None
         if len(cdf) <= _GUIDE_CELLS <= count:
             above = np.ceil(cdf * _GUIDE_CELLS).astype(np.intp)
-            self.guide = np.cumsum(np.bincount(above, minlength=_GUIDE_CELLS + 1))
+            self.guide = np.cumsum(np.bincount(above, minlength=_GUIDE_CELLS + 1), dtype=np.int32)
             self.split = self.guide[1:] != self.guide[:-1]
 
-    def draw(self, u: np.ndarray, out: np.ndarray, bucket: np.ndarray) -> np.ndarray:
-        """Indices for the uniforms u, into out; bucket is int64 scratch of the same length.
-
-        The sorted route gathers the sorted uniforms into bucket, viewed as
-        float64.
-        """
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The cell indices of the uniforms u."""
         if self.guide is None:
             order = np.argsort(u)
-            sorted_u = np.take(u, order, out=bucket.view(np.float64), mode="clip")
-            out[order] = np.searchsorted(self.cdf, sorted_u, side="right")
-            return out
-        np.multiply(u, _GUIDE_CELLS, out=bucket, casting="unsafe")  # truncation is the floor
-        # bucket < K as u < 1; mode="clip" spares the buffered copy of out
-        # that mode="raise" makes.
-        np.take(self.guide, bucket, out=out, mode="clip")
+            idx = np.empty(len(u), dtype=np.intp)
+            idx[order] = np.searchsorted(self.cdf, u[order], side="right")
+            return idx
+        bucket = (u * _GUIDE_CELLS).astype(np.intp)  # truncation is the floor
+        idx = self.guide[bucket]
         redo = np.flatnonzero(self.split[bucket])
-        out[redo] = np.searchsorted(self.cdf, u[redo], side="right")
-        return out
+        idx[redo] = np.searchsorted(self.cdf, u[redo], side="right")
+        return idx
 
 
-def _scratch(**dtypes):
-    """A sampler's block scratch: per worker, one buffer of each named dtype, for at most `size` events."""
-    return lambda size: SimpleNamespace(**{name: np.empty(size, dtype=dtype) for name, dtype in dtypes.items()})
-
-
-# The buffers of _draw_cells and _InverseCdf.draw.
-_CELL_BUFFERS = {"u": np.float64, "idx": np.intp, "bucket": np.int64}
-
-
-def _draw_cells(gen, cdf, centers, width, out, s):
-    """centers[i] + (jitter - 0.5) * width for len(out) events, into out: their cell uniforms from gen, then their jitters."""
-    n = len(out)
-    idx = cdf.draw(gen.random(out=s.u[:n]), s.idx[:n], s.bucket[:n])
-    np.take(centers, idx, out=out)
-    jitter = gen.random(out=s.u[:n])
-    jitter -= 0.5
-    jitter *= width
-    out += jitter
-    return out
+def _draw_cells(gen, cdf, centers, width, n):
+    """centers[i] + (jitter - 0.5) * width for n events: their cell uniforms from gen, then their jitters."""
+    return centers[cdf.draw(gen.random(n))] + (gen.random(n) - 0.5) * width
 
 
 def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> EventBatch:
@@ -254,48 +232,35 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
     times = density.grid.times
     period = n * dt
 
-    def block(start, stop, s):
+    def block(start, stop):
         size = stop - start
         gen = _block_stream(key, start)
-        idx = cdf.draw(gen.random(out=s.u[:size]), s.idx[:size], s.bucket[:size])
-        i1, i2 = np.divmod(idx, n, out=(s.bucket[:size], idx))
-        for t, cells in ((t1[start:stop], i1), (t2[start:stop], i2)):
-            np.take(times, cells, out=t)
-            jitter = gen.random(out=s.u[:size])
-            jitter -= 0.5
-            jitter *= dt
-            t += jitter
+        i1, i2 = np.divmod(cdf.draw(gen.random(size)), n)
+        a = times[i1] + (gen.random(size) - 0.5) * dt
+        b = times[i2] + (gen.random(size) - 0.5) * dt
         # half the shift period * round((t1 - t2) / period), applied to both times
-        half = np.subtract(t1[start:stop], t2[start:stop], out=s.u[:size])
-        half /= period
-        np.round(half, out=half)
-        half *= period
-        half *= 0.5
-        t1[start:stop] -= half
-        t2[start:stop] += half
+        half = np.round((a - b) / period) * period * 0.5
+        t1[start:stop] = a - half
+        t2[start:stop] = b + half
 
-    _for_blocks(count, _EVENT_CELLS, block, _scratch(**_CELL_BUFFERS))
+    _for_blocks(count, _EVENT_CELLS, block)
     window = (float(times[0] - 0.5 * dt), float(times[-1] + 0.5 * dt))
     source = f"biphoton(n={n},domega={density.grid.domega:.17g})"
     return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
 
 
-def _draw_mean_times(tau, u, T, t1, t2):
-    """Uniform mean times conditioned on both detections landing in [0, T], into t1 and t2.
+def _draw_mean_times(tau, u, T):
+    """(t1, t2) for uniform mean times conditioned on both detections landing in [0, T].
 
     Given tau (|tau| <= T), that law is tbar = (t1 + t2)/2 uniform on
     [|tau|/2, T - |tau|/2], drawn from one uniform u per event.  t1, t2 >= 0
     holds in floating point (tbar >= |tau|/2); the cap at T absorbs the
-    last-ulp rounding of the sum.  tau and u are overwritten.
+    last-ulp rounding of the sum.
     """
-    abs_tau = np.abs(tau, out=t1)
-    u *= np.subtract(T, abs_tau, out=t2)
-    tbar = np.multiply(abs_tau, 0.5, out=t2)
-    tbar += u
-    tau *= 0.5
-    np.minimum(np.add(tbar, tau, out=t1), T, out=t1)
-    np.minimum(np.subtract(tbar, tau, out=t2), T, out=t2)
-    return t1, t2
+    abs_tau = np.abs(tau)
+    tbar = abs_tau * 0.5 + u * (T - abs_tau)
+    half = tau * 0.5
+    return np.minimum(tbar + half, T), np.minimum(tbar - half, T)
 
 
 def _sample_mixture(key, d: TauDensity, count, sheared=None):
@@ -320,43 +285,36 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
     t1 = np.empty(count)
     t2 = np.empty(count)
 
-    def block(start, stop, s):
+    def block(start, stop):
         gen = _block_stream(key, start)
-        mask = gen.random(out=s.u[: stop - start]) < f_s
+        mask = gen.random(stop - start) < f_s
         bg = np.flatnonzero(~mask)
         sg = np.flatnonzero(mask)
         nb, ns = bg.size, sg.size
         times = (t1[start:stop], t2[start:stop])
         for t in times:
-            u = gen.random(out=s.u[:nb])
-            u *= T
-            t[bg] = u
+            t[bg] = gen.random(nb) * T
         if ns:
-            tau = _draw_cells(gen, tau_cdf, d.taus, d.dt, s.x[:ns], s)
             # Profile mass beyond the window is negligible by the 6x RMS
             # precondition; clamp so the mean-time interval is never empty.
-            np.clip(tau, -T, T, out=tau)
-            u = gen.random(out=s.u[:ns])
-            for t, mean_time in zip(times, _draw_mean_times(tau, u, T, s.v[:ns], s.w[:ns])):
+            tau = np.clip(_draw_cells(gen, tau_cdf, d.taus, d.dt, ns), -T, T)
+            for t, mean_time in zip(times, _draw_mean_times(tau, gen.random(ns), T)):
                 t[sg] = mean_time
         if sheared is None:
             return
-        omega = (s.v[: stop - start], s.w[: stop - start])  # omega1, omega2; 0 on a ridge of zero |x|^2
-        for w in omega:
-            w.fill(0.0)
+        omega = (np.zeros(stop - start), np.zeros(stop - start))  # omega1, omega2; 0 on a ridge of zero |x|^2
         if nb:
             for w, cdf in zip(omega, bg_cdfs):
-                w[bg] = _draw_cells(gen, cdf, omegas, domega, s.x[:nb], s)
+                w[bg] = _draw_cells(gen, cdf, omegas, domega, nb)
         if ns and cross_cdf is not None:
-            ridge = _draw_cells(gen, cross_cdf, omegas, domega, s.x[:ns], s)
+            ridge = _draw_cells(gen, cross_cdf, omegas, domega, ns)
             omega[0][sg] = ridge
-            omega[1][sg] = np.negative(ridge, out=ridge)  # omega2 = -omega1 on the ridge
+            omega[1][sg] = -ridge  # omega2 = -omega1 on the ridge
         for t, w, delay, shift in zip(times, omega, delays, shifts):
             t += delay
-            w *= two_beta
-            shift(t, w, out=t)
+            shift(t, w * two_beta, out=t)
 
-    _for_blocks(count, _EVENT_CELLS, block, _scratch(**_CELL_BUFFERS, v=np.float64, w=np.float64, x=np.float64))
+    _for_blocks(count, _EVENT_CELLS, block)
     return t1, t2
 
 

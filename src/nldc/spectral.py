@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from ._blocks import _for_blocks, _write_in_groups
-from .errors import GridMismatchError, GridTooCoarseError
+from .errors import GridMismatchError, GridTooCoarseError, GridTooNarrowError
 from .moments import _require_finite
 
 SATURATION_RTOL = 1e-9
@@ -78,7 +78,7 @@ def _own_or_copy(values, dtype, what, shape=None, nonnegative=False) -> np.ndarr
         cells = np.atleast_2d(arr.T if arr.flags.f_contiguous else arr)  # a transposed view goes by its columns
         cells = cells.reshape(-1, cells.shape[-1])  # a 1D array is one row, so one block: no thread hand-off
 
-        def faults(r0, r1, _):
+        def faults(r0, r1):
             block = cells[r0:r1]
             return not np.isfinite(block).all(), nonnegative and bool((block < 0.0).any())
 
@@ -206,14 +206,30 @@ def reflected(values: np.ndarray) -> np.ndarray:
 def gaussian_spectrum(
     grid: FrequencyGrid, peak: float, sigma: float, center: float = 0.0
 ) -> SpectralModel:
-    """peak * exp(-(omega - center)^2 / (2*sigma^2)) on the grid."""
+    """peak * exp(-(omega - center)^2 / (2*sigma^2)) on the grid.
+
+    GridTooNarrowError, with ratio = (|center| + 3*sigma) / (n*domega/2) and
+    the half span as limit, unless center +- 3*sigma lies inside the grid,
+    as build_pdc_amplitude requires of its widths.  A Gaussian that rounds
+    to one value on every cell passes: it is a flat spectrum (the zero one
+    included), which the grid holds by definition.
+    """
     _require_finite("peak", peak, at_least=0)
     two_var = _gaussian_divisor("sigma", _require_finite("sigma", sigma, above=0), 2.0)
     _require_finite("center", center)
     with np.errstate(over="ignore"):  # an exponent past the float range is -inf, which exp makes an exact 0
         exponent = -((grid.omegas - center) ** 2)
         exponent /= two_var
-    return SpectralModel(grid, peak * np.exp(exponent))
+    values = peak * np.exp(exponent)
+    half_span = grid.n * grid.domega / 2.0
+    reach = abs(center) + 3.0 * sigma
+    if reach >= half_span and values.min() < values.max():
+        raise GridTooNarrowError(
+            f"grid half-span {half_span} rad/ps does not cover |center| + 3*sigma = {reach}",
+            ratio=reach / half_span,
+            limit=half_span,
+        )
+    return SpectralModel(grid, values)
 
 
 def _gaussian_divisor(name: str, width: float, factor: float) -> float:

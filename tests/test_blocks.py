@@ -73,7 +73,7 @@ def test_one_worker_starts_no_thread(workers):
     workers(1)
     before = threading.active_count()
     calls = []
-    _blocks._for_blocks(1024, 1024, lambda r0, r1, s: calls.append((r0, r1, threading.current_thread())))
+    _blocks._for_blocks(1024, 1024, lambda r0, r1: calls.append((r0, r1, threading.current_thread())))
     assert calls == [(r0, r0 + 64, threading.current_thread()) for r0 in range(0, 1024, 64)]
     psi = build_pdc_amplitude(FrequencyGrid(n=512, domega=0.0625), 0.5, 3.0)
     amplitude_moments(psi)
@@ -83,20 +83,20 @@ def test_one_worker_starts_no_thread(workers):
 
 def test_four_blocks_over_three_workers(workers):
     workers(3)
-    groups, threads = [], {}
+    groups = {}  # the blocks each thread ran, in its order: one thread per group
+    last_group_started = threading.Event()
 
-    def scratch(rows):  # one per group, so it names the group
-        groups.append([])
-        return groups[-1]
-
-    def fn(r0, r1, group):
-        group.append((r0, r1))
-        threads[r0] = threading.current_thread()
+    def fn(r0, r1):
+        if r0 == 4:  # its thread stays busy until the group [2, 3] runs, so no thread runs both
+            assert last_group_started.wait(timeout=30)
+        if r0 == 8:
+            last_group_started.set()
+        groups.setdefault(threading.current_thread(), []).append((r0, r1))
 
     # 16 rows of a quarter block each: 4 blocks of 4 rows.
-    _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, fn, scratch)
-    assert sorted(groups) == [[(0, 4)], [(4, 8)], [(8, 12), (12, 16)]]
-    assert threads[0] is threading.current_thread()
+    _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, fn)
+    assert sorted(groups.values()) == [[(0, 4)], [(4, 8)], [(8, 12), (12, 16)]]
+    assert groups[threading.current_thread()] == [(0, 4)]
 
 
 def test_results_come_back_in_block_order(workers):
@@ -104,7 +104,7 @@ def test_results_come_back_in_block_order(workers):
     last_group_done = threading.Event()
     finished = []
 
-    def fn(r0, r1, s):
+    def fn(r0, r1):
         if r0 == 0:  # block 0, on the caller, waits until the group [2, 3] is done
             assert last_group_done.wait(timeout=30)
         finished.append(r0)
@@ -115,24 +115,8 @@ def test_results_come_back_in_block_order(workers):
     results = _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, fn)
     assert finished.index(12) < finished.index(0)
     assert results == [(0, 4), (4, 8), (8, 12), (12, 16)]
-
-
-@pytest.mark.parametrize("count", [1, 3])
-def test_scratch_is_made_once_per_group(workers, count):
-    workers(count)
-    made = []
-
-    def scratch(rows):
-        made.append(rows)
-        return object()
-
-    got = _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s, scratch)
-    assert made == [4] * count  # for blocks of 4 rows
-    assert len(set(map(id, got))) == count
-    made.clear()  # 6 rows: blocks of 4 and 2 rows; a group of the short block alone gets scratch for 2
-    _blocks._for_blocks(6, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s, scratch)
-    assert sorted(made) == {1: [4], 3: [2, 4]}[count]
-    assert _blocks._for_blocks(16, _blocks.BLOCK_CELLS // 4, lambda r0, r1, s: s) == [None] * 4
+    # 6 rows: only the last block is short
+    assert _blocks._for_blocks(6, _blocks.BLOCK_CELLS // 4, lambda r0, r1: (r0, r1)) == [(0, 4), (4, 6)]
 
 
 def test_a_call_from_a_pool_thread_runs_inline(workers):

@@ -305,6 +305,21 @@ def test_precondition_error_json_carries_ratio_and_limit(
     assert err["limit"] == pytest.approx(limit, rel=1e-12)
 
 
+def test_stationary_spectra_cut_by_the_grid_exit_3(tmp_path, capsys):
+    # Gaussian spectra of sigma 1 rad/ps on a grid spanning +-0.32 rad/ps:
+    # without the span gate the run exits 0 and records var_omega 0.0673
+    # rad^2/ps^2, where the spectra's own is 2.
+    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.01}, window_T_ps=20_000.0)
+    scenario["kit"] = {"beta_L_ps2": 1.0}
+    rc, out_dir = _run(tmp_path, scenario)
+    assert rc == 3
+    err = _stderr_error(capsys)
+    assert err["error"] == "GridTooNarrowError"
+    assert err["ratio"] == pytest.approx(3.0 / 0.32, rel=1e-12)
+    assert err["limit"] == pytest.approx(0.32, rel=1e-12)
+    assert not (out_dir / "runrecord.json").exists()  # no regime recorded
+
+
 @pytest.mark.parametrize(
     "a, b, domega, kit",
     [

@@ -448,8 +448,8 @@ def test_exchanged_density_draws_the_events_of_its_transpose(n):
 # Memory budgets, in complex n x n arrays (16 n^2 bytes) at n = 256.  The
 # kernels these replaced peaked at 4.63 (build), 2.13 (dispersion) and 2.00
 # (density); one more n x n float copy (0.5) breaks each budget below.
-# Dispersion forms its phase one row at a time in a one-row scratch per
-# worker (1/256 each), and every state's finiteness check takes a block of
+# Dispersion forms its phase one row at a time in a one-row buffer per
+# block (1/256 each), and every state's finiteness check takes a block of
 # booleans (1/8 at this n for an amplitude, 1/16 for a density).
 
 def _traced_peak(fn, *args):
@@ -476,9 +476,9 @@ def test_kernels_stay_within_their_memory_budgets():
 
 
 def test_owned_kernels_stay_within_their_memory_budgets(workers):
-    # On two workers.  Dispersion adds its row scratch and then the
+    # On two workers.  Dispersion adds its row buffers and then the
     # finiteness check of its result (0.13 at the peak); a block of phase
-    # scratch per worker (0.125) formed by broadcast ufuncs, which buffer
+    # cells per worker (0.125) formed by broadcast ufuncs, which buffer
     # as many cells again, breaks its budget (0.38-0.51).  The transform
     # adds the density (0.5) alone; the minus draw flattens the exchanged
     # density into its CDF (0.5).  A copy of the amplitude (1) or of a
@@ -521,11 +521,11 @@ def test_sampled_run_stays_within_its_memory_budget(tmp_path, workers, dump, bud
 def test_a_stationary_run_stays_within_its_memory_budget(tmp_path, workers):
     # The benchmark's stationary run: 1e6 events, no events CSV, on two
     # workers, through cli.main.  Drawing a batch sets the peak: its times
-    # (two 8 MB arrays), its signal mask (1 MB), four guide tables (0.6 MB
-    # each) and each worker's scratch for a block of 16,384 events, 20.5
-    # MiB in all.  Forming tau in a new array beside the batch (8 MB) gives
-    # 23.0 MiB, and blocks of 65,536 events (3 MB of scratch per worker)
-    # 26.5 MiB; each breaks the budget.
+    # (two 8 MB arrays), four int32 guide tables (0.26 MB each) and the
+    # temporaries of each worker's block of 16,384 events, 18.1 MiB in all.
+    # Forming tau in a new array beside the batch (8 MB) gives 23.0 MiB,
+    # and blocks of 65,536 events (3 MB of temporaries per worker)
+    # 22.4 MiB; each breaks the budget.
     workers(2)
     gaussian = {"gaussian": {"peak": 1.0, "sigma_rad_ps": 1.0}}
     path = tmp_path / "stationary.json"

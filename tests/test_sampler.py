@@ -164,7 +164,7 @@ def test_mean_times_keep_both_detections_in_the_window():
     T = 7.3
     tau = np.repeat([T, -T, 0.0, T / 2, -T / 2], 4000)
     u = _generator(5, "mean-times").random(len(tau))
-    t1, t2 = _draw_mean_times(tau.copy(), u, T, np.empty(len(tau)), np.empty(len(tau)))
+    t1, t2 = _draw_mean_times(tau, u, T)
     for t in (t1, t2):
         assert np.all((t >= 0.0) & (t <= T))
     assert np.allclose(t1 - t2, tau, rtol=0.0, atol=1e-12 * T)
@@ -432,10 +432,9 @@ K = _GUIDE_CELLS
 
 
 def _inverse_cdf_draw(weights, u):
-    """_InverseCdf(weights, len(u)).draw on u, into fresh arrays."""
+    """_InverseCdf(weights, len(u)).draw on u."""
     u = np.asarray(u, dtype=np.float64)
-    out, bucket = np.empty(len(u), dtype=np.intp), np.empty(len(u), dtype=np.intp)
-    return _InverseCdf(weights, len(u)).draw(u, out, bucket)
+    return _InverseCdf(weights, len(u)).draw(u)
 
 
 def _draw_oracle(weights, u):
@@ -539,6 +538,7 @@ def test_guide_table_counts_what_searchsorted_finds(weights):
     table = _InverseCdf(weights, K)
     assert table.cdf[-1] == 1.0
     edges = np.arange(K + 1) / K
+    assert table.guide.dtype == np.int32  # counts of at most len(cdf) <= K
     assert np.array_equal(table.guide, np.searchsorted(table.cdf, edges, side="right"))
     assert np.array_equal(table.split, table.guide[1:] != table.guide[:-1])
     if weights.sum() == K and np.all(weights == np.round(weights)):

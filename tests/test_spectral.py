@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nldc.errors import AdmissibilityError, GridMismatchError
+from nldc.errors import AdmissibilityError, GridMismatchError, GridTooNarrowError
 from nldc.spectral import (
     FrequencyGrid,
     classical_admissible,
@@ -40,6 +40,21 @@ def test_grid_validation():
     assert grid.omegas[0] == -2.0 and grid.omegas[-1] == 1.75
     assert grid.dt == pytest.approx(2 * math.pi / 4.0)
     assert grid.times[grid.n // 2] == 0.0
+
+
+def test_gaussian_spectra_must_hold_three_sigma_on_the_grid():
+    # G64 spans -16 .. 15.5 rad/ps: |center| + 3*sigma must stay below 16.
+    for build in (gaussian_spectrum, gaussian_cross):
+        with pytest.raises(GridTooNarrowError) as err:
+            build(G64, 1.0, 2.0, -10.0)
+        assert (err.value.ratio, err.value.limit) == (1.0, 16.0)
+        build(G64, 1.0, 2.0, np.nextafter(-10.0, 0.0))
+    # A Gaussian that rounds to one value on every cell is a flat spectrum.
+    assert np.all(gaussian_spectrum(G64, 1.0, 1.0, 1e200).values == 0.0)  # the zero one
+    assert np.all(gaussian_spectrum(G64, 0.0, 10.0).values == 0.0)
+    assert np.all(gaussian_spectrum(G64, 2.0, 1e10).values == 2.0)
+    with pytest.raises(GridTooNarrowError):
+        gaussian_spectrum(G64, 2.0, 1e7)  # flat to 5e-12 only
 
 
 def test_grid_arrays_are_readonly():

@@ -24,6 +24,7 @@ from nldc.errors import (
     AdmissibilityError,
     DegenerateStateError,
     GridTooCoarseError,
+    GridTooNarrowError,
     WindowTooSmallError,
 )
 from nldc import stationary
@@ -298,6 +299,46 @@ def test_classical_extremal_peak_never_beats_the_floor(p1, p2, w1, w2, c1, c2):
     s2 = gaussian_spectrum(grid, p2, w2, c2)
     d = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=50.0).profile
     assert d.signal.max() <= d.background * (1.0 + 1e-9)
+
+
+# The span gate of gaussian_spectrum, over grids n <= 1024.  Truncation at
+# +-3 sigma alone leaves the grid variance 2.7% below sigma^2, so the
+# variance property draws spectra held to +-6 sigma and resolved
+# (sigma >= domega), where it is sigma^2 to about 1e-7.
+
+_GRID_NS = st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=_GRID_NS, domega=st.floats(1e-3, 10.0), data=st.data())
+def test_a_gaussian_spectrum_is_refused_unless_three_sigma_lie_on_the_grid(n, domega, data):
+    grid = FrequencyGrid(n, domega)
+    sigma = domega * data.draw(st.floats(1.0, n / 2.0), label="sigma in cells")
+    center = sigma * data.draw(st.floats(-12.0, 12.0), label="center in sigmas")
+    half_span = n * domega / 2.0
+    reach = abs(center) + 3.0 * sigma
+    for build in (gaussian_spectrum, gaussian_cross):
+        if reach < half_span:
+            build(grid, 1.0, sigma, center)
+            continue
+        with pytest.raises(GridTooNarrowError) as err:
+            build(grid, 1.0, sigma, center)
+        assert (err.value.ratio, err.value.limit) == (reach / half_span, half_span)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=_GRID_NS.filter(lambda n: n >= 16), domega=st.floats(1e-3, 10.0), data=st.data())
+def test_accepted_gaussian_spectra_keep_their_variance_on_the_grid(n, domega, data):
+    grid = FrequencyGrid(n, domega)
+    half_span = n * domega / 2.0
+    sigmas = [domega * data.draw(st.floats(1.0, n / 12.0), label="sigma in cells") for _ in range(2)]
+    centers = [(half_span - 6.0 * s) * data.draw(st.floats(-1.0, 1.0), label="center") for s in sigmas]
+    s1, s2 = (gaussian_spectrum(grid, 1.0, s, c) for s, c in zip(sigmas, centers))
+    m = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=1.0)
+    for spectrum, sigma, center in zip((m.s1, m.s2), sigmas, centers):
+        mean, var = stationary._spectral_moments(spectrum)
+        assert var == pytest.approx(sigma ** 2, rel=1e-3)
+        assert abs(mean - center) <= 1e-3 * sigma
 
 
 def test_profile_csv_rows(tmp_path):
