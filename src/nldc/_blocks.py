@@ -9,7 +9,10 @@ the array's shape alone, never on the number of workers, and the
 per-block results come back in block order, so a kernel that adds them up
 in that order gets every output bit the same on any machine.  numpy
 releases the interpreter lock inside its loops, FFTs and random fills, so
-the groups run in parallel.
+the groups run in parallel.  A pass goes on the pool only when it computes
+(exponentials, FFTs, random draws) or writes pages nothing has touched yet;
+a pass over an array already in memory (a sum of squares, a divide in
+place) is bound by memory, and is faster as one numpy call.
 
 Formatting text holds the interpreter lock, so threads cannot share it.
 `_write_in_groups` instead cuts a table's chunks into one contiguous group

@@ -73,9 +73,10 @@ class BiphotonAmplitude:
 
     Axis 0 is omega1, axis 1 is omega2, both running over grid.omegas.
     values is taken in by `spectral._own_or_copy` (copied, unless package
-    code hands over a fresh array as `_Owned(array)`), and its norm is kept
-    as `_norm`.  A kernel handed the amplitude as `_Owned(psi)` takes its
-    values (`spectral._take`); its repr names its grid alone.
+    code hands over a fresh array as `_Owned(array)`); `_norm`, its sum of
+    squares, is one BLAS-free einsum in storage order (a transpose agrees).
+    A kernel handed the amplitude as `_Owned(psi)` takes its values
+    (`spectral._take`); its repr names its grid alone.
     """
 
     grid: FrequencyGrid
@@ -84,7 +85,8 @@ class BiphotonAmplitude:
     def __post_init__(self):
         n = self.grid.n
         arr = _own_or_copy(self.values, np.complex128, "amplitude", (n, n))
-        norm = _sum_of_squares(arr) * self.grid.domega ** 2
+        cells = arr.ravel(order="K").view(np.float64)
+        norm = float(np.einsum("i,i->", cells, cells)) * self.grid.domega ** 2
         if abs(norm - 1.0) > NORM_RTOL:
             raise ValueError(f"amplitude norm is {norm}, must be 1 within {NORM_RTOL}")
         object.__setattr__(self, "values", arr)
@@ -112,23 +114,6 @@ class JointTemporalDensity:
     @property
     def dt(self) -> float:
         return self.grid.dt
-
-
-def _sum_of_squares(values: np.ndarray) -> float:
-    """sum |values|^2 of an n x n complex array.
-
-    Each block of rows of its storage sums its own squares with no BLAS
-    call (a threaded BLAS keeps spinning on the cores the row blocks need),
-    and the block sums are added in one fixed order, so the value is the
-    same on any machine, and the same for an array and its transpose.
-    """
-    # each row's real and imaginary parts, interleaved; a transposed view's storage goes by its columns
-    cells = values.ravel(order="K").view(np.float64).reshape(len(values), -1)
-
-    def block_sum(r0, r1):
-        return np.einsum("ij,ij->", cells[r0:r1], cells[r0:r1])
-
-    return float(np.sum(_for_blocks(len(values), len(values), block_sum)))
 
 
 def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float) -> BiphotonAmplitude:
@@ -249,23 +234,16 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
     1e-9 means the kernel itself is broken and raises ParsevalError.  psi
     is transformed in its own storage if handed over as `_Owned(psi)`, and
     consumed, so the density, which the transform squares into and this
-    normalizes in place, is the only array this adds; otherwise in one
-    copy of it (`_take`), with the same bits.
+    divides by its mass in place (one numpy call), is the only array this
+    adds; otherwise in one copy of it (`_take`), with the same bits.
     """
     psi, values = _take(psi, "values")
-    n = psi.grid.n
     p = to_time_2d(values, psi.grid)
     del values
-    dt = psi.grid.dt
-    mass = float(p.sum()) * dt * dt
+    mass = float(p.sum()) * psi.grid.dt * psi.grid.dt
     expected = psi._norm / (2.0 * math.pi) ** 2
     _require_parseval("time mass", mass, expected)
-
-    def normalize(r0, r1):
-        block = p[r0:r1]
-        block /= mass
-
-    _for_blocks(n, n, normalize)
+    p /= mass
     return JointTemporalDensity(psi.grid, _Owned(p))
 
 

@@ -818,8 +818,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error too ends in one error line and exit 2, as in `main`
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nldc",
         description="Twin-beam dispersion-cancellation witness toolkit",
     )
@@ -842,8 +847,8 @@ def main(argv=None) -> int:
     p_render.add_argument("--out", help="output directory (default: next to the record)")
     p_render.set_defaults(func=_cmd_render)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except PreconditionError as err:
         _emit_error(type(err).__name__, err)

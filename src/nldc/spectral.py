@@ -316,30 +316,25 @@ def max_classical_cross(s1: SpectralModel, s2: SpectralModel) -> CrossSpectrum:
 _CHUNK_ROWS = 1 << 14
 
 
-def _write_formatted_rows(fh, row_template, cols) -> None:
-    """Write row_template % row for every row of the equal-length columns.
+def _write_table(path, lines, cols) -> None:
+    """The head lines, then the equal-length columns at 17 significant digits, one row per line.
 
-    Each chunk is one `%` of the template repeated per row on the chunk's
-    values in row-major order, which formats every value exactly as a
-    per-row `%` would, so the bytes equal those of a row loop.  Groups of
-    chunks are formatted in parallel processes (`_blocks._write_in_groups`).
+    A chunk of rows is one `%` of the row template repeated on its values
+    in row-major order, so the bytes equal those of a per-row loop; groups
+    of chunks are formatted in forked processes (`_blocks._write_in_groups`).
     """
     n = len(cols[0])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
 
     def write(out, c0, c1):
         for start in range(c0 * _CHUNK_ROWS, min(c1 * _CHUNK_ROWS, n), _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
             block = np.column_stack([c[start:stop] for c in cols])
-            out.write(row_template * (stop - start) % tuple(block.ravel().tolist()))
+            out.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
-    _write_in_groups(fh, -(-n // _CHUNK_ROWS), write)
-
-
-def _write_table(path, lines, cols) -> None:
-    """The head lines, then the equal-length columns at 17 significant digits, one row per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in lines))
-        _write_formatted_rows(fh, ",".join(["%.17g"] * len(cols)) + "\n", cols)
+        _write_in_groups(fh, -(-n // _CHUNK_ROWS), write)
 
 
 def _grid_line(grid: FrequencyGrid) -> str:

@@ -77,9 +77,10 @@ class StationaryPairModel:
         check = classical_admissible if self.regime == "classical" else quantum_admissible
         report = check(self.s1, self.s2, self.cross)
         if not report.ok:
+            note = ": |x|^2 and its bound pass the float range in every cell" if math.isnan(report.worst_ratio) else ""
             raise AdmissibilityError(
                 f"cross-spectrum violates the {self.regime} bound: worst ratio "
-                f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps",
+                f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps{note}",
                 ratio=report.worst_ratio / (1.0 + SATURATION_RTOL),
                 limit=1.0 + SATURATION_RTOL,
                 worst_omega=report.worst_omega,

@@ -28,7 +28,7 @@ import pytest
 from nldc import _blocks, cli
 from nldc.biphoton import amplitude_moments, build_pdc_amplitude, to_time_domain
 from nldc.sampler import EventBatch, events_from_csv, events_to_csv
-from nldc.spectral import _CHUNK_ROWS, FrequencyGrid, _write_formatted_rows
+from nldc.spectral import _CHUNK_ROWS, FrequencyGrid, _write_table
 
 
 class BlockError(Exception):
@@ -324,13 +324,10 @@ def test_formatted_rows_match_the_serial_loop(tmp_path, monkeypatch, workers, co
     forks = _counting_forks(monkeypatch)
     rng = np.random.default_rng(rows)
     cols = (rng.normal(0.0, 1e3, rows), rng.normal(-5.0, 1e-3, rows), np.arange(rows) * 0.1)
-    template = "%.17g,%.17g,%.2f\n"
+    template = "%.17g,%.17g,%.17g\n"
     path = tmp_path / "rows.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("head\n")  # still in the caller's buffer when the children fork
-        _write_formatted_rows(fh, template, cols)
-        fh.write("tail\n")
-    expected = "head\n" + "".join(template % row for row in zip(*cols)) + "tail\n"
+    _write_table(path, ("head",), cols)  # the head line is still in the caller's buffer when the children fork
+    expected = "head\n" + "".join(template % row for row in zip(*cols))
     assert path.read_bytes() == expected.encode("utf-8")
     chunks = -(-rows // _CHUNK_ROWS)
     assert len(forks) == max(min(count, chunks) - 1, 0)  # a table of one chunk or less forks nothing

@@ -577,9 +577,11 @@ def test_a_run_peaks_within_its_memory_estimate(tmp_path, monkeypatch, workers, 
 
 
 def test_line_route_stays_within_its_memory_budget(workers):
-    # Each of two workers holds one block of gathered lines and one block
-    # that serves as |line|^2, spare and transform work (0.25 + 0.25 each at
-    # n = 512); one more block-sized complex copy (0.25) breaks the budget.
+    # Each block allocates its own temporaries: its gathered lines, which
+    # it transforms in place (complex, 0.25 at n = 512), then the float
+    # squares and one float temporary (0.125 each), so 0.5 a block.  Each
+    # of two workers works one block at a time (1.03 in all); one more
+    # block-sized complex copy (0.25) breaks the budget.
     workers(2)
     grid = _grid(512)
     unit = 16 * grid.n ** 2
