@@ -129,13 +129,10 @@ def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float)
     a = _require_finite("pump_sigma", pump_sigma, above=0)
     b = _require_finite("pm_sigma", pm_sigma, above=0)
     half_span = grid.n * grid.domega / 2.0
-    widest = max(a, b)
-    if 3.0 * widest >= half_span:
-        raise GridTooNarrowError(
-            f"grid half-span {half_span} rad/ps does not cover 3*max(a, b) = {3.0 * widest}",
-            ratio=3.0 * widest / half_span,
-            limit=half_span,
-        )
+    reach = 3.0 * max(a, b)
+    GridTooNarrowError._unless_below(
+        f"grid half-span {half_span} rad/ps does not cover 3*max(a, b) = {reach}", reach, half_span
+    )
     for name, width in (("pump_sigma", a), ("pm_sigma", b)):
         if grid.domega < width / 3.0 or width <= grid.domega / 10.0:
             continue
@@ -249,13 +246,8 @@ def to_time_domain(psi: BiphotonAmplitude) -> JointTemporalDensity:
 
 def _require_parseval(what: str, mass: float, expected: float) -> None:
     """ParsevalError (limit NORM_RTOL) unless mass / expected is 1 within NORM_RTOL; a NaN mass fails."""
-    miss = abs(mass / expected - 1.0)
-    if not miss <= NORM_RTOL:
-        raise ParsevalError(
-            f"Parseval identity violated: {what} {mass}, expected {expected}",
-            ratio=miss / NORM_RTOL,
-            limit=NORM_RTOL,
-        )
+    message = f"Parseval identity violated: {what} {mass}, expected {expected}"
+    ParsevalError._unless_at_most(message, abs(mass / expected - 1.0), NORM_RTOL)
 
 
 def _exchanged(density: JointTemporalDensity) -> JointTemporalDensity:
@@ -391,13 +383,10 @@ def _arm_moments(psi: BiphotonAmplitude) -> tuple[TemporalCovariance, TemporalCo
     the first moments 2*tau[0]*edge - first.  Each arm's marginal is checked.
     """
     marginal, weight, first, edge, second = _sum_frequency_lines(psi)
-    if second >= SECOND_BRANCH_LIMIT:
-        raise GridTooNarrowError(
-            f"amplitude reaches |omega1 + omega2| >= n*domega/2 with mass share {second} "
-            f">= {SECOND_BRANCH_LIMIT}; the sum frequency aliases on this grid",
-            ratio=second / SECOND_BRANCH_LIMIT,
-            limit=SECOND_BRANCH_LIMIT,
-        )
+    GridTooNarrowError._unless_below(
+        f"amplitude reaches |omega1 + omega2| >= n*domega/2 with mass share {second} "
+        f">= {SECOND_BRANCH_LIMIT}; the sum frequency aliases on this grid", second, SECOND_BRANCH_LIMIT
+    )
     grid = psi.grid
     tau = grid.times
     lines_total = float(weight.sum())

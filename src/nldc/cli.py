@@ -67,8 +67,8 @@ ENV_OUT_DIR = "NLDC_OUT_DIR"
 # at n = 1024-2048, 79-88 for a stationary one at n = 2^18-2^20), per
 # sampled event (tracemalloc at 1e6 events with jitter: 20-23 with no events
 # CSV, 72 with the CSVs, which keep all three batches) and per worker of
-# the block pool, which each hold their own block buffers (tracemalloc over
-# 1-3 workers: 2.1 MiB per worker for the line route, 0.2 MiB for the
+# the block pool, for the temporaries of the block it computes (tracemalloc
+# over 1-3 workers: 2.1 MiB per worker for the line route, 0.2 MiB for the
 # biphoton sampler and 0.9 MiB for the stationary samplers), rounded up.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _BYTES_PER_CELL = 96
@@ -260,14 +260,18 @@ def _reject_constant(name):
     raise ScenarioError(f"{name} is not a JSON number")
 
 
-def load_scenario(path) -> dict:
-    """Parse strict JSON (no Infinity or NaN) and normalize it."""
+def _read_json(path):
+    """The strict JSON (no Infinity or NaN) in path; ScenarioError if it is not JSON or nests too deep to parse."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh, parse_constant=_reject_constant)
-        except (json.JSONDecodeError, ScenarioError) as err:
+            return json.load(fh, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, RecursionError, ScenarioError) as err:
             raise ScenarioError(f"{path} is not valid JSON: {err}") from err
-    return normalize_scenario(raw)
+
+
+def load_scenario(path) -> dict:
+    """Parse strict JSON and normalize it."""
+    return normalize_scenario(_read_json(path))
 
 
 def _build_grid(grid_spec) -> spc.FrequencyGrid:
@@ -394,14 +398,11 @@ def _require_one_route(label: str, grid_cov: TemporalCovariance, algebra: Tempor
     marginal, the density and the events are then aliased.
     """
     gap = abs(grid_cov.var_tau - algebra.var_tau) / algebra.var_tau
-    if gap > _ROUTE_RTOL:
-        raise GridTooCoarseError(
-            f"the {label} arm's tau lines wrap the time grid: its grid var_tau {grid_cov.var_tau} ps^2 "
-            f"is {gap:.3g} away from the moment algebra's {algebra.var_tau} ps^2 (relative limit "
-            f"{_ROUTE_RTOL}); a finer domega_rad_ps gives a longer time span",
-            ratio=gap / _ROUTE_RTOL,
-            limit=_ROUTE_RTOL,
-        )
+    GridTooCoarseError._unless_at_most(
+        f"the {label} arm's tau lines wrap the time grid: its grid var_tau {grid_cov.var_tau} ps^2 "
+        f"is {gap:.3g} away from the moment algebra's {algebra.var_tau} ps^2 (relative limit "
+        f"{_ROUTE_RTOL}); a finer domega_rad_ps gives a longer time span", gap, _ROUTE_RTOL
+    )
 
 
 def run_scenario(scenario: dict, out_dir: Path, base_dir: Path = Path(".")) -> dict:
@@ -727,8 +728,7 @@ def render_tau_hist(batch: sp.EventBatch, path, edges: np.ndarray) -> None:
 
 def render_record(record_path, out_dir=None) -> list[Path]:
     record_path = Path(record_path)
-    with open(record_path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = _read_json(record_path)
     sampling = record.get("sampling") if isinstance(record, dict) else None
     events = sampling.get("events") if isinstance(sampling, dict) else None
     before = events.get("before") if isinstance(events, dict) else None

@@ -6,15 +6,27 @@ class PreconditionError(ValueError):
 
     The CLI maps these to exit code 3.  Plain ValueError means malformed or
     out-of-range input data and maps to exit code 2.  An error that measured
-    a quantity against a limit carries ratio = measured / limit (>= 1 when
-    raised) and the limit the measured quantity must stay below; the CLI
-    reports both.  Otherwise both are None.
+    a quantity against a limit carries ratio = measured / limit and the
+    limit; the CLI reports both.  Otherwise both are None.  `_unless_below`
+    raises when measured >= limit (the limit itself fails), `_unless_at_most`
+    unless measured <= limit (the limit passes, a NaN fails); so the ratio is
+    >= 1 when either raises, or NaN.
     """
 
     def __init__(self, message, ratio=None, limit=None):
         super().__init__(message)
         self.ratio = ratio
         self.limit = limit
+
+    @classmethod
+    def _unless_below(cls, message, measured, limit):
+        if measured >= limit:
+            raise cls(message, ratio=measured / limit, limit=limit)
+
+    @classmethod
+    def _unless_at_most(cls, message, measured, limit):
+        if not measured <= limit:
+            raise cls(message, ratio=measured / limit, limit=limit)
 
 
 class GridMismatchError(PreconditionError):

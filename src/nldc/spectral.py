@@ -142,12 +142,8 @@ def _require_unwrapped(mass: np.ndarray, what: str) -> None:
     grid, so it must stay below EDGE_MASS_LIMIT.
     """
     edge = float(mass[0] + mass[1] + mass[-2] + mass[-1])
-    if edge >= EDGE_MASS_LIMIT:
-        raise GridTooCoarseError(
-            f"{what} wraps the time grid: edge mass {edge} >= {EDGE_MASS_LIMIT}",
-            ratio=edge / EDGE_MASS_LIMIT,
-            limit=EDGE_MASS_LIMIT,
-        )
+    message = f"{what} wraps the time grid: edge mass {edge} >= {EDGE_MASS_LIMIT}"
+    GridTooCoarseError._unless_below(message, edge, EDGE_MASS_LIMIT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +219,9 @@ def gaussian_spectrum(
     values = peak * np.exp(exponent)
     half_span = grid.n * grid.domega / 2.0
     reach = abs(center) + 3.0 * sigma
-    if reach >= half_span and values.min() < values.max():
-        raise GridTooNarrowError(
-            f"grid half-span {half_span} rad/ps does not cover |center| + 3*sigma = {reach}",
-            ratio=reach / half_span,
-            limit=half_span,
+    if values.min() < values.max():
+        GridTooNarrowError._unless_below(
+            f"grid half-span {half_span} rad/ps does not cover |center| + 3*sigma = {reach}", reach, half_span
         )
     return SpectralModel(grid, values)
 

@@ -164,12 +164,9 @@ class TauDensity:
         mean = float((tau * weights).sum())
         var = float((((tau - mean) ** 2) * weights).sum())
         rms = math.sqrt(var + mean * mean)
-        if self.window < 6.0 * rms:
-            raise WindowTooSmallError(
-                f"window T = {self.window} ps must cover 6x the signal RMS width {rms} ps",
-                ratio=6.0 * rms / self.window,
-                limit=self.window,
-            )
+        WindowTooSmallError._unless_at_most(
+            f"window T = {self.window} ps must cover 6x the signal RMS width {rms} ps", 6.0 * rms, self.window
+        )
         return mean, var, total
 
     @cached_property

@@ -840,6 +840,36 @@ def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
     assert err["error"] == "ScenarioError" and "Infinity" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "scan", "render"])
+def test_json_nested_past_the_parser_depth_exits_2(tmp_path, capsys, command):
+    # 100,000 nested lists: the scenario itself, or a run record's sampling block.
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep if command != "render" else '{"sampling": ' + deep + "}")
+    extra = ["--param", "kit.beta_L_ps2", "--values", "1"] if command == "scan" else []
+    rc = cli.main([command, str(path), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "ScenarioError" and "recursion" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_record_holding_nan_exits_2(tmp_path, capsys):
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
+    assert rc == 0
+    record = _record(out_dir)
+    record["sampling"]["nan"] = math.nan
+    (out_dir / "runrecord.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    rc = cli.main(["render", str(out_dir / "runrecord.json"), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ScenarioError" and "NaN" in err["message"]
+    assert not (tmp_path / "plots").exists()
+
+
 def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
     # A broken kernel exits 3 in either transform: the 1D one behind the
     # moments of every biphoton run, and the 2D one behind the density dump.

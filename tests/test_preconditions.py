@@ -6,6 +6,8 @@ takes an array reads "<what> must have shape <shape>, got <shape>", then
 "<what> must be finite" and, for the non-negative ones, "<what> must be
 >= 0", whether the array is copied or handed over.  The texts are written
 out here in full, so a site that words its own check differently fails.
+A quantity checked against a limit goes through one of two checks, pinned
+at the limit itself.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from nldc.biphoton import BiphotonAmplitude, JointTemporalDensity, build_pdc_amplitude
+from nldc.errors import GridTooCoarseError
 from nldc.moments import DispersionKit, TemporalCovariance, apply_jitter, jitter_feasibility
 from nldc.sampler import EventBatch, estimate_tau_stats
 from nldc.spectral import (
@@ -151,3 +154,32 @@ def test_take_copies_a_plain_state_and_leaves_it_readable():
             assert np.array_equal(array, before) and not np.shares_memory(array, getattr(state, name))
             array[...] = -1.0
             assert np.array_equal(getattr(state, name), before) and not getattr(state, name).flags.writeable
+
+
+# (method, measured, raised) against a limit of 2: the strict check fails
+# at the limit, the inclusive one passes it and fails a NaN.
+LIMIT_CASES = [
+    ("_unless_below", np.nextafter(2.0, 0.0), False),
+    ("_unless_below", 2.0, True),
+    ("_unless_below", 3.0, True),
+    ("_unless_below", math.nan, False),
+    ("_unless_at_most", 2.0, False),
+    ("_unless_at_most", np.nextafter(2.0, 3.0), True),
+    ("_unless_at_most", 3.0, True),
+    ("_unless_at_most", math.nan, True),
+]
+
+
+@pytest.mark.parametrize("method, measured, raised", LIMIT_CASES)
+def test_limit_checks_raise_on_their_boundary_with_ratio_and_limit(method, measured, raised):
+    check = getattr(GridTooCoarseError, method)
+    if not raised:
+        assert check("never shown", measured, 2.0) is None
+        return
+    with pytest.raises(GridTooCoarseError) as err:
+        check("too far", measured, 2.0)
+    assert str(err.value) == "too far" and err.value.limit == 2.0
+    if math.isnan(measured):
+        assert math.isnan(err.value.ratio)
+    else:
+        assert err.value.ratio == measured / 2.0 and err.value.ratio >= 1.0
