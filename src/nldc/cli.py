@@ -667,7 +667,7 @@ def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts)
     values = np.column_stack([np.broadcast_to(column, counts.shape)[full] for column in columns])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" viewBox="0 0 {_WIDTH} {height}">\n'
-        f"<title>{title}</title>\n"
+        f"<title>{title.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</title>\n"
         f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="white"/>\n'
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" height="{height - 2 * _MARGIN}" '
         'fill="none" stroke="black" stroke-width="1"/>\n',

@@ -175,9 +175,11 @@ class _InverseCdf:
 
     def __init__(self, weights: np.ndarray, count: int):
         cdf = np.array(weights, order="C").reshape(-1)  # flat, in row-major order, whatever the layout of weights
-        np.cumsum(cdf, out=cdf)
+        with np.errstate(over="ignore"):  # a total past the float range is inf, rejected below
+            np.cumsum(cdf, out=cdf)
         if cdf[-1] <= 0.0:
             raise DegenerateStateError("cannot sample from an all-zero density")
+        _require_finite("the total weight of the density to sample from", float(cdf[-1]))
         cdf /= cdf[-1]
         self.cdf = cdf
         self.guide = self.split = None
@@ -263,13 +265,17 @@ def _draw_mean_times(tau, u, T):
     return np.minimum(tbar + half, T), np.minimum(tbar - half, T)
 
 
-def _sample_mixture(key, d: TauDensity, count, sheared=None):
-    """(t1, t2) of the windowed background/signal mixture d, each block drawn in the order of the module docstring.
+def _sample_mixture(d, count, seed, label, source, window, sheared=None) -> EventBatch:
+    """count events of the windowed mixture d as a batch, from the (seed, label) stream in the module docstring's order.
 
-    sheared = (model, kit) also gives every event its frequencies and
-    shifts each time by its group delay.  The tables are built before the
-    blocks, for the kinds of event the signal fraction allows.
+    sheared = (model, kit), with d None, takes d from the model's profile
+    once count is checked, and draws every event's frequencies and group
+    delays.  The tables, built first for the kinds of event the signal
+    fraction allows, go before the batch is checked.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    d = d if sheared is None else sheared[0].profile
     T = d.window
     f_s = d.windowed.signal_fraction
     tau_cdf = _InverseCdf(d.signal * d.dt, count) if f_s > 0.0 else None
@@ -278,10 +284,11 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
         omegas, domega = m.grid.omegas, m.grid.domega
         bg_cdfs = (_InverseCdf(m.s1.values, count), _InverseCdf(m.s2.values, count)) if f_s < 1.0 else None
         mag2 = np.abs(m.cross.values) ** 2
-        cross_cdf = _InverseCdf(mag2, count) if f_s > 0.0 and mag2.sum() > 0.0 else None
+        cross_cdf = _InverseCdf(mag2, count) if f_s > 0.0 and mag2.any() else None
         two_beta = 2.0 * kit.beta_L
         delays = (kit.delay_1, kit.delay_2)
         shifts = (np.add, np.subtract)  # t1 + 2*beta_L*w1, t2 - 2*beta_L*w2
+    key = _stream_key(seed, label)
     t1 = np.empty(count)
     t2 = np.empty(count)
 
@@ -315,21 +322,13 @@ def _sample_mixture(key, d: TauDensity, count, sheared=None):
             shift(t, w * two_beta, out=t)
 
     _for_blocks(count, _EVENT_CELLS, block)
-    return t1, t2
+    tau_cdf = bg_cdfs = cross_cdf = None  # the batch's finite check takes a byte per event
+    return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=window)
 
 
 def sample_tau_density(d: TauDensity, count: int, seed: int, source: str = "tau-density") -> EventBatch:
     """Events of the windowed background/signal mixture described by d."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    t1, t2 = _sample_mixture(_stream_key(seed, "stationary"), d, count)
-    return EventBatch(
-        t1=_Owned(t1),
-        t2=_Owned(t2),
-        seed=seed,
-        source=f"{source}(T={d.window:.17g})",
-        window=(0.0, d.window),
-    )
+    return _sample_mixture(d, count, seed, "stationary", f"{source}(T={d.window:.17g})", (0.0, d.window))
 
 
 def sample_stationary_sheared(
@@ -345,11 +344,8 @@ def sample_stationary_sheared(
     which realises the covariance shear per event.  Times may leave the
     shutter window, so the batch is unwindowed.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    t1, t2 = _sample_mixture(_stream_key(seed, "stationary-sheared"), m.profile, count, (m, kit))
     source = f"stationary-{m.regime}-sheared(beta_L={kit.beta_L:.17g},T={m.window:.17g})"
-    return EventBatch(t1=_Owned(t1), t2=_Owned(t2), seed=seed, source=source, window=None)
+    return _sample_mixture(None, count, seed, "stationary-sheared", source, None, (m, kit))
 
 
 def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> TauStats:
@@ -398,8 +394,8 @@ def empirical_witness(
 
     before must be the undispersed source, after_plus/after_minus the two
     swap configurations of the same source.  Raises DegenerateStateError
-    when the before variance is consistent with zero at 3 sigma, where the
-    bound rhs = v0 + (2*beta_L)^2/v0 cannot be evaluated meaningfully.
+    when the before variance is consistent with zero at 3 sigma or the
+    error term of the bound rhs = v0 + (2*beta_L)^2/v0 leaves the float range.
     """
     v0 = before.var_tau
     if v0 <= 3.0 * before.stderr:
@@ -410,12 +406,15 @@ def empirical_witness(
     lhs = 0.5 * (after_plus.var_tau + after_minus.var_tau)
     rhs = v0 + two_bl ** 2 / v0
     margin = rhs - lhs
-    drhs_dv0 = 1.0 - two_bl ** 2 / (v0 * v0)
-    margin_var = (
-        0.25 * after_plus.stderr ** 2
-        + 0.25 * after_minus.stderr ** 2
-        + (drhs_dv0 * before.stderr) ** 2
-    )
+    try:  # v0 * v0 may underflow to 0, and a float ** raises past the float range
+        drhs_dv0 = 1.0 - two_bl ** 2 / (v0 * v0)
+        margin_var = (
+            0.25 * after_plus.stderr ** 2
+            + 0.25 * after_minus.stderr ** 2
+            + (drhs_dv0 * before.stderr) ** 2
+        )
+    except (ZeroDivisionError, OverflowError):
+        raise DegenerateStateError(f"the bound's error term leaves the float range at var_tau = {v0}") from None
     margin_stderr = math.sqrt(margin_var)
     if margin_stderr > 0.0:
         significance = margin / margin_stderr

@@ -227,12 +227,12 @@ def gaussian_spectrum(
 
 
 def _gaussian_divisor(name: str, width: float, factor: float) -> float:
-    """factor * width ** 2, a Gaussian exponent's divisor; ValueError naming the width if width^2 overflows or it is 0.
+    """factor * width ** 2, a Gaussian exponent's divisor; ValueError naming the width if the divisor overflows or is 0.
 
     A tiny divisor is kept: the exponent's -inf off the centre is the delta limit.
     """
     square = width ** 2 if math.isfinite(width * width) else math.inf  # a float power raises on overflow
-    if not 0.0 < square < math.inf:
+    if not 0.0 < factor * square < math.inf:
         raise ValueError(f"{name} = {width!r} rad/ps is out of range: {name}^2 rounds to {square!r}")
     return factor * square
 

@@ -28,7 +28,7 @@ mixture; finite-window broadening of the Omega = 0 line is neglected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,39 +52,38 @@ from .spectral import (
     require_same_grid,
 )
 
-REGIMES = ("quantum", "classical")
-
 
 @dataclass(frozen=True, eq=False)
 class StationaryPairModel:
     """Two stationary beams, their cross-spectrum and a shutter window T (ps).
 
-    The declared regime's admissibility bound is checked at construction;
-    an inadmissible model never exists.
+    regime is worked out at construction: "classical" within the classical
+    ceiling, else "quantum" within the quantum bound (checked only then),
+    else AdmissibilityError, so an inadmissible model never exists.
     """
 
     s1: SpectralModel
     s2: SpectralModel
     cross: CrossSpectrum
     window: float
-    regime: str
+    regime: str = field(init=False)
 
     def __post_init__(self):
         require_same_grid(self.s1, self.s2, self.cross)
         _require_finite("window", self.window, above=0)
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        check = classical_admissible if self.regime == "classical" else quantum_admissible
-        report = check(self.s1, self.s2, self.cross)
+        regime, report = "classical", classical_admissible(self.s1, self.s2, self.cross)
+        if not report.ok:
+            regime, report = "quantum", quantum_admissible(self.s1, self.s2, self.cross)
         if not report.ok:
             note = ": |x|^2 and its bound pass the float range in every cell" if math.isnan(report.worst_ratio) else ""
             raise AdmissibilityError(
-                f"cross-spectrum violates the {self.regime} bound: worst ratio "
+                "cross-spectrum violates the quantum bound: worst ratio "
                 f"{report.worst_ratio} at omega = {report.worst_omega} rad/ps{note}",
                 ratio=report.worst_ratio / (1.0 + SATURATION_RTOL),
                 limit=1.0 + SATURATION_RTOL,
                 worst_omega=report.worst_omega,
             )
+        object.__setattr__(self, "regime", regime)
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -106,16 +105,8 @@ class StationaryPairModel:
 def make_pair_model(
     s1: SpectralModel, s2: SpectralModel, cross: CrossSpectrum, window: float
 ) -> StationaryPairModel:
-    """Construct a model, classifying the regime from the admissibility checks.
-
-    A cross-spectrum inside the classical ceiling is recorded as classical;
-    one that needs the spontaneous term is quantum; anything above the
-    quantum bound is rejected.
-    """
-    try:
-        return StationaryPairModel(s1, s2, cross, window, "classical")
-    except AdmissibilityError:
-        return StationaryPairModel(s1, s2, cross, window, "quantum")
+    """The model of the two beams, its cross-spectrum and window; its regime is worked out at construction."""
+    return StationaryPairModel(s1, s2, cross, window)
 
 
 @dataclass(frozen=True, eq=False)

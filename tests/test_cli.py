@@ -22,6 +22,7 @@ import sys
 import tomllib
 import types
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
@@ -645,8 +646,16 @@ def _with_widths(pump=1e-4, pm=10.0):
         # 4*width^2 underflows to 0: numpy warned of a divide by zero before "amplitude must be finite".
         (_with_widths(pump=1e-162), 2, "pump_sigma = 1e-162 rad/ps is out of range: pump_sigma^2 rounds to 0.0"),
         (_with_widths(pm=1e-162), 2, "pm_sigma = 1e-162 rad/ps is out of range: pm_sigma^2 rounds to 0.0"),
+        # 2*sigma^2 overflows though sigma^2 does not: numpy warned of an invalid divide off the grid's centre
+        # before "spectrum values must be finite", and at centre 0 the spectrum was set flat to the peak.
+        (_stationary_scenario(s2={"gaussian": {"peak": 1, "sigma_rad_ps": 1e154, "center_rad_ps": 1e300}}), 2,
+         "sigma = 1e+154 rad/ps is out of range: sigma^2 rounds to 1e+308"),
+        (_stationary_scenario(s2={"gaussian": {"peak": 1, "sigma_rad_ps": 9.481e153}}), 2,
+         "sigma = 9.481e+153 rad/ps is out of range: sigma^2 rounds to 8.9889361e+307"),
+        (_stationary_scenario(s2={"gaussian": {"peak": 1, "sigma_rad_ps": 9.48e153}}), 0, None),
     ],
-    ids=["sigma-1e308", "sigma-1e-300", "pump-1e-155", "pm-1e-155", "pump-1e-162", "pm-1e-162"],
+    ids=["sigma-1e308", "sigma-1e-300", "pump-1e-155", "pm-1e-155", "pump-1e-162", "pm-1e-162",
+         "sigma-1e154-center-1e300", "sigma-9.481e153", "sigma-9.48e153"],
 )
 def test_extreme_gaussian_widths_exit_quietly(tmp_path, capsys, scenario, rc, message):
     # Every warning is an error under pytest, so a numpy warning fails the run itself.
@@ -811,6 +820,21 @@ def test_extreme_spectrum_magnitudes_and_centres_end_quietly(tmp_path, capsys, s
         assert message in _strict_json(outcome[1][0])["message"]
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_a_ridge_whose_squares_sum_past_the_float_range_is_not_sampled(tmp_path, capsys, sampled):
+    # Flat S1 = S2 = 1e154 on n = 64: the classical-extremal cross has |x|^2 = 1e308 in every cell, and the
+    # sum overflows.  The sampler's ridge CDF was inf, then nan, under numpy warnings, and the run exited 0.
+    flat = {"flat": {"value": 1e154}}
+    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.0625}, s1=flat, s2=flat, window_T_ps=1.0)
+    if sampled:
+        scenario["sampler"] = {"n_events": 100, "seed": 9}
+    rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
+    assert quiet and rc == (2 if sampled else 0), (rc, lines, caught)
+    if sampled:
+        message = _strict_json(lines[0])["message"]
+        assert message == "the total weight of the density to sample from must be finite, got inf"
+
+
 def test_infinite_significance_is_written_as_null(tmp_path, monkeypatch):
     real = sampler.empirical_witness
 
@@ -828,6 +852,25 @@ def test_infinite_significance_is_written_as_null(tmp_path, monkeypatch):
     assert empirical["significance"] is None
     assert empirical["significance_reason"] in ("not finite: inf", "not finite: -inf")
     assert empirical["margin_stderr_ps2"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "window, beta_L", [(1e-85, 0.8), (1e-70, 1e10)], ids=["v0-squared-underflows", "error-term-overflows"]
+)
+def test_a_sampled_witness_whose_error_term_leaves_the_float_range_is_not_evaluable(tmp_path, capsys, window, beta_L):
+    # Before-batch var_tau is about window^2/6: its square underflowed to 0 (a ZeroDivisionError traceback,
+    # exit 1), or (drhs_dv0 * stderr) ** 2 overflowed (an OverflowError, as a float ** raises).
+    flat = {"flat": {"value": 1}}
+    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.0625}, s1=flat, s2=flat, window_T_ps=window)
+    scenario["kit"] = {"beta_L_ps2": beta_L}
+    scenario["sampler"] = {"n_events": 1000, "seed": 1}
+    rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
+    assert (rc, lines, caught) == (0, [], [])
+    record = _record(tmp_path / "o")
+    assert record["witness"]["evaluable"] is False
+    empirical = record["sampling"]["empirical_witness"]
+    assert empirical["evaluable"] is False
+    assert "error term leaves the float range" in empirical["reason"]
 
 
 def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
@@ -1741,6 +1784,18 @@ def test_render_tau_hist_matches_the_bar_loop(tmp_path, rows, window, equal):
     path = tmp_path / "tau_hist.svg"
     cli.render_tau_hist(batch, path, cli._tau_edges(batch.tau))
     assert path.read_bytes() == _tau_hist_oracle(batch)
+
+
+def test_render_escapes_the_source_in_the_svg_titles(tmp_path):
+    # The title held the events file's source text as written, so "<" and "&" made both SVGs ill-formed XML.
+    rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
+    assert rc == 0
+    events = out_dir / "events_before.csv"
+    events.write_text("# seed=1 window=0,10 source=a<b&c\nt1_ps,t2_ps\n1,2\n3,1.5\n9,8\n")
+    assert cli.main(["render", str(out_dir / "runrecord.json")]) == 0
+    for name, title in (("scatter.svg", "detection times"), ("tau_hist.svg", "tau histogram")):
+        root = ET.parse(out_dir / name).getroot()
+        assert root.find("{http://www.w3.org/2000/svg}title").text == f"{title}: a<b&c"
 
 
 def test_render_requires_sampled_events(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The command line contract over extreme covariance scenarios.
+"""The command line contract over extreme covariance and stationary scenarios.
 
 A bare covariance state has no grid, so each example runs in milliseconds.
 Every covariance field, every kit field and jitter_sigma_ps is drawn from
@@ -8,12 +8,16 @@ that no float holds), of either sign, and each scenario goes through
 the values, the command must end in one of the three exit codes: 0 with
 nothing on stderr and a strict-JSON run record, or 2 or 3 with exactly one
 strict-JSON error line and no output file; and it must raise no warning.
+Stationary scenarios keep the same contract on grids of 8 to 256 cells:
+flat or Gaussian spectra, the classical-extremal cross, the window and the
+kit drawn from the same values, and half of them sampled.
 
 `nldc render` keeps the same contract over doctored inputs: a run record
 of a small biphoton run with parts of the wrong type, nested too deep or
 pointing at an events file that is missing or a directory, and events
-files with bad first lines, bodies of 0 to 3 columns and times at the
-edges of the float range.  Exit 0 writes two whole SVG files.
+files with bad first lines, sources holding XML markup, bodies of 0 to 3
+columns and times at the edges of the float range.  Exit 0 writes two
+SVG files that parse as XML.
 """
 
 import contextlib
@@ -22,6 +26,7 @@ import io
 import json
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +92,57 @@ def test_covariance_scenarios_keep_the_command_line_contract(tmp_path_factory, s
     _check_contract(scan, root / "scan", ["scan_kit_beta_L_ps2.csv"])
 
 
+# A stationary scenario draws up to 13 numbers, so one in four is extreme (one in two above), so that most
+# scenarios pass the schema and reach the sampler with a few extreme fields.  Each is one draw from a table
+# (1, or a magnitude of one sign in five negative), as the nested draws took half the time of the property.
+_EXTREME_FIELDS = tuple(sign * m for m in _MAGNITUDES for sign in (1, 1, 1, 1, -1))
+_fields = st.sampled_from((1,) * (3 * len(_EXTREME_FIELDS)) + _EXTREME_FIELDS)
+# Spectra: flat or Gaussian, and for the cross also the classical extreme.
+_spectra = st.one_of(
+    st.builds(lambda value: {"flat": {"value": value}}, _fields),
+    st.builds(
+        lambda *v: {"gaussian": dict(zip(("peak", "sigma_rad_ps", "center_rad_ps"), v))}, _fields, _fields, _fields
+    ),
+)
+# Windows whose before-batch var_tau, about T^2/6 with no jitter, has a square that underflows (1e-85) or
+# an error term that can overflow (1e-70).
+_windows = st.one_of(st.sampled_from([1e-85, 1e-70]), _fields)
+_samplers = st.fixed_dictionaries({"n_events": st.integers(2, 1000), "seed": st.integers(0, 9)})
+
+
+@st.composite
+def _stationary_scenarios(draw):
+    scenario = {
+        "state": {
+            "stationary": {
+                "grid": {"n": draw(st.sampled_from([8, 16, 64, 256])), "domega_rad_ps": 0.0625},
+                "s1": draw(_spectra),
+                "s2": draw(_spectra),
+                "cross": draw(st.one_of(st.just("classical-extremal"), _spectra)),
+                "window_T_ps": draw(_windows),
+            }
+        },
+        "kit": {name: draw(_fields) for name in _KIT_FIELDS},
+        "jitter_sigma_ps": draw(st.one_of(st.just(0), _fields)),
+    }
+    sampler = draw(st.one_of(_samplers, st.none()))
+    if sampler is not None:
+        scenario["sampler"] = sampler
+    return scenario
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_stationary_scenarios(), _numbers, _numbers)
+def test_stationary_scenarios_keep_the_command_line_contract(tmp_path_factory, scenario, a, b):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    if _check_contract(["run", str(path)], root / "run", ["runrecord.json"]) == 0:
+        _strict_json((root / "run" / "runrecord.json").read_text())
+    scan = ["scan", str(path), "--param", "kit.beta_L_ps2", f"--values={a!r},{b!r}"]
+    _check_contract(scan, root / "scan", ["scan_kit_beta_L_ps2.csv"])
+
+
 @pytest.fixture(scope="module")
 def sampled_record(tmp_path_factory):
     """The run record and events CSV text of one small sampled biphoton run."""
@@ -109,6 +165,7 @@ def _check_render(root, record_text, events_text):
         for name in plots:
             svg = (out_dir / name).read_text()
             assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+            ET.fromstring(svg)  # well-formed XML
 
 
 # Each doctored record sets one part of the run's record, named by its key
@@ -149,7 +206,8 @@ _TIMES = (0.0, 1.0, -2.5, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max)
 
 @st.composite
 def _events(draw):
-    first, header, columns = "# seed=2 window=none source=doctored", "t1_ps,t2_ps", 2
+    first = f"# seed=2 window=none source={draw(st.text('doctored<&>', max_size=8))}"
+    header, columns = "t1_ps,t2_ps", 2
     part = draw(st.sampled_from(["times", "times", "first line", "header", "columns"]))
     if part == "first line":
         first = draw(st.sampled_from(_FIRST_LINES))

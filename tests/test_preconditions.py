@@ -40,7 +40,7 @@ SIGNAL = np.exp(-GRID.times ** 2)
 
 def _pair_model(window):
     beam = flat_spectrum(GRID, 1.0)
-    return StationaryPairModel(beam, beam, flat_cross(GRID, 1.0), window, "quantum")
+    return StationaryPairModel(beam, beam, flat_cross(GRID, 1.0), window)
 
 
 # (name, bound, call): bound is "" (finite), "> 0" or ">= 0", and call(v)

@@ -138,7 +138,7 @@ def test_variance_grows_quadratically_with_window():
     x = max_classical_cross(s1, s2)
     var = {}
     for T in (200.0, 400.0):
-        m = StationaryPairModel(s1, s2, x, T, "classical")
+        m = StationaryPairModel(s1, s2, x, T)
         var[T] = m.profile.windowed.variance
     ratio = var[400.0] / var[200.0]
     # The fixed-width ridge dilutes away, leaving the T^2/6 law.
@@ -226,16 +226,15 @@ def test_make_pair_model_checks_each_regime_once(
     assert calls == {"classical": classical_calls, "quantum": quantum_calls}
 
 
-def test_declared_regime_is_enforced_at_construction():
+def test_the_model_works_out_its_regime_at_construction():
     s1, s2 = _unit_gauss_pair(GRID)
-    beyond_classical = gaussian_cross(GRID, 1.2, 1.0)
-    with pytest.raises(AdmissibilityError):
-        StationaryPairModel(s1, s2, beyond_classical, 10.0, "classical")
+    assert StationaryPairModel(s1, s2, gaussian_cross(GRID, 1.2, 1.0), 10.0).regime == "quantum"
     ok = gaussian_cross(GRID, 0.5, 1.0)
+    assert StationaryPairModel(s1, s2, ok, 10.0).regime == "classical"
+    with pytest.raises(AdmissibilityError):
+        StationaryPairModel(s1, s2, gaussian_cross(GRID, 2.0, 1.0), 10.0)
     with pytest.raises(ValueError):
-        StationaryPairModel(s1, s2, ok, 10.0, "thermal")
-    with pytest.raises(ValueError):
-        StationaryPairModel(s1, s2, ok, 0.0, "classical")
+        StationaryPairModel(s1, s2, ok, 0.0)
 
 
 def test_tau_density_validation():
