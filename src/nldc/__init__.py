@@ -72,7 +72,6 @@ from .stationary import (
     StationaryPairModel,
     TauDensity,
     WindowedTauStats,
-    make_pair_model,
     tau_density_to_csv,
     windowed_covariance,
 )
@@ -97,8 +96,8 @@ __all__ = [
     "apply_dispersion_phase", "to_time_domain", "amplitude_moments",
     "density_to_binary",
     # stationary
-    "StationaryPairModel", "TauDensity", "WindowedTauStats", "make_pair_model",
-    "windowed_covariance", "tau_density_to_csv",
+    "StationaryPairModel", "TauDensity", "WindowedTauStats", "windowed_covariance",
+    "tau_density_to_csv",
     # sampler
     "EventBatch", "TauStats", "EmpiricalWitnessReport", "derive_seed",
     "sample_biphoton", "sample_tau_density", "sample_stationary_sheared",

@@ -106,14 +106,10 @@ class JointTemporalDensity:
 
     def __post_init__(self):
         arr = _own_or_copy(self.values, np.float64, "density", (self.grid.n,) * 2, nonnegative=True)
-        mass = float(arr.sum()) * self.dt ** 2  # summed in storage order, also for a transposed view
+        mass = float(arr.sum()) * self.grid.dt ** 2  # summed in storage order, also for a transposed view
         if abs(mass - 1.0) > NORM_RTOL:
             raise ValueError(f"density mass is {mass}, must be 1 within {NORM_RTOL}")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
 
 
 def build_pdc_amplitude(grid: FrequencyGrid, pump_sigma: float, pm_sigma: float) -> BiphotonAmplitude:

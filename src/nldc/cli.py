@@ -75,8 +75,8 @@ _BYTES_PER_CELL = 96
 _BYTES_PER_EVENT = 128
 _BYTES_PER_WORKER = 4 * 2**20
 
-# The relative gap between a biphoton arm's grid var_tau and the moment
-# algebra's beyond which a run stops (acceptance criterion 6's bound).
+# The gap between a biphoton arm's grid var_tau (relative) or mean_tau (in standard
+# deviations) and the moment algebra's beyond which a run stops (criterion 6's bound).
 _ROUTE_RTOL = 1e-3
 
 _GRID_SCHEMA = {
@@ -337,7 +337,7 @@ def _build_state(state: dict, base_dir, n_events: int) -> tuple[object, Temporal
             cross = spc.max_classical_cross(s1, s2)
         else:
             cross = _build_spectrum(cfg["cross"], grid, base_dir, "cross")
-        model = st.make_pair_model(s1, s2, cross, cfg["window_T_ps"])
+        model = st.StationaryPairModel(s1, s2, cross, cfg["window_T_ps"])
         return model, st.windowed_covariance(model)
     cfg = state["covariance"]  # keyed like the record's covariance blocks
     field_of = {key: name for name, key in _UNIT_KEYS.items()}
@@ -390,17 +390,23 @@ def _witness(evaluate, *args) -> dict:
 
 
 def _require_one_route(label: str, grid_cov: TemporalCovariance, algebra: TemporalCovariance) -> None:
-    """GridTooCoarseError unless an arm's grid var_tau is the moment algebra's within _ROUTE_RTOL.
+    """GridTooCoarseError unless an arm's grid var_tau and mean_tau are the moment algebra's within _ROUTE_RTOL.
 
     Dispersion shifts each sum-frequency line's tau profile by
     2*beta_L*Omega modulo the time span, so narrow lines can wrap into a
-    comb of spikes that misses the edge cells of the wrap check: the
-    marginal, the density and the events are then aliased.
+    comb of spikes that misses the edge cells of the wrap check, and a delay
+    can wrap the whole profile: the marginal, density and events then alias.
     """
     gap = abs(grid_cov.var_tau - algebra.var_tau) / algebra.var_tau
     GridTooCoarseError._unless_at_most(
         f"the {label} arm's tau lines wrap the time grid: its grid var_tau {grid_cov.var_tau} ps^2 "
         f"is {gap:.3g} away from the moment algebra's {algebra.var_tau} ps^2 (relative limit "
+        f"{_ROUTE_RTOL}); a finer domega_rad_ps gives a longer time span", gap, _ROUTE_RTOL
+    )
+    gap = abs(grid_cov.mean_tau - algebra.mean_tau) / math.sqrt(algebra.var_tau)
+    GridTooCoarseError._unless_at_most(
+        f"the {label} arm's tau profile wraps the time grid: its grid mean_tau {grid_cov.mean_tau} ps is "
+        f"{gap:.3g} standard deviations away from the moment algebra's {algebra.mean_tau} ps (limit "
         f"{_ROUTE_RTOL}); a finer domega_rad_ps gives a longer time span", gap, _ROUTE_RTOL
     )
 
@@ -622,6 +628,9 @@ def write_scan_csv(rows: list[dict], path) -> None:
 _WIDTH, _MARGIN = 640, 70  # px: the width of either plot, and the inset of its frame
 _CELLS = 128  # heat-map cells along each axis of the t1/t2 plot
 _TAU_BINS = 64
+# A title's markup characters as entities, and the code points XML 1.0 forbids as U+FFFD.
+_TITLE_XML = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;"} | dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd"))
 
 
 def _bin_edges(lo: float, hi: float, bins: int, what: str) -> np.ndarray:
@@ -667,7 +676,7 @@ def _write_binned_svg(path, height, title, lo, hi, counts, rect, columns, texts)
     values = np.column_stack([np.broadcast_to(column, counts.shape)[full] for column in columns])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" viewBox="0 0 {_WIDTH} {height}">\n'
-        f"<title>{title.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</title>\n"
+        f"<title>{title.translate(_TITLE_XML)}</title>\n"
         f'<rect x="0" y="0" width="{_WIDTH}" height="{height}" fill="white"/>\n'
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" height="{height - 2 * _MARGIN}" '
         'fill="none" stroke="black" stroke-width="1"/>\n',

@@ -46,11 +46,11 @@ class MemoryBudgetError(PreconditionError):
 
 
 class WindowTooSmallError(PreconditionError):
-    """The shutter window is too short relative to the correlation width (ratio 6*rms/T, limit T in ps)."""
+    """The shutter window T is shorter than 6x the signal's RMS width or the beams' coherence time (ratio 6*width/T, limit T in ps)."""
 
 
 class BatchTooSmallError(PreconditionError):
-    """Too few events for the requested estimator (ratio 2/count, inf for none; limit 2, the least count)."""
+    """Too few events for the requested estimator (ratio 2/count, limit 2, the least count)."""
 
 
 class DegenerateStateError(PreconditionError):

@@ -221,7 +221,7 @@ def sample_biphoton(density: JointTemporalDensity, count: int, seed: int) -> Eve
         raise ValueError(f"count must be >= 1, got {count}")
     key = _stream_key(seed, "biphoton")
     n = density.grid.n
-    dt = density.dt
+    dt = density.grid.dt
     # The events outlive the call, the n^2-cell CDF does not.  Allocated
     # first, they do not split the hole it leaves, where the next n x n
     # array of a run fits (peak RSS over biphoton run + render cycles at
@@ -278,7 +278,7 @@ def _sample_mixture(d, count, seed, label, source, window, sheared=None) -> Even
     d = d if sheared is None else sheared[0].profile
     T = d.window
     f_s = d.windowed.signal_fraction
-    tau_cdf = _InverseCdf(d.signal * d.dt, count) if f_s > 0.0 else None
+    tau_cdf = _InverseCdf(d.signal * d.grid.dt, count) if f_s > 0.0 else None
     if sheared is not None:
         m, kit = sheared
         omegas, domega = m.grid.omegas, m.grid.domega
@@ -304,7 +304,7 @@ def _sample_mixture(d, count, seed, label, source, window, sheared=None) -> Even
         if ns:
             # Profile mass beyond the window is negligible by the 6x RMS
             # precondition; clamp so the mean-time interval is never empty.
-            tau = np.clip(_draw_cells(gen, tau_cdf, d.taus, d.dt, ns), -T, T)
+            tau = np.clip(_draw_cells(gen, tau_cdf, d.grid.times, d.grid.dt, ns), -T, T)
             for t, mean_time in zip(times, _draw_mean_times(tau, gen.random(ns), T)):
                 t[sg] = mean_time
         if sheared is None:
@@ -364,7 +364,7 @@ def estimate_tau_stats(batch: EventBatch, jitter_sigma: float, seed: int) -> Tau
     """
     n = getattr(batch, "held", batch).n
     if n < 2:
-        raise BatchTooSmallError(f"need at least 2 events, got {n}", ratio=2 / n if n else math.inf, limit=2)
+        raise BatchTooSmallError(f"need at least 2 events, got {n}", ratio=2 / n, limit=2)
     _require_finite("jitter_sigma", jitter_sigma, at_least=0)
     _, t1, t2 = _take(batch, "t1", "t2")
     if jitter_sigma > 0.0:
@@ -395,7 +395,7 @@ def empirical_witness(
     before must be the undispersed source, after_plus/after_minus the two
     swap configurations of the same source.  Raises DegenerateStateError
     when the before variance is consistent with zero at 3 sigma or the
-    error term of the bound rhs = v0 + (2*beta_L)^2/v0 leaves the float range.
+    margin's standard error is not finite and positive.
     """
     v0 = before.var_tau
     if v0 <= 3.0 * before.stderr:
@@ -416,16 +416,14 @@ def empirical_witness(
     except (ZeroDivisionError, OverflowError):
         raise DegenerateStateError(f"the bound's error term leaves the float range at var_tau = {v0}") from None
     margin_stderr = math.sqrt(margin_var)
-    if margin_stderr > 0.0:
-        significance = margin / margin_stderr
-    else:
-        significance = math.inf if margin > 0.0 else (-math.inf if margin < 0.0 else 0.0)
+    if not 0.0 < margin_stderr < math.inf:
+        raise DegenerateStateError(f"the margin's standard error {margin_stderr} ps^2 must be finite and > 0")
     return EmpiricalWitnessReport(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
         margin_stderr=margin_stderr,
-        significance=significance,
+        significance=margin / margin_stderr,
         violated=margin > 0.0,
     )
 

@@ -102,13 +102,6 @@ class StationaryPairModel:
         )
 
 
-def make_pair_model(
-    s1: SpectralModel, s2: SpectralModel, cross: CrossSpectrum, window: float
-) -> StationaryPairModel:
-    """The model of the two beams, its cross-spectrum and window; its regime is worked out at construction."""
-    return StationaryPairModel(s1, s2, cross, window)
-
-
 @dataclass(frozen=True, eq=False)
 class TauDensity:
     """Coincidence profile: signal |g(tau)|^2 on the conjugate time grid,
@@ -126,14 +119,6 @@ class TauDensity:
         _require_finite("background", self.background, at_least=0)
         _require_finite("window", self.window, above=0)
 
-    @property
-    def taus(self) -> np.ndarray:
-        return self.grid.times
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
-
     @cached_property
     def _signal_moments(self) -> tuple[float, float, float]:
         """(mean, variance, integrated weight) of the signal profile.
@@ -143,15 +128,15 @@ class TauDensity:
         not cover 6x the RMS width sqrt(E[tau^2]) of the profile.
         """
         with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected below
-            total = float(self.signal.sum()) * self.dt
+            total = float(self.signal.sum()) * self.grid.dt
         if total == 0.0:
             return 0.0, 0.0, 0.0
         _require_finite("the integrated signal", total)
-        span = self.grid.n * self.dt  # each tau, and its deviation from the mean, squares below this
+        span = self.grid.n * self.grid.dt  # each tau, and its deviation from the mean, squares below this
         _require_finite("the squared time span (n*dt)^2", span * span)
-        weights = self.signal * self.dt / total
+        weights = self.signal * self.grid.dt / total
         _require_unwrapped(weights, "signal profile")
-        tau = self.taus
+        tau = self.grid.times
         mean = float((tau * weights).sum())
         var = float((((tau - mean) ** 2) * weights).sum())
         rms = math.sqrt(var + mean * mean)
@@ -203,7 +188,9 @@ def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
 
     The background carries the convolved spectral Omega spread with tau and
     Omega independent; the signal ridge carries Omega = 0 exactly.  This is
-    the moments-route entry point for stationary models.
+    the moments-route entry point for stationary models.  Both neglect the
+    window's frequency spread: WindowTooSmallError unless T >= 6/sqrt(v1 + v2)
+    for beam frequency variances v1, v2, so pure background has product >= 6.
     """
     d = m.profile
     stats = d.windowed
@@ -216,18 +203,21 @@ def windowed_covariance(m: StationaryPairModel) -> TemporalCovariance:
     var_omega = f_b * (v1 + v2) + f_b * f_s * mean_omega_b ** 2
     mean_tau = f_s * mean_s
     mean_omega = f_b * mean_omega_b
-    cov = -mean_tau * mean_omega  # E[tau*Omega] = 0 in both mixture components
-    return TemporalCovariance(
+    covariance = TemporalCovariance(
         var_tau=stats.variance,
         var_omega=var_omega,
-        cov_tau_omega=cov,
+        cov_tau_omega=-mean_tau * mean_omega,  # E[tau*Omega] = 0 in both mixture components
         mean_tau=mean_tau,
         mean_omega=mean_omega,
     )
+    coherence = 1.0 / math.sqrt(v1 + v2) if v1 + v2 > 0.0 else math.inf  # v1 + v2 is finite once covariance is
+    message = f"window T = {m.window} ps must cover 6x the beams' coherence time 1/sqrt(v1 + v2) = {coherence} ps"
+    WindowTooSmallError._unless_at_most(message, 6.0 * coherence, m.window)
+    return covariance
 
 
 def tau_density_to_csv(d: TauDensity, path) -> None:
     """Plot-ready rows (tau_ps, signal, background, window_ps)."""
     n = d.grid.n
-    cols = (d.taus, d.signal, np.full(n, d.background), np.full(n, d.window))
+    cols = (d.grid.times, d.signal, np.full(n, d.background), np.full(n, d.window))
     _write_table(path, (_grid_line(d.grid), "tau_ps,signal,background,window_ps"), cols)

@@ -25,7 +25,7 @@ def tau_marginal(density):
     sum q * dt = 1.
     """
     n = density.grid.n
-    dt = density.dt
+    dt = density.grid.dt
     cols = np.arange(n)
     rows = (cols[:, None] + cols[None, :]) % n  # rows[d, m] pairs t1 index (m+d) with t2 index m
     mass_by_diff = density.values[rows, cols[None, :]].sum(axis=1) * dt * dt

@@ -50,7 +50,7 @@ from nldc.spectral import (
     quantum_admissible,
 )
 from nldc.stationary import (
-    make_pair_model,
+    StationaryPairModel,
     windowed_covariance,
 )
 
@@ -170,11 +170,11 @@ def test_criterion_4_classical_ceiling():
         s1 = gaussian_spectrum(grid, rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
         s2 = gaussian_spectrum(grid, rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))
         cross = max_classical_cross(s1, s2)
-        probe = make_pair_model(s1, s2, cross, window=1.0).profile
+        probe = StationaryPairModel(s1, s2, cross, window=1.0).profile
         peak_ok = peak_ok and probe.signal.max() <= probe.background * (1.0 + 1e-9)
         weights = probe.signal / probe.signal.sum()
-        rms = math.sqrt(float((probe.taus ** 2 * weights).sum()))
-        model = make_pair_model(s1, s2, cross, window=10.0 * rms)
+        rms = math.sqrt(float((probe.grid.times ** 2 * weights).sum()))
+        model = StationaryPairModel(s1, s2, cross, window=10.0 * rms)
         kit = DispersionKit(beta_L=rng.uniform(0.0, 10.0))
         margin_worst = max(
             margin_worst, evaluate_witness(windowed_covariance(model), kit).margin
@@ -200,7 +200,7 @@ def test_criterion_5_background_law():
     s = gaussian_spectrum(grid, 1.0, 1.0)
     zero = flat_cross(grid, 0.0)
 
-    model_10 = make_pair_model(s, s, zero, window=10.0)
+    model_10 = StationaryPairModel(s, s, zero, window=10.0)
     misses = 0
     vars_10 = []
     for k in range(200):
@@ -214,7 +214,7 @@ def test_criterion_5_background_law():
 
     mean_vars = {10.0: float(np.mean(vars_10[:50]))}
     for T in (20.0, 40.0):
-        model = make_pair_model(s, s, zero, window=T)
+        model = StationaryPairModel(s, s, zero, window=T)
         draws = [
             estimate_tau_stats(
                 sample_tau_density(model.profile, 100_000, derive_seed(ACCEPT_SEED, f"floor-{T:g}-{k}")),
@@ -338,7 +338,7 @@ def _pipeline_digest(tmp_path, tag):
 
     grid = FrequencyGrid(256, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    model = make_pair_model(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
+    model = StationaryPairModel(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
     sheared = sample_stationary_sheared(
         model, DispersionKit(beta_L=0.8), 10_000, derive_seed(ACCEPT_SEED, "c8s")
     )

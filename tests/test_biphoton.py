@@ -189,10 +189,10 @@ def test_time_domain_gaussian_fourier_pair():
     raw = np.exp(-(ww[:, None] ** 2 + ww[None, :] ** 2) / (2.0 * w_width ** 2))
     psi = amplitude_from_values(grid, raw)
     density = to_time_domain(psi)
-    t1_var = _marginal_var(density.values.sum(axis=1), grid.times, density.dt ** 2)
+    t1_var = _marginal_var(density.values.sum(axis=1), grid.times, density.grid.dt ** 2)
     assert t1_var == pytest.approx(1.0 / (2.0 * w_width ** 2), rel=1e-9)
     tau, q = tau_marginal(density)
-    tau_var = _marginal_var(q, tau, density.dt)
+    tau_var = _marginal_var(q, tau, density.grid.dt)
     assert tau_var == pytest.approx(1.0 / w_width ** 2, rel=1e-9)
 
 
@@ -265,7 +265,7 @@ def test_binary_round_trips(tmp_path):
 def _tau_moments_oracle(density):
     """Mean and variance of the tau marginal of a transformed density."""
     tau, q = tau_marginal(density)
-    weights = q * density.dt
+    weights = q * density.grid.dt
     total = weights.sum()
     mean = (tau * weights).sum() / total
     return mean, (((tau - mean) ** 2) * weights).sum() / total

@@ -20,7 +20,6 @@ import shutil
 import subprocess
 import sys
 import tomllib
-import types
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -349,6 +348,28 @@ def test_a_biphoton_run_whose_dispersed_lines_alias_exits_3(tmp_path, capsys, a,
     grid = biphoton.amplitude_moments(biphoton.apply_dispersion_phase(psi, kit)).var_tau
     assert err["ratio"] == pytest.approx(abs(grid - algebra) / algebra / 1e-3, rel=1e-9)
     assert err["ratio"] > 900
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("delay", [5.0, 10.0, 15.0])
+def test_a_biphoton_arm_whose_tau_profile_wraps_by_a_period_exits_3(tmp_path, capsys, delay):
+    # The time span is 2*pi/0.25 = 25.13 ps, so a delay of 15 ps puts the plus arm's profile (sigma 1/3 ps) at
+    # 15 - 25.13 = -10.13 ps on the grid, clear of its edge cells; its var_tau stays exact.
+    scenario = _resolved_biphoton(a=1.0, b=3.0, n=256, domega=0.25, beta_L=0.0)
+    scenario["kit"]["delay_1_ps"] = delay
+    rc, out_dir = _run(tmp_path, scenario)
+    lines = capsys.readouterr().err.strip().splitlines()
+    if delay < 12.5:
+        assert rc == 0 and lines == []
+        record = _record(out_dir)
+        assert record["covariance_after_plus"]["mean_tau_ps"] == pytest.approx(delay, abs=1e-9)
+        assert record["covariance_after_minus"]["mean_tau_ps"] == pytest.approx(-delay, abs=1e-9)
+        return
+    assert rc == 3 and len(lines) == 1
+    err = _strict_json(lines[0])
+    assert err["error"] == "GridTooCoarseError" and err["limit"] == 1e-3
+    assert "plus arm's tau profile wraps the time grid" in err["message"]
+    assert err["ratio"] == pytest.approx(2 * math.pi / 0.25 * 3.0 / 1e-3, rel=1e-9)
     assert not out_dir.exists()
 
 
@@ -822,10 +843,12 @@ def test_extreme_spectrum_magnitudes_and_centres_end_quietly(tmp_path, capsys, s
 
 @pytest.mark.parametrize("sampled", [False, True])
 def test_a_ridge_whose_squares_sum_past_the_float_range_is_not_sampled(tmp_path, capsys, sampled):
-    # Flat S1 = S2 = 1e154 on n = 64: the classical-extremal cross has |x|^2 = 1e308 in every cell, and the
+    # Flat S1 = S2 = 3e153 on n = 64: the classical-extremal cross has |x|^2 = 9e306 in every cell, and the
     # sum overflows.  The sampler's ridge CDF was inf, then nan, under numpy warnings, and the run exited 0.
-    flat = {"flat": {"value": 1e154}}
-    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.0625}, s1=flat, s2=flat, window_T_ps=1.0)
+    # The window covers the beams' 6 coherence times, 3.67 ps, and keeps the weights B*T^2 + T*integral |g|^2
+    # (8.1e307) in the float range.
+    flat = {"flat": {"value": 3e153}}
+    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.0625}, s1=flat, s2=flat, window_T_ps=4.0)
     if sampled:
         scenario["sampler"] = {"n_events": 100, "seed": 9}
     rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
@@ -854,23 +877,44 @@ def test_infinite_significance_is_written_as_null(tmp_path, monkeypatch):
     assert empirical["margin_stderr_ps2"] == 0.0
 
 
+# Classical beams with no cross (sigma 1 rad/ps on n = 256) and flat ones with the classical-extremal cross
+# (on n = 64): their 6 coherence times 6/sqrt(v1 + v2) are 4.24 and 3.67 ps.  Shorter windows were certified
+# entangled (violated: true), at 1e-80 ps with a NaN margin_stderr; at 1e-85 and 1e-70 ps the before
+# batch's var_tau, about T^2/6, took the sampled witness's error term past the float range.
+_GAUSS = {"gaussian": {"peak": 1, "sigma_rad_ps": 1}}
+_INDEPENDENT = {"grid": {"n": 256, "domega_rad_ps": 0.25}, "s1": _GAUSS, "s2": _GAUSS, "cross": {"flat": {"value": 0}}}
+_FLAT = {"grid": {"n": 64, "domega_rad_ps": 0.0625}, "s1": {"flat": {"value": 1}}, "s2": {"flat": {"value": 1}}}
+
+
 @pytest.mark.parametrize(
-    "window, beta_L", [(1e-85, 0.8), (1e-70, 1e10)], ids=["v0-squared-underflows", "error-term-overflows"]
+    "state, beta_L, n_events, window, coherence",
+    [
+        *((_INDEPENDENT, 5.0, 20000, window, math.sqrt(0.5)) for window in (0.5, 1.0, 1.5, 5.0)),
+        *((_FLAT, beta_L, 1000, window, 1.0 / math.sqrt(2 * 4095 / 3072))
+          for window, beta_L in ((1e-85, 0.8), (1e-80, 0.8), (1e-70, 1e10), (1.0, 0.8), (2.0, 0.8), (4.0, 0.8))),
+    ],
+    ids=["independent-0.5", "independent-1", "independent-1.5", "independent-5",
+         "flat-1e-85", "flat-1e-80", "flat-1e-70", "flat-1", "flat-2", "flat-4"],
 )
-def test_a_sampled_witness_whose_error_term_leaves_the_float_range_is_not_evaluable(tmp_path, capsys, window, beta_L):
-    # Before-batch var_tau is about window^2/6: its square underflowed to 0 (a ZeroDivisionError traceback,
-    # exit 1), or (drhs_dv0 * stderr) ** 2 overflowed (an OverflowError, as a float ** raises).
-    flat = {"flat": {"value": 1}}
-    scenario = _stationary_scenario(grid={"n": 64, "domega_rad_ps": 0.0625}, s1=flat, s2=flat, window_T_ps=window)
+def test_classical_beams_need_a_window_of_six_coherence_times(tmp_path, capsys, state, beta_L, n_events, window, coherence):
+    scenario = _stationary_scenario(**state, window_T_ps=window)
     scenario["kit"] = {"beta_L_ps2": beta_L}
-    scenario["sampler"] = {"n_events": 1000, "seed": 1}
+    scenario["sampler"] = {"n_events": n_events, "seed": 1}
     rc, lines, caught, quiet = _quiet_outcome(tmp_path, capsys, scenario, ["run"])
-    assert (rc, lines, caught) == (0, [], [])
-    record = _record(tmp_path / "o")
-    assert record["witness"]["evaluable"] is False
-    empirical = record["sampling"]["empirical_witness"]
-    assert empirical["evaluable"] is False
-    assert "error term leaves the float range" in empirical["reason"]
+    assert quiet, (rc, lines, caught)
+    if window >= 6.0 * coherence:
+        assert rc == 0
+        record = _record(tmp_path / "o")
+        assert record["windowed"]["regime"] == "classical"
+        assert record["witness"]["violated"] is False
+        assert record["sampling"]["empirical_witness"]["violated"] is False
+        return
+    err = _strict_json(lines[0])
+    assert rc == 3 and err["error"] == "WindowTooSmallError"
+    assert err["message"].startswith(f"window T = {window!r} ps must cover 6x the beams' coherence time 1/sqrt(v1 + v2) = ")
+    assert err["limit"] == window
+    assert err["ratio"] == pytest.approx(6.0 * coherence / window, rel=1e-12)
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_standard_json_constants_in_a_scenario_exit_2(tmp_path, capsys):
@@ -943,22 +987,18 @@ def test_parseval_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert err["limit"] == biphoton.NORM_RTOL
 
 
-@pytest.mark.parametrize("count, ratio", [(1, 2.0), (0, None)])
-def test_batch_too_small_exits_3_with_its_numbers(tmp_path, capsys, monkeypatch, count, ratio):
-    # The schema asks for n_events >= 2, so only a broken sampler reaches
-    # the estimator's check; a batch of no events gives an infinite ratio.
+def test_batch_too_small_exits_3_with_its_numbers(tmp_path, capsys, monkeypatch):
+    # The schema asks for n_events >= 2 and an EventBatch holds at least one
+    # event, so only a broken sampler reaches the estimator's check.
     short = sampler.EventBatch(t1=np.zeros(1), t2=np.zeros(1), seed=0, source="one event")
-    batch = short if count else types.SimpleNamespace(n=0)
-    monkeypatch.setattr(sampler, "sample_biphoton", lambda *args: batch)
+    monkeypatch.setattr(sampler, "sample_biphoton", lambda *args: short)
     rc, _ = _run(tmp_path, _biphoton_scenario(n_events=100))
     assert rc == 3
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     err = _strict_json(lines[0])
     assert err["error"] == "BatchTooSmallError"
-    assert err["ratio"] == ratio
-    if ratio is None:
-        assert err["ratio_reason"] == "not finite: inf"
+    assert err["ratio"] == 2.0
     assert err["limit"] == 2.0
 
 
@@ -1786,16 +1826,20 @@ def test_render_tau_hist_matches_the_bar_loop(tmp_path, rows, window, equal):
     assert path.read_bytes() == _tau_hist_oracle(batch)
 
 
-def test_render_escapes_the_source_in_the_svg_titles(tmp_path):
-    # The title held the events file's source text as written, so "<" and "&" made both SVGs ill-formed XML.
+@pytest.mark.parametrize(
+    "source, shown", [("a<b&c", "a<b&c"), ("a\x01b\x0bc\ufffe\t", "a\ufffdb\ufffdc\ufffd\t")], ids=["markup", "controls"]
+)
+def test_render_escapes_the_source_in_the_svg_titles(tmp_path, source, shown):
+    # The title held the events file's source text as written, so "<" and "&" made both SVGs ill-formed XML,
+    # as did the code points XML 1.0 forbids, which now read U+FFFD.
     rc, out_dir = _run(tmp_path, _biphoton_scenario(n_events=100, seed=2))
     assert rc == 0
     events = out_dir / "events_before.csv"
-    events.write_text("# seed=1 window=0,10 source=a<b&c\nt1_ps,t2_ps\n1,2\n3,1.5\n9,8\n")
+    events.write_text(f"# seed=1 window=0,10 source={source}\nt1_ps,t2_ps\n1,2\n3,1.5\n9,8\n", encoding="utf-8")
     assert cli.main(["render", str(out_dir / "runrecord.json")]) == 0
     for name, title in (("scatter.svg", "detection times"), ("tau_hist.svg", "tau histogram")):
         root = ET.parse(out_dir / name).getroot()
-        assert root.find("{http://www.w3.org/2000/svg}title").text == f"{title}: a<b&c"
+        assert root.find("{http://www.w3.org/2000/svg}title").text == f"{title}: {shown}"
 
 
 def test_render_requires_sampled_events(tmp_path, capsys):

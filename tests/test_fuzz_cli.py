@@ -9,21 +9,25 @@ the values, the command must end in one of the three exit codes: 0 with
 nothing on stderr and a strict-JSON run record, or 2 or 3 with exactly one
 strict-JSON error line and no output file; and it must raise no warning.
 Stationary scenarios keep the same contract on grids of 8 to 256 cells:
-flat or Gaussian spectra, the classical-extremal cross, the window and the
-kit drawn from the same values, and half of them sampled.
+flat or Gaussian spectra, the classical-extremal cross, the window (or
+100 ps) and the kit drawn from the same values, and half of them sampled.
+Biphoton scenarios keep it with widths, dispersion and delays drawn in
+units of the grid, and each run that exits 0 records arms whose var_tau
+and mean_tau are the moment algebra's.
 
 `nldc render` keeps the same contract over doctored inputs: a run record
 of a small biphoton run with parts of the wrong type, nested too deep or
 pointing at an events file that is missing or a directory, and events
-files with bad first lines, sources holding XML markup, bodies of 0 to 3
-columns and times at the edges of the float range.  Exit 0 writes two
-SVG files that parse as XML.
+files with bad first lines, sources holding XML markup and code points
+that XML forbids, bodies of 0 to 3 columns and times at the edges of the
+float range.  Exit 0 writes two SVG files that parse as XML.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import sys
 import warnings
 import xml.etree.ElementTree as ET
@@ -33,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldc import cli
+from nldc.moments import TemporalCovariance, shear_covariance
 from test_cli import _biphoton_scenario, _strict_json
 
 _MAGNITUDES = (0, 5e-324, 1e-155, 1, 1e154, 1e155, 1e300, sys.float_info.max, 10 ** 400)
@@ -104,9 +109,9 @@ _spectra = st.one_of(
         lambda *v: {"gaussian": dict(zip(("peak", "sigma_rad_ps", "center_rad_ps"), v))}, _fields, _fields, _fields
     ),
 )
-# Windows whose before-batch var_tau, about T^2/6 with no jitter, has a square that underflows (1e-85) or
-# an error term that can overflow (1e-70).
-_windows = st.one_of(st.sampled_from([1e-85, 1e-70]), _fields)
+# Half the windows are 100 ps, which covers 6 coherence times 1/sqrt(v1 + v2) of the flat spectra on every
+# grid (29.6 ps at n = 8) and of Gaussians of unit width, so that most valid scenarios reach the sampler.
+_windows = st.one_of(st.just(100.0), _fields)
 _samplers = st.fixed_dictionaries({"n_events": st.integers(2, 1000), "seed": st.integers(0, 9)})
 
 
@@ -139,6 +144,66 @@ def test_stationary_scenarios_keep_the_command_line_contract(tmp_path_factory, s
     path.write_text(json.dumps(scenario))
     if _check_contract(["run", str(path)], root / "run", ["runrecord.json"]) == 0:
         _strict_json((root / "run" / "runrecord.json").read_text())
+    scan = ["scan", str(path), "--param", "kit.beta_L_ps2", f"--values={a!r},{b!r}"]
+    _check_contract(scan, root / "scan", ["scan_kit_beta_L_ps2.csv"])
+
+
+# Biphoton scenarios in units of the grid: domega (one draw in four extreme), pump and phase-matching
+# widths of 0.05 (the delta ridge), 4 or 8 cells, beta_L of 0, +-0.05 or +-0.2 over domega^2 and delays of
+# 0, +-0.2, +-0.45 or +-0.6 time spans 2*pi/domega, each one draw in twenty extreme.  A delay past half a
+# span wraps the whole tau profile.  The tables repeat the values that pass more often, so that about a
+# quarter of the runs exit 0: a delta phase-matching ridge gives a flat tau profile, which always wraps, an
+# 8-cell pump aliases the sum frequency on n = 64, and widths of 4 or 8 cells leave the grids of 8 and 16.
+_DOMEGAS = st.sampled_from((0.0625, 0.25, 1.0) * len(_MAGNITUDES) + _MAGNITUDES)
+
+
+def _in_units(draw, multiples, unit):
+    return draw(st.sampled_from(multiples)) * unit if draw(st.integers(0, 19)) < 19 else draw(_extremes)
+
+
+@st.composite
+def _biphoton_scenarios(draw):
+    domega = draw(_DOMEGAS)
+    unit = float(min(domega, sys.float_info.max)) or 1.0
+    span = 2.0 * math.pi / unit
+    scenario = {
+        "state": {
+            "biphoton": {
+                "grid": {"n": draw(st.sampled_from([64, 256] * 3 + [8, 16])), "domega_rad_ps": domega},
+                "pump_sigma_rad_ps": _in_units(draw, (0.05, 4.0) * 3 + (8.0,), unit),
+                "pm_sigma_rad_ps": _in_units(draw, (4.0, 8.0) * 2 + (0.05,), unit),
+            }
+        },
+        "kit": {
+            "beta_L_ps2": _in_units(draw, (0.0, 0.0, 0.05, -0.05, 0.2, -0.2), 1.0 / unit / unit),
+            **{name: _in_units(draw, (0.0,) * 6 + (0.2, -0.2, 0.45, -0.45, 0.6, -0.6), span)
+               for name in ("delay_1_ps", "delay_2_ps")},
+        },
+        "jitter_sigma_ps": draw(st.one_of(st.just(0), _fields)),
+    }
+    sampler = draw(st.one_of(_samplers, st.none()))
+    if sampler is not None:
+        scenario["sampler"] = sampler
+    return scenario
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_biphoton_scenarios(), _numbers, _numbers)
+def test_biphoton_scenarios_keep_the_command_line_contract_and_one_route(tmp_path_factory, scenario, a, b):
+    # On exit 0, each arm's grid var_tau and mean_tau are the moment algebra's, as rebuilt from the record.
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    if _check_contract(["run", str(path)], root / "run", ["runrecord.json"]) == 0:
+        record = _strict_json((root / "run" / "runrecord.json").read_text())
+        field_of = {key: name for name, key in cli._UNIT_KEYS.items()}
+        cov0 = TemporalCovariance(**{field_of.get(k, k): v for k, v in record["covariance_before"].items()})
+        kit = cli._kit_from(record["scenario"])
+        for label, arm_kit in (("plus", kit), ("minus", kit.swapped())):
+            algebra = shear_covariance(cov0, arm_kit)
+            arm = record[f"covariance_after_{label}"]
+            assert abs(arm["var_tau_ps2"] - algebra.var_tau) <= 1e-3 * algebra.var_tau, (label, arm, algebra)
+            assert abs(arm["mean_tau_ps"] - algebra.mean_tau) <= 1e-3 * math.sqrt(algebra.var_tau), (label, arm, algebra)
     scan = ["scan", str(path), "--param", "kit.beta_L_ps2", f"--values={a!r},{b!r}"]
     _check_contract(scan, root / "scan", ["scan_kit_beta_L_ps2.csv"])
 
@@ -201,12 +266,14 @@ _FIRST_LINES = (
     "# seed=x window=none source=y",
     "",
 )
+# Sources draw XML markup and code points XML 1.0 forbids.
+_SOURCE_CHARS = "doctored<&>\x01\x0b\ufffe"
 _TIMES = (0.0, 1.0, -2.5, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max)
 
 
 @st.composite
 def _events(draw):
-    first = f"# seed=2 window=none source={draw(st.text('doctored<&>', max_size=8))}"
+    first = f"# seed=2 window=none source={draw(st.text(_SOURCE_CHARS, max_size=8))}"
     header, columns = "t1_ps,t2_ps", 2
     part = draw(st.sampled_from(["times", "times", "first line", "header", "columns"]))
     if part == "first line":

@@ -9,6 +9,7 @@ background pairs; expectations below include those terms explicitly.
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,8 +57,8 @@ from nldc.spectral import (
     max_classical_cross,
 )
 from nldc.stationary import (
+    StationaryPairModel,
     TauDensity,
-    make_pair_model,
     windowed_covariance,
 )
 
@@ -151,7 +152,7 @@ def test_signal_only_mixture_hugs_the_ridge():
 def test_background_only_mixture_is_triangular():
     grid = FrequencyGrid(256, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    m = make_pair_model(s, s, flat_cross(grid, 0.0), window=12.0)
+    m = StationaryPairModel(s, s, flat_cross(grid, 0.0), window=12.0)
     batch = sample_tau_density(m.profile, 20_000, seed=21)
     assert batch.window == (0.0, 12.0)
     stats = estimate_tau_stats(batch, 0.0, seed=0)
@@ -180,7 +181,7 @@ def test_mean_times_keep_both_detections_in_the_window():
 def test_mixture_variance_tracks_the_windowed_formula():
     grid = FrequencyGrid(512, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    m = make_pair_model(s, s, gaussian_cross(grid, 1.0, 1.0), window=14.0)
+    m = StationaryPairModel(s, s, gaussian_cross(grid, 1.0, 1.0), window=14.0)
     stats_formula = m.profile.windowed
     batch = sample_tau_density(m.profile, 30_000, seed=17)
     est = estimate_tau_stats(batch, 0.0, seed=0)
@@ -191,7 +192,7 @@ def test_mixture_variance_tracks_the_windowed_formula():
 def test_sheared_events_realise_the_covariance_shear():
     grid = FrequencyGrid(512, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    m = make_pair_model(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
+    m = StationaryPairModel(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
     assert m.regime == "quantum"
     kit = DispersionKit(beta_L=0.8, delay_1=0.3, delay_2=-0.2)
     cov0 = windowed_covariance(m)
@@ -225,7 +226,7 @@ def test_batches_reproduce_bit_for_bit():
     assert not np.array_equal(a.t1, c.t1)
 
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    m = make_pair_model(s, s, gaussian_cross(grid, 0.5, 1.0), window=10.0)
+    m = StationaryPairModel(s, s, gaussian_cross(grid, 0.5, 1.0), window=10.0)
     kit = DispersionKit(beta_L=0.5)
     d1 = sample_stationary_sheared(m, kit, 500, seed=101)
     d2 = sample_stationary_sheared(m, kit, 500, seed=101)
@@ -346,6 +347,41 @@ def test_empirical_witness_rejects_degenerate_reference():
         empirical_witness(before, other, other, DispersionKit(beta_L=1.0))
 
 
+@pytest.mark.parametrize(
+    "before, beta_L, reason",
+    [
+        # v0 * v0 underflows to 0
+        (TauStats(1000, 1e-170, 0.0, 0.0), 0.8, "the bound's error term leaves the float range"),
+        # (drhs_dv0 * stderr) ** 2 overflows
+        (TauStats(1000, 1e-141, 1e-142, 0.0), 1e10, "the bound's error term leaves the float range"),
+        # drhs_dv0 = 1 - 2.56/1e-320 is -inf, and its product with a stderr of 0 is nan
+        (TauStats(1000, 1e-160, 0.0, 0.0), 0.8, "standard error nan ps^2 must be finite and > 0"),
+        # no batch has an error: the margin's significance would be infinite
+        (TauStats(1000, 1.0, 0.0, 0.0), 0.8, "standard error 0.0 ps^2 must be finite and > 0"),
+    ],
+    ids=["v0-squared-underflows", "error-term-overflows", "nan-stderr", "zero-stderr"],
+)
+def test_a_witness_whose_error_term_is_not_finite_and_positive_is_not_evaluable(before, beta_L, reason):
+    after = TauStats(1000, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateStateError, match=re.escape(reason)):
+        empirical_witness(before, after, after, DispersionKit(beta_L))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("draw", ["biphoton", "tau-density", "stationary-sheared"])
+def test_the_samplers_need_at_least_one_event(draw, count):
+    grid = FrequencyGrid(64, 0.25)
+    s = gaussian_spectrum(grid, 1.0, 1.0)
+    m = StationaryPairModel(s, s, gaussian_cross(grid, 0.5, 1.0), window=10.0)
+    call = {
+        "biphoton": lambda: sample_biphoton(_point_mass_density(grid, 3, 4), count, seed=1),
+        "tau-density": lambda: sample_tau_density(m.profile, count, seed=1),
+        "stationary-sheared": lambda: sample_stationary_sheared(m, DispersionKit(0.5), count, seed=1),
+    }[draw]
+    with pytest.raises(ValueError, match=re.escape(f"count must be >= 1, got {count}")):
+        call()
+
+
 def test_no_dispersion_margin_is_statistically_null():
     grid = FrequencyGrid(128, 0.25)
     density = to_time_domain(build_pdc_amplitude(grid, 0.9, 1.3))
@@ -362,7 +398,7 @@ def test_no_dispersion_margin_is_statistically_null():
 def test_events_csv_round_trips_bit_for_bit(tmp_path):
     grid = FrequencyGrid(128, 0.35)
     s = gaussian_spectrum(grid, 1.0, 1.0)
-    m = make_pair_model(s, s, gaussian_cross(grid, 0.5, 1.0), window=10.0)
+    m = StationaryPairModel(s, s, gaussian_cross(grid, 0.5, 1.0), window=10.0)
     # Sheared batches have window=None and a source containing commas.
     sheared = sample_stationary_sheared(m, DispersionKit(beta_L=0.4), 64, seed=13)
     path = tmp_path / "sheared.csv"
@@ -665,8 +701,8 @@ def _mixture_oracle(rng, d, count):
     t1[~signal] = rng.random(n_bg) * T
     t2[~signal] = rng.random(n_bg) * T
     if n_sig:
-        idx = _searchsorted_oracle(rng, d.signal * d.dt, n_sig)
-        tau = np.clip(d.taus[idx] + (rng.random(n_sig) - 0.5) * d.dt, -T, T)
+        idx = _searchsorted_oracle(rng, d.signal * d.grid.dt, n_sig)
+        tau = np.clip(d.grid.times[idx] + (rng.random(n_sig) - 0.5) * d.grid.dt, -T, T)
         abs_tau = np.abs(tau)
         tbar = 0.5 * abs_tau + rng.random(n_sig) * (T - abs_tau)
         t1[signal] = np.minimum(tbar + 0.5 * tau, T)
@@ -712,7 +748,7 @@ def _biphoton_oracle(density, count, seed):
 
 def _biphoton_block_oracle(rng, density, count):
     n = density.grid.n
-    dt = density.dt
+    dt = density.grid.dt
     i1, i2 = np.divmod(_searchsorted_oracle(rng, density.values.ravel(), count), n)
     times = density.grid.times
     t1 = times[i1] + (rng.random(count) - 0.5) * dt
@@ -748,14 +784,14 @@ def _mixture_model(kind):
     grid = FrequencyGrid(256, 0.25)
     s = gaussian_spectrum(grid, 1.0, 1.0)
     if kind == "quantum":
-        return make_pair_model(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
+        return StationaryPairModel(s, s, gaussian_cross(grid, 1.2, 1.0), window=14.0)
     if kind == "classical-extremal":
         s2 = gaussian_spectrum(grid, 0.5, 1.3)
-        return make_pair_model(s, s2, max_classical_cross(s, s2), window=14.0)
+        return StationaryPairModel(s, s2, max_classical_cross(s, s2), window=14.0)
     if kind == "zero-cross":  # no signal events, and an all-zero |x|^2
-        return make_pair_model(s, s, flat_cross(grid, 0.0), window=12.0)
+        return StationaryPairModel(s, s, flat_cross(grid, 0.0), window=12.0)
     # zero background: a dark first beam, so every event is a signal event
-    return make_pair_model(flat_spectrum(grid, 0.0), s, gaussian_cross(grid, 0.9, 1.0), window=14.0)
+    return StationaryPairModel(flat_spectrum(grid, 0.0), s, gaussian_cross(grid, 0.9, 1.0), window=14.0)
 
 
 @pytest.mark.parametrize("count", _COUNTS)
@@ -823,7 +859,7 @@ def test_all_zero_densities_still_raise_degenerate_state(workers):
     signal = np.zeros(32)
     signal[16:20] = 5e-324
     faint = TauDensity(grid=grid, signal=signal, background=0.0, window=4.0)
-    assert faint.windowed.signal_fraction == 1.0 and not np.any(faint.signal * faint.dt)
+    assert faint.windowed.signal_fraction == 1.0 and not np.any(faint.signal * faint.grid.dt)
     for count in (10, 3 * BLOCK_CELLS):
         with pytest.raises(DegenerateStateError, match="all-zero density") as got:
             sample_tau_density(faint, count, seed=0)

@@ -24,7 +24,7 @@ from nldc.spectral import (
     spectrum_from_csv,
     spectrum_to_csv,
 )
-from nldc.stationary import make_pair_model
+from nldc.stationary import StationaryPairModel
 
 G64 = FrequencyGrid(n=64, domega=0.5)
 
@@ -156,7 +156,7 @@ def test_an_overflowing_cross_spectrum_is_not_admissible():
         assert not report.ok
         assert math.isnan(report.worst_ratio) and report.worst_omega == grid.omegas[0]
     with pytest.raises(AdmissibilityError, match="violates the quantum bound: worst ratio nan"):
-        make_pair_model(huge, huge, x, 20.0)
+        StationaryPairModel(huge, huge, x, 20.0)
 
 
 def test_reflection_pairs_omega_with_minus_omega():

@@ -28,9 +28,11 @@ from nldc.errors import (
     WindowTooSmallError,
 )
 from nldc import stationary
+from nldc.moments import separability_check
 from nldc.spectral import (
     CrossSpectrum,
     FrequencyGrid,
+    SpectralModel,
     flat_cross,
     flat_spectrum,
     gaussian_cross,
@@ -41,7 +43,6 @@ from nldc.spectral import (
 from nldc.stationary import (
     StationaryPairModel,
     TauDensity,
-    make_pair_model,
     tau_density_to_csv,
     windowed_covariance,
 )
@@ -56,7 +57,7 @@ def _unit_gauss_pair(grid, sigma=1.0):
 
 def test_zero_cross_gives_pure_triangular_background():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
-    m = make_pair_model(s1, s2, flat_cross(GRID, 0.0), window=12.0)
+    m = StationaryPairModel(s1, s2, flat_cross(GRID, 0.0), window=12.0)
     assert m.regime == "classical"
     d = m.profile
     assert np.all(d.signal == 0.0)
@@ -69,12 +70,12 @@ def test_zero_cross_gives_pure_triangular_background():
 def test_gaussian_cross_profile_matches_closed_forms():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
     p, sx = 0.8, 1.0
-    m = make_pair_model(s1, s2, gaussian_cross(GRID, p, sx), window=20.0)
+    m = StationaryPairModel(s1, s2, gaussian_cross(GRID, p, sx), window=20.0)
     d = m.profile
     centre = GRID.n // 2
-    assert d.taus[centre] == 0.0
+    assert d.grid.times[centre] == 0.0
     assert d.signal[centre] == pytest.approx(p * p * sx * sx / (2.0 * math.pi), rel=1e-9)
-    total = float(d.signal.sum()) * d.dt
+    total = float(d.signal.sum()) * d.grid.dt
     assert total == pytest.approx(p * p * sx / (2.0 * math.sqrt(math.pi)), rel=1e-9)
     assert d.background == pytest.approx(2.0 / math.pi, rel=1e-12)
 
@@ -83,7 +84,7 @@ def test_profile_peak_agrees_with_trapezoid_quadrature():
     # Independent route to |g(0)|^2: quadrature of the cross-spectrum.
     s1, s2 = _unit_gauss_pair(GRID)
     x = gaussian_cross(GRID, 0.6, 0.9)
-    d = make_pair_model(s1, s2, x, window=20.0).profile
+    d = StationaryPairModel(s1, s2, x, window=20.0).profile
     g0 = np.trapezoid(x.values.real, GRID.omegas) / (2.0 * math.pi)
     assert d.signal[GRID.n // 2] == pytest.approx(g0 * g0, rel=1e-12)
 
@@ -91,7 +92,7 @@ def test_profile_peak_agrees_with_trapezoid_quadrature():
 def test_pure_signal_variance_matches_gaussian_width():
     s1, s2 = _unit_gauss_pair(GRID, sigma=2.0)
     sx = 1.0
-    d = make_pair_model(s1, s2, gaussian_cross(GRID, 0.8, sx), window=10.0).profile
+    d = StationaryPairModel(s1, s2, gaussian_cross(GRID, 0.8, sx), window=10.0).profile
     # Distil the ridge alone: a density with no accidental floor.
     pure = TauDensity(grid=GRID, signal=d.signal, background=0.0, window=10.0)
     stats = pure.windowed
@@ -102,7 +103,7 @@ def test_pure_signal_variance_matches_gaussian_width():
 def test_flat_extremal_signal_peak_equals_background():
     grid = FrequencyGrid(64, 0.25)
     s = flat_spectrum(grid, 1.0)
-    m = make_pair_model(s, s, max_classical_cross(s, s), window=8.0)
+    m = StationaryPairModel(s, s, max_classical_cross(s, s), window=8.0)
     assert m.regime == "classical"
     d = m.profile
     b = (grid.n * grid.domega / (2.0 * math.pi)) ** 2
@@ -121,7 +122,7 @@ def test_flat_extremal_signal_peak_equals_background():
 def test_flat_quantum_cross_doubles_the_peak():
     grid = FrequencyGrid(64, 0.25)
     s = flat_spectrum(grid, 1.0)
-    m = make_pair_model(s, s, flat_cross(grid, math.sqrt(2.0)), window=8.0)
+    m = StationaryPairModel(s, s, flat_cross(grid, math.sqrt(2.0)), window=8.0)
     assert m.regime == "quantum"
     d = m.profile
     assert d.signal[grid.n // 2] == pytest.approx(2.0 * d.background, rel=1e-12)
@@ -156,13 +157,13 @@ def test_mixture_variance_against_triangular_quadrature():
     """
     s1, s2 = _unit_gauss_pair(GRID)
     T = 14.0
-    m = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=T)
+    m = StationaryPairModel(s1, s2, max_classical_cross(s1, s2), window=T)
     d = m.profile
     stats = d.windowed
-    taus = d.taus
+    taus = d.grid.times
     overlap = T - np.abs(taus)
-    sig_w = float((overlap * d.signal).sum()) * d.dt
-    sig_t2 = float((overlap * taus ** 2 * d.signal).sum()) * d.dt
+    sig_w = float((overlap * d.signal).sum()) * d.grid.dt
+    sig_t2 = float((overlap * taus ** 2 * d.signal).sum()) * d.grid.dt
     num = d.background * T ** 4 / 6.0 + sig_t2
     den = d.background * T ** 2 + sig_w
     assert stats.variance == pytest.approx(num / den, rel=1e-2)
@@ -172,7 +173,7 @@ def test_window_must_cover_six_rms_widths():
     grid = FrequencyGrid(512, 0.05)
     s1, s2 = _unit_gauss_pair(grid)
     # sx = 0.2 puts the ridge RMS width at 1/(0.2*sqrt(2)) ~ 3.54 ps.
-    m = make_pair_model(s1, s2, gaussian_cross(grid, 0.5, 0.2), window=10.0)
+    m = StationaryPairModel(s1, s2, gaussian_cross(grid, 0.5, 0.2), window=10.0)
     with pytest.raises(WindowTooSmallError):
         m.profile.windowed
 
@@ -181,25 +182,25 @@ def test_ridge_wrapping_off_the_tau_grid_is_rejected():
     grid = FrequencyGrid(256, 0.25)
     s1, s2 = _unit_gauss_pair(grid)
     # sx = 0.05 makes the ridge wider than the whole conjugate grid.
-    m = make_pair_model(s1, s2, gaussian_cross(grid, 0.5, 0.05), window=200.0)
+    m = StationaryPairModel(s1, s2, gaussian_cross(grid, 0.5, 0.05), window=200.0)
     with pytest.raises(GridTooCoarseError) as err:
         m.profile.windowed
     assert err.value.ratio is not None and err.value.ratio >= 1.0
 
 
-def test_make_pair_model_classifies_regimes():
+def test_the_model_classifies_regimes():
     s1, s2 = _unit_gauss_pair(GRID)
-    assert make_pair_model(s1, s2, gaussian_cross(GRID, 0.5, 1.0), 10.0).regime == "classical"
-    assert make_pair_model(s1, s2, gaussian_cross(GRID, 1.2, 1.0), 10.0).regime == "quantum"
+    assert StationaryPairModel(s1, s2, gaussian_cross(GRID, 0.5, 1.0), 10.0).regime == "classical"
+    assert StationaryPairModel(s1, s2, gaussian_cross(GRID, 1.2, 1.0), 10.0).regime == "quantum"
     with pytest.raises(AdmissibilityError):
-        make_pair_model(s1, s2, gaussian_cross(GRID, 2.0, 1.0), 10.0)
+        StationaryPairModel(s1, s2, gaussian_cross(GRID, 2.0, 1.0), 10.0)
 
 
 @pytest.mark.parametrize(
     "peak, regime, classical_calls, quantum_calls",
     [(0.5, "classical", 1, 0), (1.2, "quantum", 1, 1), (2.0, None, 1, 1)],
 )
-def test_make_pair_model_checks_each_regime_once(
+def test_the_model_checks_each_regime_once(
     monkeypatch, peak, regime, classical_calls, quantum_calls
 ):
     calls = {"classical": 0, "quantum": 0}
@@ -215,14 +216,14 @@ def test_make_pair_model_checks_each_regime_once(
     cross = gaussian_cross(GRID, peak, 1.0)
     if regime is None:
         with pytest.raises(AdmissibilityError) as err:
-            make_pair_model(s1, s2, cross, 10.0)
+            StationaryPairModel(s1, s2, cross, 10.0)
         report = quantum_admissible(s1, s2, cross)
         assert str(err.value) == (
             f"cross-spectrum violates the quantum bound: worst ratio {report.worst_ratio} "
             f"at omega = {report.worst_omega} rad/ps"
         )
     else:
-        assert make_pair_model(s1, s2, cross, 10.0).regime == regime
+        assert StationaryPairModel(s1, s2, cross, 10.0).regime == regime
     assert calls == {"classical": classical_calls, "quantum": quantum_calls}
 
 
@@ -255,7 +256,7 @@ def test_windowed_covariance_composes_the_mixture_moments():
     s1 = gaussian_spectrum(grid, 1.0, 1.0, center=1.5)
     s2 = gaussian_spectrum(grid, 1.0, 1.0, center=-0.5)
     x = CrossSpectrum(grid, 0.4 * max_classical_cross(s1, s2).values)
-    m = make_pair_model(s1, s2, x, window=40.0)
+    m = StationaryPairModel(s1, s2, x, window=40.0)
     assert m.regime == "classical"
     cov = windowed_covariance(m)
     stats = m.profile.windowed
@@ -296,7 +297,7 @@ def test_classical_extremal_peak_never_beats_the_floor(p1, p2, w1, w2, c1, c2):
     grid = FrequencyGrid(256, 0.25)
     s1 = gaussian_spectrum(grid, p1, w1, c1)
     s2 = gaussian_spectrum(grid, p2, w2, c2)
-    d = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=50.0).profile
+    d = StationaryPairModel(s1, s2, max_classical_cross(s1, s2), window=50.0).profile
     assert d.signal.max() <= d.background * (1.0 + 1e-9)
 
 
@@ -333,17 +334,61 @@ def test_accepted_gaussian_spectra_keep_their_variance_on_the_grid(n, domega, da
     sigmas = [domega * data.draw(st.floats(1.0, n / 12.0), label="sigma in cells") for _ in range(2)]
     centers = [(half_span - 6.0 * s) * data.draw(st.floats(-1.0, 1.0), label="center") for s in sigmas]
     s1, s2 = (gaussian_spectrum(grid, 1.0, s, c) for s, c in zip(sigmas, centers))
-    m = make_pair_model(s1, s2, max_classical_cross(s1, s2), window=1.0)
+    m = StationaryPairModel(s1, s2, max_classical_cross(s1, s2), window=1.0)
     for spectrum, sigma, center in zip((m.s1, m.s2), sigmas, centers):
         mean, var = stationary._spectral_moments(spectrum)
         assert var == pytest.approx(sigma ** 2, rel=1e-3)
         assert abs(mean - center) <= 1e-3 * sigma
 
 
+@st.composite
+def _classical_models(draw):
+    """(s1, s2, cross): flat, band, sparse random, single-cell or Gaussian beams, and a cross from zero up
+    to the classical ceiling."""
+    grid = FrequencyGrid(draw(st.sampled_from([8, 16, 64, 256])), draw(st.sampled_from([0.0625, 0.25, 1.0, 4.0])))
+    n = grid.n
+    beams = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["flat", "band", "sparse", "cell", "gaussian"]))
+        values = np.zeros(n)
+        if kind == "flat":
+            values[:] = 1.0
+        elif kind == "band":
+            lo = draw(st.integers(0, n - 1))
+            values[lo : draw(st.integers(lo + 1, n))] = 1.0
+        elif kind == "sparse":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            values = rng.random(n) * (rng.random(n) < draw(st.floats(0.05, 1.0)))
+        elif kind == "cell":
+            values[draw(st.integers(0, n - 1))] = 1.0
+        else:
+            sigma = grid.domega * draw(st.floats(0.5, n / 8.0))
+            values = np.exp(-0.5 * ((grid.omegas - draw(st.floats(-0.25, 0.25)) * n * grid.domega) / sigma) ** 2)
+        beams.append(SpectralModel(grid, values))
+    scale = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    cross = CrossSpectrum(grid, scale * max_classical_cross(*beams).values)
+    return (*beams, cross)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_classical_models())
+def test_a_classical_model_whose_window_is_accepted_is_separable(model):
+    # Windows from 1e-3 to 300 time cells.
+    for window in model[0].grid.dt * np.geomspace(1e-3, 300.0, 12):
+        try:
+            m = StationaryPairModel(*model, window)
+            cov = windowed_covariance(m)
+        except (WindowTooSmallError, GridTooCoarseError, DegenerateStateError):
+            continue
+        assert m.regime == "classical"
+        check = separability_check(cov)
+        assert check.separable_consistent, (check.product, window, cov)
+
+
 def test_profile_csv_rows(tmp_path):
     grid = FrequencyGrid(32, 0.5)
     s = flat_spectrum(grid, 1.0)
-    d = make_pair_model(s, s, max_classical_cross(s, s), window=6.0).profile
+    d = StationaryPairModel(s, s, max_classical_cross(s, s), window=6.0).profile
     path = tmp_path / "profile.csv"
     tau_density_to_csv(d, path)
     lines = path.read_text().splitlines()
@@ -351,7 +396,7 @@ def test_profile_csv_rows(tmp_path):
     assert lines[1] == "tau_ps,signal,background,window_ps"
     assert len(lines) == 2 + grid.n
     first = lines[2].split(",")
-    assert float(first[0]) == d.taus[0]
+    assert float(first[0]) == d.grid.times[0]
     assert float(first[1]) == d.signal[0]
     assert float(first[2]) == d.background
     assert float(first[3]) == 6.0
@@ -360,9 +405,9 @@ def test_profile_csv_rows(tmp_path):
 def test_profile_csv_matches_the_row_loop(tmp_path):
     grid = FrequencyGrid(256, 0.25)
     s1, s2 = _unit_gauss_pair(grid)
-    d = make_pair_model(s1, s2, gaussian_cross(grid, 0.4, 0.7), window=20.0).profile
+    d = StationaryPairModel(s1, s2, gaussian_cross(grid, 0.4, 0.7), window=20.0).profile
     lines = [f"# n={d.grid.n} domega_rad_ps={d.grid.domega:.17g}\n", "tau_ps,signal,background,window_ps\n"]
-    for tau, s in zip(d.taus, d.signal):
+    for tau, s in zip(d.grid.times, d.signal):
         lines.append(f"{tau:.17g},{s:.17g},{d.background:.17g},{d.window:.17g}\n")
     path = tmp_path / "profile.csv"
     tau_density_to_csv(d, path)
